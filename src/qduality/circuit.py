@@ -276,13 +276,20 @@ def rng_stream(seed, index: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
+# Uniforms drawn per block while sampling: 8 MiB of float64, whatever the
+# number of shots.  PCG64 yields the same doubles however the draws are split,
+# so the counts do not depend on this size.
+_SAMPLE_CHUNK = 1 << 20
+
+
 def sample_counts(distribution: OutcomeDistribution, total: int, seed,
                   rng: np.random.Generator | None = None) -> np.ndarray:
     """Multinomial draw of ``total`` events over the four outcomes.
 
     Sampled by sequential binomial conditioning, each binomial realized by
     counting uniforms below the conditional probability, so the counts are
-    a pure function of the PCG64 stream for the given seed.
+    a pure function of the PCG64 stream for the given seed.  The uniforms
+    are drawn in fixed-size blocks, so memory does not grow with ``total``.
     """
     if total < 1:
         raise ValueError(f"total must be >= 1, got {total}")
@@ -296,7 +303,10 @@ def sample_counts(distribution: OutcomeDistribution, total: int, seed,
         if remaining == 0 or tail <= 0.0:
             break
         p = min(max(probs[k] / tail, 0.0), 1.0)
-        counts[k] = int(np.count_nonzero(rng.random(remaining) < p))
+        counts[k] = sum(
+            int(np.count_nonzero(rng.random(min(_SAMPLE_CHUNK, remaining - start)) < p))
+            for start in range(0, remaining, _SAMPLE_CHUNK)
+        )
         remaining -= counts[k]
         tail -= probs[k]
     counts[3] = remaining

@@ -86,7 +86,10 @@ def parse_angle(text: str) -> float:
     if match.group("pi"):
         value *= math.pi
     if match.group("den"):
-        value /= float(match.group("den"))
+        den = float(match.group("den"))
+        if den == 0.0:
+            raise ValueError(f"cannot parse angle {text!r}: zero denominator")
+        value /= den
     if match.group("sign") == "-":
         value = -value
     return value
@@ -189,6 +192,12 @@ def _write_output(text: str, out_path) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads '-0.5' as a value but '-pi/4' or '-3pi/2' as an
+        # unknown option; widen its negative-number test to angle shorthand.
+        self._negative_number_matcher = re.compile(r"^-\.?\d|^-pi")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
@@ -276,6 +285,8 @@ def _noise(args) -> circuit.NoiseParams:
 
 
 def _cmd_simulate(args) -> int:
+    if args.shots is not None and args.shots < 1:
+        raise ValueError(f"--shots must be at least 1, got {args.shots}")
     config = circuit.ExperimentConfig(
         phi=args.phi, theta1=args.theta1, theta2=args.theta2,
         delta=args.delta, noise=_noise(args),

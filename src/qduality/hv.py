@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import lp as _lp
 from .circuit import bob_projector, final_state, joint_probability
@@ -31,6 +30,17 @@ TAG_PARTICLE = "particle"
 TAG_WAVE = "wave"
 _TAGS = (TAG_PARTICLE, TAG_WAVE)
 _OUTCOMES = ("+", "-")
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use.
+
+    scipy.optimize is slow to import and only the float LP needs it, so
+    every other user of this module, the CLI included, starts without it.
+    """
+    from scipy.optimize import linprog as _linprog
+
+    return _linprog(*args, **kwargs)
 
 
 def particle_stats() -> tuple:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,7 +286,44 @@ class TestSurface:
             ct.correlation_surface(0.0, theta2_grid=(), phi_grid=(1.0,))
 
 
+def one_shot_counts(distribution, total, seed):
+    """Reference sampler: each binomial step draws all its uniforms at once."""
+    rng = ct.rng_stream(seed)
+    probs = distribution.as_array()
+    counts = np.zeros(4, dtype=np.int64)
+    remaining = total
+    tail = 1.0
+    for k in range(3):
+        if remaining == 0 or tail <= 0.0:
+            break
+        p = min(max(probs[k] / tail, 0.0), 1.0)
+        counts[k] = int(np.count_nonzero(rng.random(remaining) < p))
+        remaining -= counts[k]
+        tail -= probs[k]
+    counts[3] = remaining
+    return counts
+
+
 class TestSampling:
+    @pytest.mark.parametrize("total", [1, 2**20 - 1, 2**20, 2**20 + 1, 3_000_003])
+    @pytest.mark.parametrize("seed", [0, 7, (99, 3)])
+    def test_counts_match_one_shot_sampler(self, total, seed):
+        dist = ct.coincidence_probabilities(ct.ExperimentConfig(
+            phi=3 * math.pi / 2, theta1=0.0, theta2=math.pi / 8,
+            noise=ct.NoiseParams(visibility=0.86, background=0.05)))
+        assert np.array_equal(ct.sample_counts(dist, total, seed),
+                              one_shot_counts(dist, total, seed))
+
+    def test_memory_does_not_grow_with_shots(self):
+        dist = ct.OutcomeDistribution(0.4, 0.1, 0.2, 0.3)
+        tracemalloc.start()
+        try:
+            ct.sample_counts(dist, 2**23, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_degenerate_distribution(self):
         dist = ct.OutcomeDistribution(1.0, 0.0, 0.0, 0.0)
         counts = ct.sample_counts(dist, 100, seed=0)

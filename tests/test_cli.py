@@ -30,7 +30,7 @@ class TestParseAngle:
     def test_accepted_forms(self, text, value):
         assert cli.parse_angle(text) == pytest.approx(value, abs=1e-15)
 
-    @pytest.mark.parametrize("text", ["", "pie", "pi/", "2x", "x/pi"])
+    @pytest.mark.parametrize("text", ["", "pie", "pi/", "2x", "x/pi", "pi/0", "3/0.0"])
     def test_rejected_forms(self, text):
         with pytest.raises(ValueError):
             cli.parse_angle(text)
@@ -272,6 +272,34 @@ class TestCommands:
         assert cli.main(["simulate", "--theta1", "bogus", "--theta2", "0",
                          "--phi", "0"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("angle", ["pi/0", "3pi/x"])
+    def test_bad_angle_is_usage_error(self, capsys, angle):
+        code = cli.main(["simulate", "--theta1", angle, "--theta2", "0",
+                         "--phi", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"cannot parse angle {angle!r}" in captured.err
+
+    @pytest.mark.parametrize("text,value", [
+        ("-pi/4", -math.pi / 4),
+        ("-3pi/2", -3 * math.pi / 2),
+        ("-0.5", -0.5),
+    ])
+    def test_negative_angle_as_separate_argument(self, text, value):
+        args = cli.build_parser().parse_args(
+            ["simulate", "--theta1", text, "--theta2", text, "--phi", text])
+        assert (args.theta1, args.theta2, args.phi) == (value, value, value)
+
+    @pytest.mark.parametrize("shots", ["0", "-5"])
+    def test_nonpositive_shots_print_nothing(self, capsys, shots):
+        code = cli.main(["simulate", "--theta1", "0", "--theta2", "0",
+                         "--phi", "0", "--shots", shots])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--shots" in captured.err
 
     def test_io_error_exit_code(self, capsys):
         assert cli.main(["analyze", "--from", "/nonexistent/file.csv"]) == 2

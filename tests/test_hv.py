@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +10,8 @@ import pytest
 from qduality import hv
 from qduality import lp
 from qduality.hv import HVModel, HVStrategy, SettingsList
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def random_model(rng, strategies, exact=False):
@@ -314,3 +319,21 @@ class TestExactSimplex:
                 assert float(exact.objective) == pytest.approx(ref.fun, abs=1e-7)
             elif exact.status == lp.UNBOUNDED:
                 assert ref.status == 3
+
+
+def test_scipy_loaded_only_by_float_lp():
+    script = """
+import math, sys
+import qduality.cli
+from qduality import hv
+assert "scipy" not in sys.modules, "scipy imported with the package"
+settings = hv.SettingsList(entries=[(math.pi / 4, math.pi / 2)])
+hv.feasibility([hv.quantum_joint(math.pi / 4, math.pi / 2)], settings)
+assert "scipy" in sys.modules, "float feasibility did not load scipy"
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
