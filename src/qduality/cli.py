@@ -118,11 +118,9 @@ def ingest_counts(path) -> list:
         try:
             angles = [float(f) for f in fields[:3]]
             counts = [int(f) for f in fields[3:]]
+            records.append(CoincidenceRecord(*angles, *counts))
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
-        if any(c < 0 for c in counts):
-            raise ParseError(path, lineno, "negative count")
-        records.append(CoincidenceRecord(*angles, *counts))
     return records
 
 
@@ -197,6 +195,13 @@ class _Parser(argparse.ArgumentParser):
         # argparse reads '-0.5' as a value but '-pi/4' or '-3pi/2' as an
         # unknown option; widen its negative-number test to angle shorthand.
         self._negative_number_matcher = re.compile(r"^-\.?\d|^-pi")
+
+    def _get_values(self, action, arg_strings):
+        # for an explicit '--' value ('--theta1=--') argparse drops the '--'
+        # and stores [] without calling the type function
+        if action.nargs is None and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -352,9 +357,12 @@ def _read_settings(path) -> hv.SettingsList:
         if len(fields) != 2:
             raise ParseError(path, lineno, f"expected 2 columns, got {len(fields)}")
         try:
-            entries.append((float(fields[0]), float(fields[1])))
+            entry = (float(fields[0]), float(fields[1]))
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
+        if not all(map(math.isfinite, entry)):
+            raise ParseError(path, lineno, "settings must be finite")
+        entries.append(entry)
     if not entries:
         raise ParseError(path, 1, "settings file contains no settings")
     return hv.SettingsList(entries=entries)

@@ -115,6 +115,8 @@ class SettingsList:
         entries = tuple((float(t2), float(phi)) for t2, phi in self.entries)
         if not entries:
             raise ValueError("settings list must be nonempty")
+        if not all(math.isfinite(v) for entry in entries for v in entry):
+            raise ValueError("settings must be finite")
         if len(set(entries)) != len(entries):
             raise ValueError("settings must be distinct")
         object.__setattr__(self, "entries", entries)
@@ -216,6 +218,14 @@ class FeasibilityResult:
     method: str  # "exact" or "float"
 
 
+def _sums_to_one(values) -> bool:
+    """Exactly for Fractions and ints, within 1e-9 otherwise."""
+    total = sum(values)
+    if all(isinstance(v, (Fraction, int)) for v in values):
+        return total == 1
+    return abs(float(total) - 1.0) <= 1e-9
+
+
 def _validate_targets(targets, n):
     if len(targets) != n:
         raise ValueError("targets must align with the settings list")
@@ -233,10 +243,63 @@ def _validate_targets(targets, n):
             if any(e < -1e-12 for e in entries):
                 raise ValueError("target probabilities must be nonnegative")
             entries = [max(0.0, float(e)) for e in entries]
-        if abs(float(sum(entries)) - 1.0) > 1e-9:
+        if not _sums_to_one(entries):
             raise ValueError("each target distribution must sum to 1")
         flat.append(entries)
     return flat
+
+
+def _standard_form(flat_targets, wave_probs, one):
+    """min t s.t. A x = b, x >= 0, over the tags' per-setting marginals.
+
+    Columns: W (wave weight), t (residual), per setting x_j (wave weight on
+    '+'), m_j+ and m_j-, then one slack per "<=" row.  A setting's
+    total-variation distance is 1/2 sum_b max(|sigma_b - S_b|, |k omega_b -
+    D_b|) for Bob marginal sigma and wave weights omega; the best sigma_+ in
+    [x_j, x_j + 1 - W] leaves |sigma_+ - S_+| = max(0, x_j - S_+, W - x_j - S_-).
+    """
+    zero, half = 0 * one, one / 2
+    rows = [({0: one}, one)]  # ({column: coefficient}, rhs)
+    for j, ((q0p, q0m, q1p, q1m), (w0, w1)) in enumerate(zip(flat_targets, wave_probs)):
+        s_p, s_m = one * (q0p + q1p), one * (q0m + q1m)
+        d_p, d_m = one * (q0p - q1p), one * (q0m - q1m)
+        k = one * (w0 - w1)
+        x, m_p, m_m = 2 + 3 * j, 3 + 3 * j, 4 + 3 * j
+        rows += [({x: one, 0: -one}, zero)]
+        for m in (m_p, m_m):
+            rows += [({x: one, m: -one}, s_p), ({0: one, x: -one, m: -one}, s_m)]
+        rows += [({x: k, m_p: -one}, d_p), ({x: -k, m_p: -one}, -d_p),
+                 ({0: k, x: -k, m_m: -one}, d_m), ({0: -k, x: k, m_m: -one}, -d_m),
+                 ({m_p: half, m_m: half, 1: -one}, zero)]
+    cols = 3 * len(flat_targets) + 2
+    a = [[coeffs.get(col, zero) for col in range(cols)]
+         + [one if r == i else zero for r in range(len(rows))]
+         for i, (coeffs, _) in enumerate(rows)]
+    c = [zero, one] + [zero] * (len(a[0]) - 2)
+    return c, a, [rhs for _, rhs in rows]
+
+
+def _witness(x, flat_targets, threshold) -> HVModel:
+    """Glue an LP optimum into one model, at most n + 1 strategies per tag.
+
+    Each tag's weight interval is cut at its per-setting '+' masses; a
+    piece between two cuts answers '+' at setting j iff it lies below cut j.
+    """
+    wave_weight = x[0]
+    wave_plus = [x[2 + 3 * j] for j in range(len(flat_targets))]
+    particle_plus = [q[0] + q[2] - xj for q, xj in zip(flat_targets, wave_plus)]
+    pieces = []
+    for tag, total, plus in ((TAG_PARTICLE, 1 - wave_weight, particle_plus),
+                             (TAG_WAVE, wave_weight, wave_plus)):
+        cuts = [min(max(p, 0), total) for p in plus]
+        edges = sorted({0, total, *cuts})
+        for lo, hi in zip(edges, edges[1:]):
+            outcomes = tuple("+" if hi <= cut else "-" for cut in cuts)
+            pieces.append((HVStrategy(tag=tag, bob_outcomes=outcomes), hi - lo))
+    kept = [(s, w) for s, w in pieces if w > threshold]
+    total = sum(w for _, w in kept)
+    return HVModel(strategies=tuple(s for s, _ in kept),
+                   weights=tuple(w / total for _, w in kept))
 
 
 def feasibility(targets, settings: SettingsList, wave_probs=None) -> FeasibilityResult:
@@ -244,145 +307,41 @@ def feasibility(targets, settings: SettingsList, wave_probs=None) -> Feasibility
 
     Solves min over models of the maximum per-setting total-variation
     distance.  The optimum is zero iff the targets admit a model; otherwise
-    it is returned as the infeasibility residual.  Arithmetic is exact when
-    every target (and wave_probs) entry is a Fraction or int, floating
-    point with tolerance 1e-9 otherwise.
+    it is returned as the infeasibility residual.  Only each tag's
+    per-setting outcome marginals enter the distance, and any marginals
+    glue into a joint model, so the LP has 3n + 2 variables.  Arithmetic is
+    exact when every target (and wave_probs) entry is a Fraction or int,
+    floating point with tolerance 1e-9 otherwise.
     """
     n = len(settings)
-    if n > 16:
-        raise ValueError(f"settings list too large ({n} > 16)")
     flat_targets = _validate_targets(targets, n)
     if wave_probs is None:
         wave_probs = [wave_stats(phi) for _, phi in settings.entries]
     if len(wave_probs) != n:
         raise ValueError("wave_probs must align with the settings list")
+    if not all(_sums_to_one(pair) for pair in wave_probs):
+        raise ValueError("wave statistics must sum to 1")
 
-    strategies = enumerate_strategies(n)
-    exact = all(
-        isinstance(v, (Fraction, int))
-        for row in flat_targets
-        for v in row
-    ) and all(
-        isinstance(p, (Fraction, int)) for pair in wave_probs for p in pair
-    )
-
-    # response of strategy k at constraint (j, s, b)
-    def response(strategy, j, s, b):
-        if strategy.bob_outcomes[j] != _OUTCOMES[b]:
-            return Fraction(0) if exact else 0.0
-        return _stats_for(strategy.tag, wave_probs[j])[s]
+    exact = all(isinstance(v, (Fraction, int))
+                for v in itertools.chain(*flat_targets, *wave_probs))
+    one = Fraction(1) if exact else 1.0
+    c, a, b = _standard_form(flat_targets, wave_probs, one)
 
     if exact:
-        return _feasibility_exact(strategies, flat_targets, settings, wave_probs,
-                                  response)
-    return _feasibility_float(strategies, flat_targets, settings, wave_probs,
-                              response)
-
-
-def _witness_model(strategies, weights, threshold):
-    kept = [(s, w) for s, w in zip(strategies, weights) if w > threshold]
-    strat, wts = zip(*kept)
-    total = sum(wts)
-    wts = tuple(w / total for w in wts)
-    return HVModel(strategies=strat, weights=wts)
-
-
-def _feasibility_float(strategies, flat_targets, settings, wave_probs, response):
-    n = len(settings)
-    m = len(strategies)
-    num_e = 4 * n
-    num_vars = m + num_e + 1  # weights, abs slacks, residual t
-
-    a_ub = []
-    b_ub = []
-    for j in range(n):
-        for idx, (s, b) in enumerate((s, b) for s in (0, 1) for b in (0, 1)):
-            row_resp = [float(response(st, j, s, b)) for st in strategies]
-            target = float(flat_targets[j][idx])
-            for sign in (1.0, -1.0):
-                row = [sign * r for r in row_resp]
-                row += [0.0] * num_e
-                row[m + 4 * j + idx] = -1.0
-                row += [0.0]
-                a_ub.append(row)
-                b_ub.append(sign * target)
-    for j in range(n):
-        row = [0.0] * num_vars
-        for idx in range(4):
-            row[m + 4 * j + idx] = 1.0
-        row[-1] = -2.0
-        a_ub.append(row)
-        b_ub.append(0.0)
-
-    a_eq = [[1.0] * m + [0.0] * (num_e + 1)]
-    b_eq = [1.0]
-    cost = [0.0] * (m + num_e) + [1.0]
-
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"LP solver failed: {res.message}")
-    residual = float(res.x[-1])
-    if residual <= 0.0:
-        residual = 0.0
-    feasible = residual <= FEASIBILITY_TOL
-    model = _witness_model(strategies, list(res.x[:m]), 1e-12) if feasible else None
+        res = _lp.solve(c, a, b)
+        if res.status != _lp.OPTIMAL:
+            raise RuntimeError(f"exact LP unexpectedly {res.status}")
+        x, residual = res.x, res.objective
+        feasible = residual == 0
+    else:
+        res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+        if not res.success:
+            raise RuntimeError(f"LP solver failed: {res.message}")
+        x, residual = res.x, max(res.fun, 0.0)
+        feasible = residual <= FEASIBILITY_TOL
+    model = _witness(x, flat_targets, 0 if exact else 1e-12) if feasible else None
     return FeasibilityResult(feasible=feasible, residual=residual, model=model,
-                             method="float")
-
-
-def _feasibility_exact(strategies, flat_targets, settings, wave_probs, response):
-    n = len(settings)
-    m = len(strategies)
-    num_e = 4 * n
-    # variable layout: w (m), e (4n), t, s1 (4n), s2 (4n), u (n)
-    num_vars = m + num_e + 1 + 2 * num_e + n
-    zero = Fraction(0)
-
-    rows = []
-    rhs = []
-    col_t = m + num_e
-    col_s1 = col_t + 1
-    col_s2 = col_s1 + num_e
-    col_u = col_s2 + num_e
-    for j in range(n):
-        for idx, (s, b) in enumerate((s, b) for s in (0, 1) for b in (0, 1)):
-            resp = [Fraction(response(st, j, s, b)) for st in strategies]
-            target = Fraction(flat_targets[j][idx])
-            e_col = m + 4 * j + idx
-            # (M w) - e + s1 = q   and   (M w) + e - s2 = q
-            row = resp + [zero] * (num_vars - m)
-            row[e_col] = Fraction(-1)
-            row[col_s1 + 4 * j + idx] = Fraction(1)
-            rows.append(row)
-            rhs.append(target)
-            row = resp + [zero] * (num_vars - m)
-            row[e_col] = Fraction(1)
-            row[col_s2 + 4 * j + idx] = Fraction(-1)
-            rows.append(row)
-            rhs.append(target)
-    for j in range(n):
-        row = [zero] * num_vars
-        for idx in range(4):
-            row[m + 4 * j + idx] = Fraction(1)
-        row[col_t] = Fraction(-2)
-        row[col_u + j] = Fraction(1)
-        rows.append(row)
-        rhs.append(zero)
-    rows.append([Fraction(1)] * m + [zero] * (num_vars - m))
-    rhs.append(Fraction(1))
-
-    cost = [zero] * num_vars
-    cost[col_t] = Fraction(1)
-
-    res = _lp.solve(cost, rows, rhs)
-    if res.status != _lp.OPTIMAL:
-        raise RuntimeError(f"exact LP unexpectedly {res.status}")
-    residual = res.objective
-    feasible = residual == 0
-    model = _witness_model(strategies, res.x[:m], zero) if feasible else None
-    return FeasibilityResult(feasible=feasible, residual=residual, model=model,
-                             method="exact")
+                             method="exact" if exact else "float")
 
 
 def chsh_local_bound() -> float:

@@ -257,6 +257,38 @@ class TestCommands:
         assert "FEASIBLE" in out
         assert "witness:" in out
 
+    def test_hvcheck_feasible_witness_lines(self, capsys, tmp_path):
+        settings = tmp_path / "settings.csv"
+        settings.write_text(
+            cli.SETTINGS_HEADER + f"\n{-math.pi / 4!r},{math.pi / 4!r}\n")
+        assert cli.main(["hvcheck", "--settings", str(settings)]) == 0
+        assert capsys.readouterr().out == (
+            "FEASIBLE residual=0.000e+00\n"
+            "witness: 0.176777 particle +\n"
+            "witness: 0.323223 particle -\n"
+            "witness: 0.146447 wave +\n"
+            "witness: 0.353553 wave -\n")
+
+    @pytest.mark.parametrize("row", ["0.1,1e400", "nan,1.0"])
+    def test_hvcheck_non_finite_setting_names_line(self, capsys, tmp_path, row):
+        settings = tmp_path / "settings.csv"
+        settings.write_text(cli.SETTINGS_HEADER + f"\n{row}\n")
+        code = cli.main(["hvcheck", "--settings", str(settings)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "settings.csv:2: settings must be finite" in captured.err
+
+    @pytest.mark.parametrize("angle", ["nan", "inf"])
+    def test_analyze_non_finite_angle_names_line(self, capsys, tmp_path, angle):
+        path = tmp_path / "f.csv"
+        path.write_text(cli.COUNTS_HEADER + f"\n{angle},0.1,0.2,5,1,5,5\n")
+        code = cli.main(["analyze", "--from", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "f.csv:2: theta1 must be finite" in captured.err
+
     def test_hvcheck_bound_mode(self, capsys, tmp_path):
         settings = tmp_path / "settings.csv"
         settings.write_text(cli.SETTINGS_HEADER + "\n0.0,1.0\n")
@@ -281,6 +313,20 @@ class TestCommands:
         assert code == 1
         assert captured.out == ""
         assert f"cannot parse angle {angle!r}" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--theta1=--"],
+        ["surface", "--theta1=--"],
+        ["chsh", "--phi=--"],
+        ["hom", "--transmission=--", "--from", "1", "--to", "2", "--steps", "3"],
+        ["simulate", "--theta1", "0", "--theta2", "0", "--phi", "0", "--shots=--"],
+    ])
+    def test_explicit_double_dash_value_is_usage_error(self, capsys, argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "expected one argument" in captured.err
 
     @pytest.mark.parametrize("text,value", [
         ("-pi/4", -math.pi / 4),

@@ -222,10 +222,39 @@ class TestFeasibility:
             assert not result.feasible, f"entries={entries}"
             assert result.residual > 1e-3
 
-    def test_settings_list_too_large(self):
-        entries = [(0.01 * k, 0.1 * k) for k in range(17)]
+    @pytest.mark.parametrize("n", [17, 40])
+    def test_large_float_lists_solve(self, n):
+        rng = np.random.default_rng(n)
+        entries = [(float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0, 6.2)))
+                   for _ in range(n)]
+        settings = SettingsList(entries=entries)
+        quantum = hv.feasibility([hv.quantum_joint(t2, phi) for t2, phi in entries],
+                                 settings)
+        assert quantum.method == "float" and not quantum.feasible
+        model = random_model(rng, [HVStrategy(tag, tuple(rng.choice(["+", "-"], n)))
+                                   for tag in ("particle", "wave") for _ in range(3)])
+        target = hv.predicted_joint(model, settings)
+        result = hv.feasibility(target, settings)
+        assert result.feasible
+        reproduced = hv.predicted_joint(result.model, settings)
+        assert np.allclose(np.array(reproduced, dtype=float), np.array(target, dtype=float),
+                           atol=1e-9)
+
+    def test_non_finite_settings_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            SettingsList([(0.0, float("nan"))])
+        with pytest.raises(ValueError, match="finite"):
+            SettingsList([(float("inf"), 1.0)])
+
+    def test_exact_inputs_must_sum_to_one_exactly(self):
+        settings = SettingsList(entries=[(0.0, 1.0)])
+        half, tiny = Fraction(1, 2), Fraction(1, 10**12)
         with pytest.raises(ValueError):
-            hv.feasibility([np.eye(2) / 2] * 17, SettingsList(entries=entries))
+            hv.feasibility([[[half, tiny], [half, 0]]], settings,
+                           wave_probs=[(half, half)])
+        with pytest.raises(ValueError):
+            hv.feasibility([[[half, 0], [half, 0]]], settings,
+                           wave_probs=[(half, half + tiny)])
 
     def test_malformed_target_rejected(self):
         settings = SettingsList(entries=[(0.0, 1.0)])
@@ -235,6 +264,107 @@ class TestFeasibility:
             hv.feasibility([[[-0.1, 0.6], [0.3, 0.2]]], settings)
         with pytest.raises(ValueError):
             hv.feasibility([np.eye(2) / 2, np.eye(2) / 2], settings)
+
+
+def enumerated_residual(targets, wave_probs, exact):
+    """The LP over every deterministic strategy: one weight per strategy.
+
+    min t s.t. |M w - q| <= e entrywise, sum_j-block e <= 2t, sum w = 1,
+    in standard form with one slack per inequality.
+    """
+    n = len(targets)
+    one = Fraction(1) if exact else 1.0
+    zero = 0 * one
+    strategies = hv.enumerate_strategies(n)
+    m, num_e = len(strategies), 4 * n
+    ineq = []
+    for j in range(n):
+        for idx, (s, b) in enumerate((s, b) for s in (0, 1) for b in (0, 1)):
+            stats = [one * (Fraction(1, 2) if st.tag == "particle" else wave_probs[j][s])
+                     if st.bob_outcomes[j] == "+-"[b] else zero for st in strategies]
+            e = [zero] * (num_e + 1)
+            e[4 * j + idx] = -one
+            q = one * targets[j][s][b]
+            ineq.append((stats + e, q))
+            ineq.append(([-v for v in stats] + e, -q))
+        row = [zero] * (m + num_e + 1)
+        row[m + 4 * j:m + 4 * j + 4] = [one] * 4
+        row[-1] = -2 * one
+        ineq.append((row, zero))
+    k = len(ineq)
+    a = [row + [one if i == r else zero for i in range(k)]
+         for r, (row, _) in enumerate(ineq)]
+    a.append([one] * m + [zero] * (num_e + 1 + k))
+    b = [rhs for _, rhs in ineq] + [one]
+    c = [zero] * (m + num_e) + [one] + [zero] * k
+    if exact:
+        return lp.solve(c, a, b).objective
+    from scipy.optimize import linprog
+
+    return max(linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs").fun, 0.0)
+
+
+def rational_joint(rng):
+    raw = [Fraction(int(v)) for v in rng.integers(0, 7, size=4)]
+    raw[int(rng.integers(4))] += 1
+    flat = [v / sum(raw) for v in raw]
+    return [flat[:2], flat[2:]]
+
+
+def oracle_cases(rng, n, exact):
+    """(targets, wave_probs, settings) drawn from quantum, random and tagged-model targets."""
+    cosines = [Fraction(int(c)) if c in (-1, 0, 1) else Fraction(int(c), 5)
+               for c in rng.choice([-1, 0, 1, -4, -2, 3], size=n)]
+    phis = [math.acos(float(c)) for c in cosines]
+    settings = SettingsList([(float(rng.uniform(-1.5, 1.5)), phi) for phi in phis])
+    wave = ([hv.wave_stats_from_cos(c) for c in cosines] if exact
+            else [hv.wave_stats(phi) for phi in phis])
+    quantum = [hv.quantum_joint(t2, phi) for t2, phi in settings.entries]
+    if exact:
+        quantum = [[[Fraction(float(v)).limit_denominator(50) for v in row] for row in q]
+                   for q in quantum]
+        for table in quantum:
+            table[0][0] += 1 - sum(table[0]) - sum(table[1])
+        if any(v < 0 for table in quantum for row in table for v in row):
+            quantum = [rational_joint(rng) for _ in range(n)]
+        randoms = [rational_joint(rng) for _ in range(n)]
+    else:
+        randoms = [rng.dirichlet(np.ones(4)).reshape(2, 2) for _ in range(n)]
+    model = random_model(rng, hv.enumerate_strategies(n), exact=exact)
+    tagged = hv.predicted_joint(model, settings, wave_probs=wave)
+    return [(t, wave, settings) for t in (quantum, randoms, tagged)]
+
+
+class TestAgainstEnumeratedStrategies:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_float_residuals_match(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(4):
+            for targets, wave, settings in oracle_cases(rng, n, exact=False):
+                result = hv.feasibility(targets, settings, wave_probs=wave)
+                assert result.method == "float"
+                want = enumerated_residual(targets, wave, exact=False)
+                assert abs(result.residual - want) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exact_residuals_equal(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(3 if n < 3 else 1):
+            for targets, wave, settings in oracle_cases(rng, n, exact=True):
+                result = hv.feasibility(targets, settings, wave_probs=wave)
+                assert result.method == "exact"
+                assert result.residual == enumerated_residual(targets, wave, exact=True)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_witness_reproduces_exact_targets(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(3):
+            targets, wave, settings = oracle_cases(rng, n, exact=True)[2]
+            result = hv.feasibility(targets, settings, wave_probs=wave)
+            assert result.feasible and result.residual == 0
+            for tag in ("particle", "wave"):
+                assert sum(s.tag == tag for s in result.model.strategies) <= n + 1
+            assert hv.predicted_joint(result.model, settings, wave_probs=wave) == targets
 
 
 class TestLocalBound:
