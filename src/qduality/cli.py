@@ -339,6 +339,10 @@ def _cmd_chsh(args) -> int:
 def _cmd_hom(args) -> int:
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
+    # an infinite span (--to inf, or --from -1e308 --to 1e308) would make
+    # linspace warn and return NaN positions
+    if not math.isfinite(args.stop - args.start):
+        raise ValueError("--from and --to must be finite and less than 1.8e308 apart")
     positions = np.linspace(args.start, args.stop, args.steps)
     overlap = fock.OverlapModel(x0=args.x0, sigma=args.sigma)
     result = fock.hom_scan(args.transmission, overlap, positions)

@@ -15,6 +15,8 @@ silently.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import circuit as _circuit
-from .qstate import Projector, cz_gate, controlled_hadamard, w_gate, waveplate
+from .qstate import KET_A, KET_D, Projector, w_gate, waveplate
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -209,13 +211,17 @@ class OverlapModel:
             raise ValueError(f"overlap must be in [0, 1], got {self.v}")
         if (self.x0 is None) != (self.sigma is None):
             raise ValueError("x0 and sigma must be given together")
-        if self.sigma is not None and self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if self.x0 is not None:
+            if not (math.isfinite(self.x0) and math.isfinite(self.sigma)):
+                raise ValueError("x0 and sigma must be finite")
+            if self.sigma <= 0:
+                raise ValueError("sigma must be positive")
 
     def value(self, x: float) -> float:
         if self.x0 is None:
             return self.v
-        return math.exp(-((x - self.x0) ** 2) / (2.0 * self.sigma**2))
+        z = (x - self.x0) / self.sigma
+        return math.exp(-0.5 * z * z)
 
 
 @dataclass(frozen=True)
@@ -226,6 +232,15 @@ class HomScanResult:
     contrast: float
 
 
+def _finite_positions(positions) -> tuple:
+    positions = tuple(float(x) for x in positions)
+    if not positions:
+        raise ValueError("positions must be nonempty")
+    if not all(map(math.isfinite, positions)):
+        raise ValueError("positions must be finite")
+    return positions
+
+
 def hom_scan(transmission: float, overlap: OverlapModel, positions) -> HomScanResult:
     """Two-photon coincidence dip across a delay scan.
 
@@ -234,9 +249,7 @@ def hom_scan(transmission: float, overlap: OverlapModel, positions) -> HomScanRe
     """
     if not 0.0 <= transmission <= 1.0:
         raise ValueError(f"transmission {transmission} outside [0, 1]")
-    positions = tuple(float(x) for x in positions)
-    if not positions:
-        raise ValueError("positions must be nonempty")
+    positions = _finite_positions(positions)
     t, r = transmission, 1.0 - transmission
     baseline = t * t + r * r
     curve = tuple(baseline - 2.0 * t * r * overlap.value(x) for x in positions)
@@ -310,30 +323,58 @@ def _run_gate_chain(inputs: ModeState, with_w: bool) -> ModeState:
 
 
 _POLS = (POL_H, POL_V)
+_DA_KETS = {"D": KET_D, "A": KET_A}
 
 
-def _gate_kraus(t_s: str, t_c: str, with_w: bool) -> list:
-    """Kraus operators of the post-selected chain for given temporal labels.
+def _port_amplitudes(state: ModeState, ports) -> dict:
+    """Post-select one photon per port; a polarization tensor per temporal configuration.
 
-    Basis order (control, target): index = 2*c + s with H = 0, V = 1.
-    Distinct temporal output configurations give orthogonal environments and
-    therefore separate Kraus terms.
+    Keys are the temporal labels in port order, tensor indices the
+    polarizations in port order (H = 0, V = 1).  Distinct temporal
+    configurations are orthogonal environments and never interfere.
     """
-    columns = defaultdict(lambda: np.zeros((4, 4), dtype=complex))
-    for col, (c_pol, s_pol) in enumerate(
-        (c, s) for c in _POLS for s in _POLS
-    ):
+    kept, _ = state.postselect_one_per_port(ports)
+    tensors = defaultdict(lambda: np.zeros((2,) * len(ports), dtype=complex))
+    for pattern, amp in kept.amps.items():
+        by_port = {m.spatial: m for m in pattern}
+        modes = [by_port[port] for port in ports]
+        key = tuple(m.temporal for m in modes)
+        tensors[key][tuple(_POLS.index(m.pol) for m in modes)] += amp
+    return tensors
+
+
+def _transfer(chain: Callable[[ModeState], ModeState], ports, labels) -> list:
+    """Post-selected 4x4 maps of a two-photon chain, one per temporal configuration.
+
+    Row and column index 2*i + j for polarization i on ``ports[0]`` and j on
+    ``ports[1]``; the input photons carry the temporal ``labels``.  The maps
+    are the Kraus terms of the chain, sorted by temporal configuration.
+    """
+    maps = defaultdict(lambda: np.zeros((4, 4), dtype=complex))
+    for col, (pol0, pol1) in enumerate(itertools.product(_POLS, repeat=2)):
         start = ModeState.from_patterns(
-            [((Mode("s", s_pol, t_s), Mode("c", c_pol, t_c)), 1.0)]
+            [((Mode(ports[0], pol0, labels[0]), Mode(ports[1], pol1, labels[1])), 1.0)]
         )
-        final = _run_gate_chain(start, with_w)
-        kept, _ = final.postselect_one_per_port(("c", "s"))
-        for pattern, amp in kept.amps.items():
-            by_port = {m.spatial: m for m in pattern}
-            row = 2 * _POLS.index(by_port["c"].pol) + _POLS.index(by_port["s"].pol)
-            group = (by_port["s"].temporal, by_port["c"].temporal)
-            columns[group][row, col] += amp
-    return [columns[g] for g in sorted(columns)]
+        for key, tensor in _port_amplitudes(chain(start), ports).items():
+            maps[key][:, col] = tensor.reshape(4)
+    return [maps[key] for key in sorted(maps)]
+
+
+def _overlap_branches(v: float, same, distinct) -> list:
+    """Weight v on the shared temporal labels, 1 - v on the distinct ones."""
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"overlap must be in [0, 1], got {v}")
+    return [(w, labels) for w, labels in ((v, same), (1.0 - v, distinct)) if w > 0.0]
+
+
+def _physical_gate(v: float, with_w: bool) -> tuple[PostselectedMap, float]:
+    """Gate map in the (control, target) basis, index 2*c + s with H = 0, V = 1."""
+    chain = functools.partial(_run_gate_chain, with_w=with_w)
+    gate_map = PostselectedMap(
+        (w, _transfer(chain, ("c", "s"), labels))
+        for w, labels in _overlap_branches(v, ("t0", "t0"), ("t0", "t1"))
+    )
+    return gate_map, gate_map.success_probability()
 
 
 def physical_cz(v: float) -> tuple[PostselectedMap, float]:
@@ -344,42 +385,19 @@ def physical_cz(v: float) -> tuple[PostselectedMap, float]:
     temporal-label mixture.  The returned probability is for a maximally
     mixed input.
     """
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"overlap must be in [0, 1], got {v}")
-    branches = []
-    if v > 0.0:
-        branches.append((v, _gate_kraus("t0", "t0", with_w=False)))
-    if v < 1.0:
-        branches.append((1.0 - v, _gate_kraus("t0", "t1", with_w=False)))
-    gate_map = PostselectedMap(branches)
-    return gate_map, gate_map.success_probability()
+    return _physical_gate(v, with_w=False)
 
 
 def physical_ch(v: float) -> tuple[PostselectedMap, float]:
     """The controlled-phase chain conjugated by the target-side rotation."""
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"overlap must be in [0, 1], got {v}")
-    branches = []
-    if v > 0.0:
-        branches.append((v, _gate_kraus("t0", "t0", with_w=True)))
-    if v < 1.0:
-        branches.append((1.0 - v, _gate_kraus("t0", "t1", with_w=True)))
-    gate_map = PostselectedMap(branches)
-    return gate_map, gate_map.success_probability()
+    return _physical_gate(v, with_w=True)
 
 
-def ideal_cz_matrix() -> np.ndarray:
-    return np.asarray(cz_gate().matrix)
-
-
-def ideal_ch_matrix() -> np.ndarray:
-    return np.asarray(controlled_hadamard().matrix)
-
-
-_DA_KETS = {
-    "D": np.array([1.0, 1.0], dtype=complex) / _SQRT2,
-    "A": np.array([1.0, -1.0], dtype=complex) / _SQRT2,
-}
+def _analyzer_bras(outcomes) -> np.ndarray:
+    """Rows <oc| (x) <oa| on (control, ancilla) for outcomes such as "DA"."""
+    return np.array(
+        [np.kron(_DA_KETS[oc], _DA_KETS[oa]) for oc, oa in outcomes]
+    ).conj()
 
 
 def _apply_bsm_elements(state: ModeState, theta2: float) -> ModeState:
@@ -395,71 +413,17 @@ def _apply_bsm_elements(state: ModeState, theta2: float) -> ModeState:
     return pbs_transform(state, ("c", "a"))
 
 
-def _da_outcome_probs(state: ModeState) -> dict:
-    """Diagonal-basis coincidence probabilities after post-selection.
+def _analyzer_probs(state: ModeState, theta2: float, ports, bras) -> np.ndarray:
+    """|<bra|psi>|^2 per bra after the analyzer at theta2.
 
-    Groups the post-selected patterns by their temporal configuration
-    (orthogonal environments) and accumulates |<outcome|group>|^2.
+    Summed over the output temporal configurations, which do not interfere.
     """
-    kept, _ = state.postselect_one_per_port(("a", "c"))
-    groups = defaultdict(lambda: np.zeros((2, 2), dtype=complex))
-    for pattern, amp in kept.amps.items():
-        by_port = {m.spatial: m for m in pattern}
-        i = _POLS.index(by_port["c"].pol)
-        j = _POLS.index(by_port["a"].pol)
-        groups[(by_port["c"].temporal, by_port["a"].temporal)][i, j] += amp
-    probs = {f"{oc}{oa}": 0.0 for oc in "DA" for oa in "DA"}
-    for mat in groups.values():
-        for oc in "DA":
-            for oa in "DA":
-                amp = _DA_KETS[oc].conj() @ mat @ _DA_KETS[oa].conj()
-                probs[f"{oc}{oa}"] += float(abs(amp) ** 2)
-    return probs
+    tensors = _port_amplitudes(_apply_bsm_elements(state, theta2), ports)
+    return sum(np.abs(bras @ t.reshape(-1)) ** 2 for t in tensors.values())
 
 
-def bsm_projector_physical(theta2: float) -> Projector:
-    """Effective two-photon projector realized by the analyzer chain.
-
-    The cross outcomes DA and AD herald the "+" result; the matrix equals
-    the circuit-level projector onto cos(theta2)|phi-> + sin(theta2)|psi+>.
-    """
-    amplitudes = {out: np.zeros(4, dtype=complex) for out in ("DA", "AD")}
-    for col, (c_pol, a_pol) in enumerate(
-        (c, a) for c in _POLS for a in _POLS
-    ):
-        start = ModeState.from_patterns(
-            [((Mode("c", c_pol, "t0"), Mode("a", a_pol, "t0")), 1.0)]
-        )
-        final = _apply_bsm_elements(start, theta2)
-        kept, _ = final.postselect_one_per_port(("a", "c"))
-        mat = np.zeros((2, 2), dtype=complex)
-        for pattern, amp in kept.amps.items():
-            by_port = {m.spatial: m for m in pattern}
-            mat[_POLS.index(by_port["c"].pol), _POLS.index(by_port["a"].pol)] += amp
-        for out in ("DA", "AD"):
-            amplitudes[out][col] = (
-                _DA_KETS[out[0]].conj() @ mat @ _DA_KETS[out[1]].conj()
-            )
-    proj = np.zeros((4, 4), dtype=complex)
-    for vec in amplitudes.values():
-        proj += np.outer(vec.conj(), vec)
-    return Projector(dimension=4, matrix=proj)
-
-
-@dataclass(frozen=True)
-class BsmScanResult:
-    positions: tuple
-    rates: dict  # keys "DA", "AD", "DD", "AA" -> tuple of rates
-
-
-def _bsm_pair_state(t_c: str, t_a: str) -> ModeState:
-    """Source pair at delta = 0 after the fixed arm rotations."""
-    state = ModeState.from_patterns(
-        [
-            ((Mode("c", POL_H, t_c), Mode("a", POL_V, t_a)), 1.0 / _SQRT2),
-            ((Mode("c", POL_V, t_c), Mode("a", POL_H, t_a)), 1.0 / _SQRT2),
-        ]
-    )
+def _rotate_arms(state: ModeState) -> ModeState:
+    """The fixed polarization rotations of the control and ancilla arms."""
     state = state.transform(
         polarization_map("c", _circuit.control_arm_rotation().matrix)
     )
@@ -468,91 +432,48 @@ def _bsm_pair_state(t_c: str, t_a: str) -> ModeState:
     )
 
 
+def bsm_projector_physical(theta2: float) -> Projector:
+    """Effective two-photon projector realized by the analyzer chain.
+
+    The cross outcomes DA and AD herald the "+" result; the matrix equals
+    the circuit-level projector onto cos(theta2)|phi-> + sin(theta2)|psi+>.
+    """
+    chain = functools.partial(_apply_bsm_elements, theta2=theta2)
+    (transfer,) = _transfer(chain, ("c", "a"), ("t0", "t0"))
+    rows = _analyzer_bras(("DA", "AD")) @ transfer
+    return Projector(dimension=4, matrix=rows.conj().T @ rows)
+
+
+@dataclass(frozen=True)
+class BsmScanResult:
+    positions: tuple
+    rates: dict  # keys "DA", "AD", "DD", "AA" -> tuple of rates
+
+
 def bsm_scan(theta2: float, overlap: OverlapModel, positions) -> BsmScanResult:
     """Diagonal-basis coincidence curves across the analyzer delay scan.
 
     At full overlap the cross outcomes DA/AD peak while DD/AA vanish; with
     no overlap all four rates coincide.
     """
-    positions = tuple(float(x) for x in positions)
-    if not positions:
-        raise ValueError("positions must be nonempty")
-    per_branch = {}
-    for key, (t_c, t_a) in {"same": ("t0", "t0"), "dist": ("t0", "t1")}.items():
-        state = _apply_bsm_elements(_bsm_pair_state(t_c, t_a), theta2)
-        per_branch[key] = _da_outcome_probs(state)
-    rates = {out: [] for out in ("DA", "AD", "DD", "AA")}
+    positions = _finite_positions(positions)
+    outcomes = ("DA", "AD", "DD", "AA")
+    bras = _analyzer_bras(outcomes)
+    probs = []
+    for t_c, t_a in (("t0", "t0"), ("t0", "t1")):
+        pair = _rotate_arms(ModeState.from_patterns([
+            ((Mode("c", POL_H, t_c), Mode("a", POL_V, t_a)), 1.0 / _SQRT2),
+            ((Mode("c", POL_V, t_c), Mode("a", POL_H, t_a)), 1.0 / _SQRT2),
+        ]))
+        probs.append(_analyzer_probs(pair, theta2, ("c", "a"), bras).tolist())
+    same, dist = probs
+    rates = {out: [] for out in outcomes}
     for x in positions:
         v = overlap.value(x)
-        for out in rates:
-            rates[out].append(
-                v * per_branch["same"][out] + (1.0 - v) * per_branch["dist"][out]
-            )
+        for k, out in enumerate(outcomes):
+            rates[out].append(v * same[k] + (1.0 - v) * dist[k])
     return BsmScanResult(positions=positions,
                          rates={k: tuple(vals) for k, vals in rates.items()})
-
-
-def _three_photon_run(config: _circuit.ExperimentConfig, theta2_eff: float,
-                      labels: tuple) -> dict:
-    """One full pipeline run at a fixed analyzer angle.
-
-    Returns P(alice +-, analyzer cross-outcome) for the given temporal
-    labels (t_s, t_c, t_a), post-selected on one photon in each of the
-    three output ports.
-    """
-    t_s, t_c, t_a = labels
-    state = ModeState.from_patterns(
-        [
-            (
-                (Mode("s", POL_V, t_s), Mode("c", POL_H, t_c), Mode("a", POL_V, t_a)),
-                1.0 / _SQRT2,
-            ),
-            (
-                (Mode("s", POL_V, t_s), Mode("c", POL_V, t_c), Mode("a", POL_H, t_a)),
-                np.exp(1j * config.delta) / _SQRT2,
-            ),
-        ]
-    )
-    state = state.transform(
-        polarization_map("s", waveplate("half", math.pi / 8).matrix)
-    )
-    state = state.transform(
-        polarization_map("s", np.diag([1.0, np.exp(1j * config.phi)]))
-    )
-    state = _run_gate_chain(state, with_w=True)
-    state = state.transform(
-        polarization_map("c", _circuit.control_arm_rotation().matrix)
-    )
-    state = state.transform(
-        polarization_map("a", _circuit.ancilla_arm_rotation().matrix)
-    )
-    state = _apply_bsm_elements(state, theta2_eff)
-    kept, _ = state.postselect_one_per_port(("a", "c", "s"))
-
-    groups = defaultdict(lambda: np.zeros((2, 2, 2), dtype=complex))
-    for pattern, amp in kept.amps.items():
-        by_port = {m.spatial: m for m in pattern}
-        idx = tuple(_POLS.index(by_port[port].pol) for port in ("s", "c", "a"))
-        key = tuple(by_port[port].temporal for port in ("s", "c", "a"))
-        groups[key][idx] += amp
-
-    alice = {
-        "+": np.array([math.cos(config.theta1), math.sin(config.theta1)]),
-        "-": np.array([-math.sin(config.theta1), math.cos(config.theta1)]),
-    }
-    probs = {sign: 0.0 for sign in "+-"}
-    for tensor in groups.values():
-        for sign, ket in alice.items():
-            for out in ("DA", "AD"):
-                amp = np.einsum(
-                    "i,j,k,ijk->",
-                    ket.conj(),
-                    _DA_KETS[out[0]].conj(),
-                    _DA_KETS[out[1]].conj(),
-                    tensor,
-                )
-                probs[sign] += float(abs(amp) ** 2)
-    return probs
 
 
 def physical_correlation(config: _circuit.ExperimentConfig, v: float) -> float:
@@ -562,30 +483,33 @@ def physical_correlation(config: _circuit.ExperimentConfig, v: float) -> float:
     the analyzer interference is taken as aligned.  The "-" analyzer
     outcome is a separate run at theta2 + pi/2, as in the counting
     procedure, and the four post-selected rates combine exactly like
-    coincidence counts.
+    coincidence counts.  Source, gate chain and arm rotations run once per
+    overlap branch; only the analyzer depends on theta2.
     """
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"overlap must be in [0, 1], got {v}")
-    branch_weights = []
-    if v > 0.0:
-        branch_weights.append((v, ("t0", "t0", "t0")))
-    if v < 1.0:
-        branch_weights.append((1.0 - v, ("t1", "t0", "t0")))
+    branches = _overlap_branches(v, ("t0", "t0", "t0"), ("t1", "t0", "t0"))
+    c1, s1 = math.cos(config.theta1), math.sin(config.theta1)
+    # rows (alice, bob cross outcome): (+, DA), (+, AD), (-, DA), (-, AD)
+    bras = np.kron(np.array([[c1, s1], [-s1, c1]]), _analyzer_bras(("DA", "AD")))
+    rates = np.zeros((2, 2))  # [alice sign, bob sign]
+    for weight, (t_s, t_c, t_a) in branches:
+        state = ModeState.from_patterns([
+            ((Mode("s", POL_V, t_s), Mode("c", POL_H, t_c), Mode("a", POL_V, t_a)),
+             1.0 / _SQRT2),
+            ((Mode("s", POL_V, t_s), Mode("c", POL_V, t_c), Mode("a", POL_H, t_a)),
+             np.exp(1j * config.delta) / _SQRT2),
+        ])
+        state = state.transform(
+            polarization_map("s", waveplate("half", math.pi / 8).matrix)
+        )
+        state = state.transform(
+            polarization_map("s", np.diag([1.0, np.exp(1j * config.phi)]))
+        )
+        state = _rotate_arms(_run_gate_chain(state, with_w=True))
+        for bob, theta2 in enumerate((config.theta2, config.theta2 + math.pi / 2)):
+            probs = _analyzer_probs(state, theta2, ("s", "c", "a"), bras)
+            rates[:, bob] += weight * probs.reshape(2, 2).sum(axis=1)
 
-    rates = {}
-    for bob_sign, theta2_eff in (("+", config.theta2),
-                                 ("-", config.theta2 + math.pi / 2)):
-        for alice_sign in "+-":
-            rates[(alice_sign, bob_sign)] = 0.0
-        for weight, labels in branch_weights:
-            run = _three_photon_run(config, theta2_eff, labels)
-            for alice_sign in "+-":
-                rates[(alice_sign, bob_sign)] += weight * run[alice_sign]
-
-    total = sum(rates.values())
+    total = rates.sum()
     if total <= 0.0:
         raise ValueError("no post-selected events; correlation undefined")
-    return (
-        rates[("+", "+")] - rates[("+", "-")]
-        - rates[("-", "+")] + rates[("-", "-")]
-    ) / total
+    return float((rates[0, 0] - rates[0, 1] - rates[1, 0] + rates[1, 1]) / total)

@@ -240,6 +240,8 @@ def _validate_targets(targets, n):
             if any(e < 0 for e in entries):
                 raise ValueError("target probabilities must be nonnegative")
         else:
+            if not all(map(math.isfinite, entries)):
+                raise ValueError("target probabilities must be finite")
             if any(e < -1e-12 for e in entries):
                 raise ValueError("target probabilities must be nonnegative")
             entries = [max(0.0, float(e)) for e in entries]

@@ -148,10 +148,10 @@ def test_criterion_6_physical_gate_equivalence():
     ch_map, ch_success = fock.physical_ch(1.0)
     ok = (
         np.max(np.abs(3.0 * cz_map.coherent_operator
-                      - fock.ideal_cz_matrix())) < 1e-10
+                      - qs.cz_gate().matrix)) < 1e-10
         and abs(cz_success - 1.0 / 9.0) < 1e-10
         and np.max(np.abs(3.0 * ch_map.coherent_operator
-                          - fock.ideal_ch_matrix())) < 1e-10
+                          - qs.controlled_hadamard().matrix)) < 1e-10
         and abs(ch_success - 1.0 / 9.0) < 1e-10
     )
     worst = 0.0

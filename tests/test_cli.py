@@ -1,8 +1,11 @@
+import contextlib
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qduality import cli
 from qduality import circuit as ct
@@ -356,3 +359,95 @@ class TestCommands:
         path.write_text("not,a,valid,row\n")
         assert cli.main(["analyze", "--from", str(path)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--sigma", "nan"], "x0 and sigma must be finite"),
+        (["--x0", "nan"], "x0 and sigma must be finite"),
+        (["--x0", "inf"], "x0 and sigma must be finite"),
+        (["--from", "nan"], "--from and --to must be finite"),
+        (["--to", "inf"], "--from and --to must be finite"),
+        (["--from", "-1e308", "--to", "1e308"], "--from and --to must be finite"),
+    ])
+    def test_hom_non_finite_input_is_usage_error(self, capsys, extra, message):
+        code = cli.main(["hom", "--from", "0", "--to", "1", "--steps", "3"] + extra)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("extra", [
+        ["--to", "1e300", "--steps", "2"],
+        ["--sigma", "1e-200"],
+    ])
+    def test_hom_extreme_finite_input_stays_finite(self, capsys, extra):
+        code = cli.main(["hom", "--from", "0", "--to", "1", "--steps", "3"] + extra)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "nan" not in out
+        assert out.endswith("# contrast=0.000000\n")
+
+
+FUZZ_VOCABULARY = ("0", "-pi/4", "3pi/2", "1/3", "pi/0", "nan", "inf", "1e-200",
+                   "1e300", "-1e300", "x", "--")
+# subcommand: (required options, optional options)
+FUZZ_COMMANDS = {
+    "simulate": (("--theta1", "--theta2", "--phi"),
+                 ("--delta", "--visibility", "--background", "--shots", "--seed")),
+    "surface": (("--theta1",), ("--grid", "--visibility", "--background", "--out")),
+    "chsh": ((), ("--phi", "--visibility", "--background", "--from", "--error-model")),
+    "hom": (("--from", "--to", "--steps"), ("--transmission", "--x0", "--sigma", "--out")),
+    "hvcheck": (("--settings",), ("--mode",)),
+    "analyze": (("--from",), ("--out", "--error-model")),
+}
+# valid values that keep the work per call small
+FUZZ_EXTRA = {
+    "--shots": ("3", "100"),
+    "--seed": ("7",),
+    "--steps": ("2", "5"),
+    "--grid": ("1x1", "2x3"),
+    "--mode": ("objectivity", "chsh-bound"),
+    "--error-model": ("multinomial",),
+}
+FUZZ_INPUT_FILES = {("chsh", "--from"), ("analyze", "--from"), ("hvcheck", "--settings")}
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory, table_a1_path):
+    """Input paths (data CSV, settings CSV, missing, directory) and --out paths."""
+    root = tmp_path_factory.mktemp("fuzz")
+    settings = root / "settings.csv"
+    settings.write_text(cli.SETTINGS_HEADER + "\n0.0,1.0\n")
+    inputs = (str(table_a1_path), str(settings), str(root / "missing.csv"), str(root))
+    outputs = (str(root / "out.csv"), str(root / "missing" / "out.csv"), str(root), "--")
+    return inputs, outputs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_cli_fuzz_exits_with_a_documented_code(fuzz_paths, data):
+    # --out only ever names a path under the fixture's directory, so no
+    # example writes into the working tree
+    inputs, outputs = fuzz_paths
+    command = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    required, optional = FUZZ_COMMANDS[command]
+    chosen = data.draw(st.lists(st.sampled_from(optional), unique=True))
+    argv = [command]
+    for option in required + tuple(chosen):
+        if option == "--out":
+            values = st.sampled_from(outputs)
+        elif (command, option) in FUZZ_INPUT_FILES:
+            values = st.sampled_from(FUZZ_VOCABULARY + inputs)
+        else:  # half the draws from the small valid values, where there are any
+            values = st.sampled_from(FUZZ_VOCABULARY)
+            if option in FUZZ_EXTRA:
+                values = st.sampled_from(FUZZ_EXTRA[option]) | values
+        value = data.draw(values)
+        if data.draw(st.booleans()):
+            argv.append(f"{option}={value}")
+        else:
+            argv += [option, value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -116,12 +116,34 @@ class TestHomScan:
         with pytest.raises(ValueError):
             OverlapModel(x0=1.0)
 
+    @pytest.mark.parametrize("x0,sigma", [(math.nan, 0.5), (math.inf, 0.5),
+                                          (11.63, math.nan), (11.63, math.inf)])
+    def test_non_finite_profile_rejected(self, x0, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            OverlapModel(x0=x0, sigma=sigma)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_positions_rejected(self, x):
+        overlap = OverlapModel(x0=11.63, sigma=0.5)
+        with pytest.raises(ValueError, match="positions must be finite"):
+            fock.hom_scan(1.0 / 3.0, overlap, [0.0, x])
+        with pytest.raises(ValueError, match="positions must be finite"):
+            fock.bsm_scan(0.0, overlap, [x])
+
+    def test_extreme_profile_stays_finite(self):
+        # far positions and a tiny width overflow the squared offset; the
+        # overlap must then be 0, not an OverflowError or ZeroDivisionError
+        assert OverlapModel(x0=11.63, sigma=0.5).value(1e300) == 0.0
+        assert OverlapModel(x0=-1e308, sigma=1e-300).value(1e308) == 0.0
+        assert OverlapModel(x0=0.5, sigma=1e-200).value(0.5) == 1.0
+        assert OverlapModel(x0=0.0, sigma=1e-200).value(0.5) == 0.0
+
 
 class TestPhysicalCz:
     def test_full_overlap_is_exact_controlled_phase(self):
         gate_map, success = fock.physical_cz(1.0)
         kraus = gate_map.coherent_operator
-        assert np.max(np.abs(3.0 * kraus - fock.ideal_cz_matrix())) < 1e-10
+        assert np.max(np.abs(3.0 * kraus - qs.cz_gate().matrix)) < 1e-10
         assert success == pytest.approx(1.0 / 9.0, abs=1e-10)
 
     def test_basis_amplitudes(self):
@@ -167,14 +189,14 @@ class TestPhysicalCh:
     def test_full_overlap_matches_ideal_gate(self):
         gate_map, success = fock.physical_ch(1.0)
         kraus = gate_map.coherent_operator
-        assert np.max(np.abs(3.0 * kraus - fock.ideal_ch_matrix())) < 1e-10
+        assert np.max(np.abs(3.0 * kraus - qs.controlled_hadamard().matrix)) < 1e-10
         assert success == pytest.approx(1.0 / 9.0, abs=1e-10)
 
     def test_process_action_on_random_inputs(self):
         # process-matrix comparison oracle: the renormalized conditional
         # output must match the ideal gate on arbitrary pure inputs
         gate_map, _ = fock.physical_ch(1.0)
-        ch = fock.ideal_ch_matrix()
+        ch = qs.controlled_hadamard().matrix
         rng = np.random.default_rng(4)
         for _ in range(20):
             ket = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -199,7 +221,7 @@ class TestPhysicalCh:
         got = ch_map.apply_to_ket(ket)
         assert np.max(np.abs(got - expected)) < 1e-12
 
-        ideal = fock.ideal_ch_matrix() @ ket
+        ideal = qs.controlled_hadamard().matrix @ ket
         got /= np.trace(got).real
         assert np.max(np.abs(got - np.outer(ideal, ideal.conj()))) > 0.05
 
@@ -285,6 +307,53 @@ class TestPhysicalCorrelation:
         e9 = fock.physical_correlation(cfg, 0.9)
         low, high = sorted((e0, e1))
         assert low - 1e-12 <= e9 <= high + 1e-12
+
+
+# physical_correlation at v = 0, 0.3 and 0.7 on a 3x3x3 (theta1, theta2, phi)
+# grid, recorded from the full three-photon dict pipeline that ran the source
+# and gate chain once per analyzer angle.  No closed form covers 0 < v < 1, so
+# these values are the oracle for any restructuring of the Fock pipeline.
+PINNED_THETA1 = (0.0, math.pi / 4, 1.1)
+PINNED_THETA2 = (-math.pi / 3, math.pi / 8, 1.2)
+PINNED_PHI = (0.4, 3 * math.pi / 2, 5.0)
+PINNED_OVERLAPS = (0.0, 0.3, 0.7)
+PINNED_CORRELATIONS = (
+    (-1.7103563732939997e-16, -0.01577329854353678, -0.046546280178038024),
+    (0.0, 0.1924500897298753, 0.5271458979557454),
+    (1.1707263515563934e-16, 0.1770106683780485, 0.49706432982472754),
+    (0.0, 0.05235150327290328, 0.15448688379010828),
+    (-4.163336342344342e-17, -0.1571348402636773, -0.43041282333094194),
+    (-3.902421171854646e-17, -0.14323204816760154, -0.4022104581843446),
+    (2.7365701972703996e-16, -0.13659871059198633, -0.4030965265523792),
+    (8.326672684688684e-17, -0.15010292901136676, -0.41115150120504823),
+    (-1.560968468741858e-16, -0.1429517876562877, -0.4014234575786235),
+    (-0.13057753644929285, -0.020390098768993146, 0.19458053573269485),
+    (8.326672684688684e-17, -0.11111111111111101, -0.3043478260869562),
+    (-0.04587742751439627, -0.13587879793328045, -0.298610617442951),
+    (0.0, -0.052351503272903235, -0.15448688379010825),
+    (-8.326672684688684e-17, 0.1571348402636772, 0.4304128233309419),
+    (7.80484234370929e-17, 0.14323204816760154, 0.4022104581843447),
+    (0.5040288759732884, 0.2761893093615383, -0.16831522972417604),
+    (-3.330669073875474e-16, -0.16386527012027716, -0.4488483485903236),
+    (0.1770867244964961, -0.015817101623577762, -0.36460724191582056),
+    (-0.10557146863887491, -0.007202717712583776, 0.1847102012820288),
+    (-8.326672684688683e-17, -0.20309002657965539, -0.556290072805143),
+    (-0.037091735161883396, -0.21402849559098314, -0.5339485237946053),
+    (6.841425493175998e-17, -0.07313492029679228, -0.2158177936933729),
+    (-4.163336342344341e-17, 0.21951698232286304, 0.6012856472321901),
+    (7.80484234370929e-17, 0.20009481622862518, 0.5618870130339436),
+    (0.4075055336456337, 0.30368655719124354, 0.1011404982977599),
+    (-1.6653345369377368e-16, -0.04414874017668043, -0.12092915787525477),
+    (0.14317397991960762, 0.07133921696786248, -0.05854549061799644),
+)
+
+
+def test_physical_correlation_matches_pinned_values():
+    grid = itertools.product(PINNED_THETA1, PINNED_THETA2, PINNED_PHI)
+    for (theta1, theta2, phi), want in zip(grid, PINNED_CORRELATIONS, strict=True):
+        cfg = ct.ExperimentConfig(phi=phi, theta1=theta1, theta2=theta2)
+        for v, expected in zip(PINNED_OVERLAPS, want, strict=True):
+            assert abs(fock.physical_correlation(cfg, v) - expected) < 1e-12
 
 
 class TestModeState:

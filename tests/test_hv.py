@@ -246,6 +246,14 @@ class TestFeasibility:
         with pytest.raises(ValueError, match="finite"):
             SettingsList([(float("inf"), 1.0)])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_targets_rejected(self, bad):
+        settings = SettingsList([(0.0, 1.0)])
+        with pytest.raises(ValueError, match="target probabilities must be finite"):
+            hv.feasibility([[[bad, 0.5], [0.5, 0.0]]], settings)
+        with pytest.raises(ValueError, match="target probabilities must be finite"):
+            hv.feasibility([[[Fraction(1, 2), bad], [Fraction(1, 2), 0]]], settings)
+
     def test_exact_inputs_must_sum_to_one_exactly(self):
         settings = SettingsList(entries=[(0.0, 1.0)])
         half, tiny = Fraction(1, 2), Fraction(1, 10**12)
