@@ -416,10 +416,12 @@ def _apply_bsm_elements(state: ModeState, theta2: float) -> ModeState:
 def _analyzer_probs(state: ModeState, theta2: float, ports, bras) -> np.ndarray:
     """|<bra|psi>|^2 per bra after the analyzer at theta2.
 
-    Summed over the output temporal configurations, which do not interfere.
+    Summed over the output temporal configurations, which do not interfere;
+    zeros when post-selection keeps nothing (e.g. bsm_scan at theta2 = pi/2).
     """
     tensors = _port_amplitudes(_apply_bsm_elements(state, theta2), ports)
-    return sum(np.abs(bras @ t.reshape(-1)) ** 2 for t in tensors.values())
+    return sum((np.abs(bras @ t.reshape(-1)) ** 2 for t in tensors.values()),
+               np.zeros(len(bras)))
 
 
 def _rotate_arms(state: ModeState) -> ModeState:

@@ -253,6 +253,17 @@ class TestBsmScan:
         rates = [res.rates[k][0] for k in ("DA", "AD", "DD", "AA")]
         assert np.allclose(rates, rates[0], atol=1e-12)
 
+    @pytest.mark.parametrize("v", [0.0, 0.3, 1.0])
+    def test_rates_follow_cos2_over_theta2(self, v):
+        # DA = AD = cos^2(theta2) (1 + v) / 4 and DD = AA = cos^2(theta2) (1 - v) / 4;
+        # at theta2 = +-pi/2 nothing survives post-selection and all rates are 0.
+        for theta2 in np.linspace(-math.pi / 2, math.pi / 2, 9):
+            rates = fock.bsm_scan(theta2, OverlapModel(v=v), [0.0]).rates
+            c2 = math.cos(theta2) ** 2
+            for key, want in (("DA", c2 * (1 + v) / 4), ("AD", c2 * (1 + v) / 4),
+                              ("DD", c2 * (1 - v) / 4), ("AA", c2 * (1 - v) / 4)):
+                assert rates[key][0] == pytest.approx(want, abs=1e-12)
+
     def test_peak_at_overlap_maximum(self):
         overlap = OverlapModel(x0=14.42, sigma=0.3)
         positions = np.linspace(13.0, 16.0, 61)
