@@ -6,9 +6,9 @@ fringe-like for ``wave``) together with a pre-assigned analyzer outcome
 for every measurement setting.  A model is one weight vector over
 strategies, shared by all settings, so setting-independence of the hidden
 variable is structural rather than checked at runtime.  Feasibility of a
-target family of joint distributions is decided by linear programming:
-exactly over the rationals when the inputs are rational, in floating
-point with a reported residual otherwise.
+target family of joint distributions is a linear program: rational inputs
+get an exact minimum of a convex piecewise-linear function of the wave
+weight, other inputs go to HiGHS with a reported residual.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import lp as _lp
 from .circuit import bob_projector, final_state, joint_probability
 from .qstate import Projector, bell_ket, projector_onto
 
@@ -89,10 +88,12 @@ class HVModel:
         weights = tuple(self.weights)
         if len(strategies) != len(weights) or not strategies:
             raise ValueError("strategies and weights must be equal-length, nonempty")
+        exact = all(isinstance(w, (Fraction, int)) for w in weights)
+        if not exact and not all(map(math.isfinite, weights)):
+            raise ValueError("weights must be finite")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
         total = sum(weights)
-        exact = all(isinstance(w, (Fraction, int)) for w in weights)
         if exact:
             if total != 1:
                 raise ValueError(f"weights sum to {total}, expected exactly 1")
@@ -181,6 +182,8 @@ def quadrature_pair_projector(theta2: float, sign: str) -> Projector:
         raise ValueError(
             "the +-i superposition pair is orthogonal only at theta2 = pi/4 + k pi/2"
         )
+    if sign not in _OUTCOMES:
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     phase = 1.0j if sign == "+" else -1.0j
     ket = math.cos(theta2) * bell_ket("phi-") + phase * math.sin(theta2) * bell_ket("psi+")
     return projector_onto(ket)
@@ -251,7 +254,7 @@ def _validate_targets(targets, n):
     return flat
 
 
-def _standard_form(flat_targets, wave_probs, one):
+def _standard_form(flat_targets, wave_probs):
     """min t s.t. A x = b, x >= 0, over the tags' per-setting marginals.
 
     Columns: W (wave weight), t (residual), per setting x_j (wave weight on
@@ -260,35 +263,108 @@ def _standard_form(flat_targets, wave_probs, one):
     D_b|) for Bob marginal sigma and wave weights omega; the best sigma_+ in
     [x_j, x_j + 1 - W] leaves |sigma_+ - S_+| = max(0, x_j - S_+, W - x_j - S_-).
     """
-    zero, half = 0 * one, one / 2
-    rows = [({0: one}, one)]  # ({column: coefficient}, rhs)
+    rows = [({0: 1}, 1)]  # ({column: coefficient}, rhs)
     for j, ((q0p, q0m, q1p, q1m), (w0, w1)) in enumerate(zip(flat_targets, wave_probs)):
-        s_p, s_m = one * (q0p + q1p), one * (q0m + q1m)
-        d_p, d_m = one * (q0p - q1p), one * (q0m - q1m)
-        k = one * (w0 - w1)
+        s_p, s_m, d_p, d_m = q0p + q1p, q0m + q1m, q0p - q1p, q0m - q1m
+        k = w0 - w1
         x, m_p, m_m = 2 + 3 * j, 3 + 3 * j, 4 + 3 * j
-        rows += [({x: one, 0: -one}, zero)]
+        rows += [({x: 1, 0: -1}, 0)]
         for m in (m_p, m_m):
-            rows += [({x: one, m: -one}, s_p), ({0: one, x: -one, m: -one}, s_m)]
-        rows += [({x: k, m_p: -one}, d_p), ({x: -k, m_p: -one}, -d_p),
-                 ({0: k, x: -k, m_m: -one}, d_m), ({0: -k, x: k, m_m: -one}, -d_m),
-                 ({m_p: half, m_m: half, 1: -one}, zero)]
+            rows += [({x: 1, m: -1}, s_p), ({0: 1, x: -1, m: -1}, s_m)]
+        rows += [({x: k, m_p: -1}, d_p), ({x: -k, m_p: -1}, -d_p),
+                 ({0: k, x: -k, m_m: -1}, d_m), ({0: -k, x: k, m_m: -1}, -d_m),
+                 ({m_p: 0.5, m_m: 0.5, 1: -1}, 0)]
     cols = 3 * len(flat_targets) + 2
-    a = [[coeffs.get(col, zero) for col in range(cols)]
-         + [one if r == i else zero for r in range(len(rows))]
+    a = [[coeffs.get(col, 0) for col in range(cols)] + [int(r == i) for r in range(len(rows))]
          for i, (coeffs, _) in enumerate(rows)]
-    c = [zero, one] + [zero] * (len(a[0]) - 2)
-    return c, a, [rhs for _, rhs in rows]
+    return [0, 1] + [0] * (len(a[0]) - 2), a, [rhs for _, rhs in rows]
 
 
-def _witness(x, flat_targets, threshold) -> HVModel:
-    """Glue an LP optimum into one model, at most n + 1 strategies per tag.
+def _side(line, w, side):
+    """A line (slope, intercept) in W as (value at w, side * slope).
+
+    Compared as tuples, these order lines exactly just to the right
+    (side = 1) or to the left (side = -1) of w.
+    """
+    return line[0] * w + line[1], side * line[0]
+
+
+def _setting_pieces(q, wave):
+    """One setting's candidate optima x = p W + r, each with its distance lines.
+
+    Twice the setting's distance at x in [0, W] is max(plus) + max(minus)
+    over pieces a x + b W + c.  Its minimum over x lies at x = 0, x = W or
+    where two pieces of one max cross, each affine in W; substituting a
+    candidate turns every piece into a line in W.
+    """
+    q0p, q0m, q1p, q1m = map(Fraction, q)
+    s_p, s_m, d_p, d_m = q0p + q1p, q0m + q1m, q0p - q1p, q0m - q1m
+    k = Fraction(wave[0] - wave[1])
+    shared = [(0, 0, 0), (1, 0, -s_p), (-1, 1, -s_m)]
+    plus = shared + [(k, 0, -d_p), (-k, 0, d_p)]
+    minus = shared + [(-k, k, -d_m), (k, -k, d_m)]
+    candidates = {(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))}
+    for pieces in (plus, minus):
+        for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(pieces, 2):
+            if a1 != a2:
+                candidates.add((Fraction(b2 - b1) / (a1 - a2), Fraction(c2 - c1) / (a1 - a2)))
+    return [((p, r), (1 - p, -r), [(a * p + b, a * r + c) for a, b, c in plus],
+             [(a * p + b, a * r + c) for a, b, c in minus]) for p, r in sorted(candidates)]
+
+
+def _setting_line(pieces, w, side):
+    """Twice r_j's line just to one side of w, and the x_j that attains it at w."""
+    options = []
+    for x, rest, plus, minus in pieces:
+        if min(_side(x, w, side), _side(rest, w, side)) < (0, 0):
+            continue  # x leaves [0, W] on that side of w
+        (a_p, b_p), (a_m, b_m) = (max(lines, key=lambda line: _side(line, w, side))
+                                  for lines in (plus, minus))
+        options.append(((a_p + a_m, b_p + b_m), x[0] * w + x[1]))
+    return min(options, key=lambda option: _side(option[0], w, side))
+
+
+def _exact_optimum(flat_targets, wave_probs):
+    """(W, residual, [x_j]) minimising g(W) = max_j r_j(W) over W in [0, 1], exactly.
+
+    Once the wave weight W is fixed the settings decouple (Fine 1982), so
+    the LP optimum is the minimum of g, convex and piecewise linear in one
+    variable.  Kelley's cutting planes (1960) keep the line of g just right of the
+    lower bracket (slope < 0) and just left of the upper one (slope > 0) and
+    move a bracket to where the two lines cross.  Each move brings in a new
+    line of g, so the loop ends when the slopes at the crossing change sign.
+    """
+    settings = [_setting_pieces(q, wave) for q, wave in zip(flat_targets, wave_probs)]
+
+    def cut(w, side):
+        lines, xs = zip(*(_setting_line(pieces, w, side) for pieces in settings))
+        return max(lines, key=lambda line: _side(line, w, side)), list(xs)
+
+    (a_lo, b_lo), xs = cut(Fraction(0), 1)
+    if a_lo >= 0:
+        return Fraction(0), b_lo / 2, xs
+    (a_hi, b_hi), xs = cut(Fraction(1), -1)
+    if a_hi <= 0:
+        return Fraction(1), (a_hi + b_hi) / 2, xs
+    while True:
+        w = (b_hi - b_lo) / (a_lo - a_hi)
+        (a, b), xs = cut(w, 1)
+        if a < 0:
+            a_lo, b_lo = a, b
+            continue
+        (a, b), xs = cut(w, -1)
+        if a > 0:
+            a_hi, b_hi = a, b
+            continue
+        return w, (a * w + b) / 2, xs
+
+
+def _witness(wave_weight, wave_plus, flat_targets, threshold) -> HVModel:
+    """Glue an optimum into one model, at most n + 1 strategies per tag.
 
     Each tag's weight interval is cut at its per-setting '+' masses; a
     piece between two cuts answers '+' at setting j iff it lies below cut j.
     """
-    wave_weight = x[0]
-    wave_plus = [x[2 + 3 * j] for j in range(len(flat_targets))]
     particle_plus = [q[0] + q[2] - xj for q, xj in zip(flat_targets, wave_plus)]
     pieces = []
     for tag, total, plus in ((TAG_PARTICLE, 1 - wave_weight, particle_plus),
@@ -311,9 +387,9 @@ def feasibility(targets, settings: SettingsList, wave_probs=None) -> Feasibility
     distance.  The optimum is zero iff the targets admit a model; otherwise
     it is returned as the infeasibility residual.  Only each tag's
     per-setting outcome marginals enter the distance, and any marginals
-    glue into a joint model, so the LP has 3n + 2 variables.  Arithmetic is
-    exact when every target (and wave_probs) entry is a Fraction or int,
-    floating point with tolerance 1e-9 otherwise.
+    glue into a joint model.  When every target and wave_probs entry is a
+    Fraction or int the optimum is exact (``_exact_optimum``); otherwise
+    HiGHS solves the LP in 3n + 2 variables with tolerance 1e-9.
     """
     n = len(settings)
     flat_targets = _validate_targets(targets, n)
@@ -321,27 +397,26 @@ def feasibility(targets, settings: SettingsList, wave_probs=None) -> Feasibility
         wave_probs = [wave_stats(phi) for _, phi in settings.entries]
     if len(wave_probs) != n:
         raise ValueError("wave_probs must align with the settings list")
+    if not all(0 <= w <= 1 for pair in wave_probs for w in pair):
+        raise ValueError("wave statistics must lie in [0, 1]")
     if not all(_sums_to_one(pair) for pair in wave_probs):
         raise ValueError("wave statistics must sum to 1")
 
     exact = all(isinstance(v, (Fraction, int))
                 for v in itertools.chain(*flat_targets, *wave_probs))
-    one = Fraction(1) if exact else 1.0
-    c, a, b = _standard_form(flat_targets, wave_probs, one)
-
     if exact:
-        res = _lp.solve(c, a, b)
-        if res.status != _lp.OPTIMAL:
-            raise RuntimeError(f"exact LP unexpectedly {res.status}")
-        x, residual = res.x, res.objective
+        wave_weight, residual, wave_plus = _exact_optimum(flat_targets, wave_probs)
         feasible = residual == 0
     else:
+        c, a, b = _standard_form(flat_targets, wave_probs)
         res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
         if not res.success:
             raise RuntimeError(f"LP solver failed: {res.message}")
-        x, residual = res.x, max(res.fun, 0.0)
+        wave_weight, wave_plus = res.x[0], res.x[2:3 * n + 2:3]
+        residual = max(res.fun, 0.0)
         feasible = residual <= FEASIBILITY_TOL
-    model = _witness(x, flat_targets, 0 if exact else 1e-12) if feasible else None
+    model = (_witness(wave_weight, wave_plus, flat_targets, 0 if exact else 1e-12)
+             if feasible else None)
     return FeasibilityResult(feasible=feasible, residual=residual, model=model,
                              method="exact" if exact else "float")
 

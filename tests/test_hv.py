@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lp
 from qduality import hv
-from qduality import lp
 from qduality.hv import HVModel, HVStrategy, SettingsList
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -77,6 +77,10 @@ class TestQuantumJoint:
         with pytest.raises(ValueError):
             hv.quantum_joint(0.3, 1.0, basis="quadrature")
 
+    def test_quadrature_projector_rejects_unknown_sign(self):
+        with pytest.raises(ValueError, match="sign"):
+            hv.quadrature_pair_projector(math.pi / 4, "x")
+
     def test_bob_marginals_fair_at_working_phases(self):
         for phi in (math.pi / 2, 3 * math.pi / 2):
             for theta2 in np.linspace(-1.5, 1.5, 7):
@@ -126,6 +130,13 @@ class TestPredictedJoint:
                 strategies=(HVStrategy(tag="wave", bob_outcomes=("+",)),),
                 weights=(-0.2,),
             )
+
+    @pytest.mark.parametrize("weights", [(float("nan"),), (0.5, float("nan"))])
+    def test_non_finite_weights_rejected(self, weights):
+        strategies = (HVStrategy(tag="wave", bob_outcomes=("+",)),
+                      HVStrategy(tag="particle", bob_outcomes=("-",)))
+        with pytest.raises(ValueError, match="finite"):
+            HVModel(strategies=strategies[:len(weights)], weights=weights)
 
     def test_distributions_valid_exactly_in_rational_arithmetic(self):
         rng = np.random.default_rng(9)
@@ -264,6 +275,15 @@ class TestFeasibility:
             hv.feasibility([[[half, 0], [half, 0]]], settings,
                            wave_probs=[(half, half + tiny)])
 
+    @pytest.mark.parametrize("target, wave", [
+        ([[Fraction(1, 2), 0], [Fraction(1, 2), 0]], (Fraction(3, 2), Fraction(-1, 2))),
+        ([[0.5, 0.0], [0.5, 0.0]], (1.5, -0.5)),
+    ])
+    def test_wave_statistics_outside_unit_interval_rejected(self, target, wave):
+        settings = SettingsList(entries=[(0.0, 1.0)])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            hv.feasibility([target], settings, wave_probs=[wave])
+
     def test_malformed_target_rejected(self):
         settings = SettingsList(entries=[(0.0, 1.0)])
         with pytest.raises(ValueError):
@@ -375,6 +395,102 @@ class TestAgainstEnumeratedStrategies:
             assert hv.predicted_joint(result.model, settings, wave_probs=wave) == targets
 
 
+def rationalize(q):
+    """A float 2x2 distribution as Fractions summing to 1; rounding goes to the largest entry."""
+    flat = [Fraction(float(v)).limit_denominator(1000) for v in np.ravel(q)]
+    top = flat.index(max(flat))
+    flat[top] += 1 - sum(flat)
+    return [flat[:2], flat[2:]]
+
+
+def rational_settings(cosines):
+    """Distinct settings at phi = acos(c), with their exact wave statistics."""
+    settings = SettingsList([(0.1 * j, math.acos(float(c))) for j, c in enumerate(cosines)])
+    return settings, [hv.wave_stats_from_cos(c) for c in cosines]
+
+
+class TestExactOptimum:
+    @staticmethod
+    def highs_gap(targets, settings, wave):
+        """The exact result, and its distance from HiGHS on the same inputs as floats."""
+        exact = hv.feasibility(targets, settings, wave_probs=wave)
+        floats = hv.feasibility(np.array(targets, dtype=float), settings,
+                                wave_probs=[tuple(map(float, w)) for w in wave])
+        assert exact.method == "exact" and floats.method == "float"
+        return exact, abs(float(exact.residual) - floats.residual)
+
+    @pytest.mark.parametrize("n", [8, 12, 24])
+    def test_matches_highs_on_rationalized_quantum_targets(self, n):
+        rng = np.random.default_rng(400 + n)
+        settings, wave = rational_settings([Fraction(int(c), 5) for c in rng.integers(-5, 6, n)])
+        targets = [rationalize(hv.quantum_joint(t2, phi)) for t2, phi in settings.entries]
+        exact, gap = self.highs_gap(targets, settings, wave)
+        assert isinstance(exact.residual, Fraction) and not exact.feasible
+        assert gap <= 1e-9
+
+    def test_matches_highs_on_random_rational_targets(self):
+        rng = np.random.default_rng(500)
+        for _ in range(100):
+            n = int(rng.integers(1, 5))
+            settings, wave = rational_settings([Fraction(int(c), 8) for c in rng.integers(-8, 9, n)])
+            assert self.highs_gap([rational_joint(rng) for _ in range(n)], settings, wave)[1] <= 1e-9
+
+    def test_tagged_model_at_twelve_settings_reproduced_exactly(self):
+        rng = np.random.default_rng(412)
+        settings, wave = rational_settings([Fraction(int(c), 8) for c in rng.integers(-8, 9, 12)])
+        strategies = [HVStrategy(tag, tuple(rng.choice(["+", "-"], 12)))
+                      for tag in ("particle", "wave") for _ in range(4)]
+        targets = hv.predicted_joint(random_model(rng, strategies, exact=True), settings,
+                                     wave_probs=wave)
+        result = hv.feasibility(targets, settings, wave_probs=wave)
+        assert result.method == "exact" and result.feasible and result.residual == 0
+        assert hv.predicted_joint(result.model, settings, wave_probs=wave) == targets
+
+    @pytest.mark.parametrize("tag", ["particle", "wave"])
+    def test_single_tag_model_puts_the_optimum_on_the_boundary(self, tag):
+        # with cos phi != 0 only the model's own tag reproduces its fringes,
+        # so the only zero-residual wave weight is W = 0 or W = 1
+        rng = np.random.default_rng(17)
+        settings, wave = rational_settings([Fraction(1), Fraction(-2, 5), Fraction(3, 5)])
+        strategies = [s for s in hv.enumerate_strategies(3) if s.tag == tag]
+        for _ in range(3):
+            targets = hv.predicted_joint(random_model(rng, strategies, exact=True), settings,
+                                         wave_probs=wave)
+            result = hv.feasibility(targets, settings, wave_probs=wave)
+            assert result.feasible and result.residual == 0
+            assert {s.tag for s in result.model.strategies} == {tag}
+            assert hv.predicted_joint(result.model, settings, wave_probs=wave) == targets
+
+    @pytest.mark.parametrize("cos, target, residual", [
+        # particles alone fit best: the fringe would add s = 0 events
+        (Fraction(1), [[Fraction(1, 6), Fraction(1, 6)], [Fraction(1, 6), Fraction(1, 2)]],
+         Fraction(1, 6)),
+        # s = 0 always is more fringe than the wave gives, so waves alone fit best
+        (Fraction(1, 2), [[Fraction(1, 2), Fraction(1, 2)], [Fraction(0), Fraction(0)]],
+         Fraction(1, 4)),
+    ])
+    def test_infeasible_optimum_on_the_boundary(self, cos, target, residual):
+        settings, wave = rational_settings([cos])
+        result = hv.feasibility([target], settings, wave_probs=wave)
+        assert result.method == "exact" and not result.feasible
+        assert result.residual == residual == enumerated_residual([target], wave, exact=True)
+
+    def test_settings_with_cos_phi_zero(self):
+        # cos phi = 0 gives the wave tag the particle's statistics, so the
+        # residual is flat in W
+        rng = np.random.default_rng(23)
+        settings, wave = rational_settings([Fraction(0), Fraction(0), Fraction(3, 5)])
+        for _ in range(4):
+            targets = [rational_joint(rng) for _ in range(3)]
+            result = hv.feasibility(targets, settings, wave_probs=wave)
+            assert result.residual == enumerated_residual(targets, wave, exact=True)
+            model = random_model(rng, hv.enumerate_strategies(3), exact=True)
+            targets = hv.predicted_joint(model, settings, wave_probs=wave)
+            result = hv.feasibility(targets, settings, wave_probs=wave)
+            assert result.feasible and result.residual == 0
+            assert hv.predicted_joint(result.model, settings, wave_probs=wave) == targets
+
+
 class TestLocalBound:
     def test_bound_is_two(self):
         assert hv.chsh_local_bound() == 2.0
@@ -462,10 +578,14 @@ class TestExactSimplex:
 def test_scipy_loaded_only_by_float_lp():
     script = """
 import math, sys
+from fractions import Fraction
 import qduality.cli
 from qduality import hv
 assert "scipy" not in sys.modules, "scipy imported with the package"
 settings = hv.SettingsList(entries=[(math.pi / 4, math.pi / 2)])
+half = Fraction(1, 2)
+hv.feasibility([[[0, half], [half, 0]]], settings, wave_probs=[(half, half)])
+assert "scipy" not in sys.modules, "exact feasibility loaded scipy"
 hv.feasibility([hv.quantum_joint(math.pi / 4, math.pi / 2)], settings)
 assert "scipy" in sys.modules, "float feasibility did not load scipy"
 """
