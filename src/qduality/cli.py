@@ -355,7 +355,7 @@ def _cmd_hom(args) -> int:
 
 
 def _read_settings(path) -> hv.SettingsList:
-    entries = []
+    first_line = {}  # setting -> the line it is on
     for lineno, line in _data_lines(path):
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 2:
@@ -366,10 +366,13 @@ def _read_settings(path) -> hv.SettingsList:
             raise ParseError(path, lineno, str(exc)) from None
         if not all(map(math.isfinite, entry)):
             raise ParseError(path, lineno, "settings must be finite")
-        entries.append(entry)
-    if not entries:
+        if entry in first_line:
+            raise ParseError(path, lineno,
+                             f"duplicate setting (first on line {first_line[entry]})")
+        first_line[entry] = lineno
+    if not first_line:
         raise ParseError(path, 1, "settings file contains no settings")
-    return hv.SettingsList(entries=entries)
+    return hv.SettingsList(entries=list(first_line))
 
 
 def _cmd_hvcheck(args) -> int:

@@ -6,9 +6,10 @@ fringe-like for ``wave``) together with a pre-assigned analyzer outcome
 for every measurement setting.  A model is one weight vector over
 strategies, shared by all settings, so setting-independence of the hidden
 variable is structural rather than checked at runtime.  Feasibility of a
-target family of joint distributions is a linear program: rational inputs
-get an exact minimum of a convex piecewise-linear function of the wave
-weight, other inputs go to HiGHS with a reported residual.
+target family of joint distributions is a linear program whose optimum is
+the minimum of a convex piecewise-linear function of the wave weight.
+Kelley cuts find it exactly for rational inputs and to 1e-12 for floats;
+HiGHS solves the float LP only if the cuts stall.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .circuit import bob_projector, final_state, joint_probability
 from .qstate import Projector, bell_ket, projector_onto
 
 FEASIBILITY_TOL = 1e-9
+_FLOAT_TOL = 1e-12  # a float Kelley loop stops when g is this close to its lower bound
+_FLOAT_ROUNDING = 64 * np.finfo(float).eps  # bounds the rounding of a float cut's distances
+_FLOAT_CUTS = 64  # a float Kelley loop gives up to HiGHS after this many cuts
 
 TAG_PARTICLE = "particle"
 TAG_WAVE = "wave"
@@ -219,6 +223,7 @@ class FeasibilityResult:
     residual: object  # float or Fraction: min over models of max TV distance
     model: HVModel | None
     method: str  # "exact" or "float"
+    cuts: int  # Kelley cuts made; a float solve that reaches the cap ends on HiGHS
 
 
 def _sums_to_one(values) -> bool:
@@ -289,6 +294,20 @@ def _side(line, w, side):
     return line[0] * w + line[1], side * line[0]
 
 
+def _distance_pieces(q, k):
+    """The pieces (a, b, c) of a x + b W + c in the plus and minus maxima.
+
+    ``q`` is (q0+, q0-, q1+, q1-) and ``k`` is cos phi, as numbers or as
+    arrays over settings.
+    """
+    q0p, q0m, q1p, q1m = q
+    s_p, s_m, d_p, d_m = q0p + q1p, q0m + q1m, q0p - q1p, q0m - q1m
+    zero = k - k  # of k's type: a Fraction or an array
+    shared = [(zero, zero, zero), (zero + 1, zero, -s_p), (zero - 1, zero + 1, -s_m)]
+    return (shared + [(k, zero, -d_p), (-k, zero, d_p)],
+            shared + [(-k, k, -d_m), (k, -k, d_m)])
+
+
 def _setting_pieces(q, wave):
     """One setting's candidate optima x = p W + r, each with its distance lines.
 
@@ -297,17 +316,12 @@ def _setting_pieces(q, wave):
     where two pieces of one max cross, each affine in W; substituting a
     candidate turns every piece into a line in W.
     """
-    q0p, q0m, q1p, q1m = map(Fraction, q)
-    s_p, s_m, d_p, d_m = q0p + q1p, q0m + q1m, q0p - q1p, q0m - q1m
-    k = Fraction(wave[0] - wave[1])
-    shared = [(0, 0, 0), (1, 0, -s_p), (-1, 1, -s_m)]
-    plus = shared + [(k, 0, -d_p), (-k, 0, d_p)]
-    minus = shared + [(-k, k, -d_m), (k, -k, d_m)]
+    plus, minus = _distance_pieces(map(Fraction, q), Fraction(wave[0] - wave[1]))
     candidates = {(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))}
     for pieces in (plus, minus):
         for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(pieces, 2):
             if a1 != a2:
-                candidates.add((Fraction(b2 - b1) / (a1 - a2), Fraction(c2 - c1) / (a1 - a2)))
+                candidates.add(((b2 - b1) / (a1 - a2), (c2 - c1) / (a1 - a2)))
     return [((p, r), (1 - p, -r), [(a * p + b, a * r + c) for a, b, c in plus],
              [(a * p + b, a * r + c) for a, b, c in minus]) for p, r in sorted(candidates)]
 
@@ -324,39 +338,133 @@ def _setting_line(pieces, w, side):
     return min(options, key=lambda option: _side(option[0], w, side))
 
 
-def _exact_optimum(flat_targets, wave_probs):
-    """(W, residual, [x_j]) minimising g(W) = max_j r_j(W) over W in [0, 1], exactly.
-
-    Once the wave weight W is fixed the settings decouple (Fine 1982), so
-    the LP optimum is the minimum of g, convex and piecewise linear in one
-    variable.  Kelley's cutting planes (1960) keep the line of g just right of the
-    lower bracket (slope < 0) and just left of the upper one (slope > 0) and
-    move a bracket to where the two lines cross.  Each move brings in a new
-    line of g, so the loop ends when the slopes at the crossing change sign.
-    """
+def _exact_cut(flat_targets, wave_probs):
+    """The ``cut`` of ``_kelley`` in Fractions, one setting at a time."""
     settings = [_setting_pieces(q, wave) for q, wave in zip(flat_targets, wave_probs)]
 
     def cut(w, side):
         lines, xs = zip(*(_setting_line(pieces, w, side) for pieces in settings))
         return max(lines, key=lambda line: _side(line, w, side)), list(xs)
 
-    (a_lo, b_lo), xs = cut(Fraction(0), 1)
-    if a_lo >= 0:
-        return Fraction(0), b_lo / 2, xs
-    (a_hi, b_hi), xs = cut(Fraction(1), -1)
-    if a_hi <= 0:
-        return Fraction(1), (a_hi + b_hi) / 2, xs
-    while True:
-        w = (b_hi - b_lo) / (a_lo - a_hi)
-        (a, b), xs = cut(w, 1)
-        if a < 0:
-            a_lo, b_lo = a, b
+    return cut
+
+
+def _lex_argmax(value, slope):
+    """Index along axis 0 of the largest (value, slope) pair.
+
+    Values within _FLOAT_ROUNDING of the largest count as tied, so that
+    rounding does not decide on which side of a kink of g a cut's line lies.
+    """
+    top = value >= value.max(axis=0) - _FLOAT_ROUNDING
+    return np.argmax(np.where(top, slope, -np.inf), axis=0)
+
+
+def _lex_nonnegative(value, slope, err):
+    """(value, slope) >= (0, 0), with values within err of 0 tied with it."""
+    return (value > err) | ((value >= -err) & (slope >= 0))
+
+
+def _float_cut(flat_targets, wave_probs):
+    """The ``cut`` of ``_kelley`` in floats, every setting at once in numpy.
+
+    The table holds, per setting, the candidates of ``_setting_pieces`` as
+    x = p W + r (a crossing of two parallel pieces repeats x = 0) and the
+    slope in W of every piece along every candidate.  A cut evaluates the
+    pieces at x itself, not through lines in W, whose coefficients grow as
+    1 / |a1 - a2| when two pieces are nearly parallel.
+    """
+    q = np.array(flat_targets, dtype=float).T
+    k = np.array([w0 - w1 for w0, w1 in wave_probs], dtype=float)
+    a, b, c = np.array(_distance_pieces(q, k)).transpose(2, 1, 0, 3)[..., None, :]
+    first, second = np.array(list(itertools.combinations(range(5), 2))).T
+    den = a[first] - a[second]
+
+    def crossings(z):  # (b2 - b1) / (a1 - a2) for p, (c2 - c1) / (a1 - a2) for r
+        cross = np.divide(z[second] - z[first], den, out=np.zeros_like(den), where=den != 0)
+        return cross.reshape(-1, len(k))
+
+    zeros, ones = np.zeros((1, len(k))), np.ones((1, len(k)))
+    p = np.concatenate([zeros, ones, crossings(b)])
+    r = np.concatenate([zeros, zeros, crossings(c)])
+    slopes = a * p + b  # (piece, max, candidate, setting)
+    # a candidate whose x is within rounding of 0 or W counts as inside:
+    # dropping the one that carries r_j's one-sided slope would tilt the cut
+    x_err = _FLOAT_ROUNDING * (abs(p) + abs(r) + 1)
+    index = np.indices(slopes.shape[1:])
+    settings = np.arange(len(k))
+
+    def cut(w, side):
+        x = p * w + r
+        inside = (_lex_nonnegative(x, side * p, x_err)
+                  & _lex_nonnegative(w - x, side * (1 - p), x_err))
+        x = np.clip(x, 0.0, w)
+        values = a * x + (b * w + c)
+        pick = (_lex_argmax(values, side * slopes), *index)  # the largest piece of each max
+        value, slope = values[pick].sum(axis=0), slopes[pick].sum(axis=0)
+        pick = _lex_argmax(np.where(inside, -value, -np.inf), -side * slope)  # the smallest candidate
+        value, slope, x = (z[pick, settings] for z in (value, slope, x))
+        j = _lex_argmax(value, side * slope)
+        return (float(slope[j]), float(value[j] - slope[j] * w)), x
+
+    return cut
+
+
+def _kelley(cut, one, tol=0, cap=math.inf):
+    """Minimise g(W) = max_j r_j(W) over W in [0, 1] by 1-D Kelley cuts.
+
+    Once the wave weight W is fixed the settings decouple (Fine 1982), so
+    the LP optimum is the minimum of g, convex and piecewise linear in one
+    variable.  ``cut(w, side)`` returns twice g's line just right (side = 1)
+    or left (side = -1) of w, and the x_j that attain each r_j(w).
+    Kelley's cutting planes (1960) keep the line of g just right of the
+    lower bracket (slope < 0) and just left of the upper one (slope > 0)
+    and move a bracket to where the two lines cross.  Each move brings in a
+    new line of g, so the loop ends: when the slopes at the crossing change
+    sign, or when g there exceeds the lines' crossing by at most ``tol``.
+    Then the minimum lies between the two, and the lower is returned.
+    Returns the number of cuts and (W, residual, [x_j]), with None for the
+    optimum once ``cap`` cuts have not found it.
+    """
+    zero, cuts = one - one, 0
+    lo = hi = None
+    while cuts < cap:
+        cuts += 1
+        if lo is None:
+            (a, b), xs = cut(zero, 1)
+            if a >= 0:
+                return cuts, (zero, b / 2, xs)
+            lo = a, b
             continue
+        if hi is None:
+            (a, b), xs = cut(one, -1)
+            if a <= 0:
+                return cuts, (one, (a + b) / 2, xs)
+            hi = a, b
+            continue
+        w = min(max((hi[1] - lo[1]) / (lo[0] - hi[0]), zero), one)
+        (a, b), xs = cut(w, 1)
+        value, bound = a * w + b, lo[0] * w + lo[1]
+        if value - bound <= tol:
+            return cuts, (w, min(value, bound) / 2, xs)
+        if a < 0:
+            lo = a, b
+            continue
+        cuts += 1
         (a, b), xs = cut(w, -1)
         if a > 0:
-            a_hi, b_hi = a, b
+            hi = a, b
             continue
-        return w, (a * w + b) / 2, xs
+        return cuts, (w, value / 2, xs)
+    return cuts, None
+
+
+def _highs_optimum(flat_targets, wave_probs):
+    """(W, residual, [x_j]) from HiGHS on the LP of ``_standard_form``."""
+    c, a, b = _standard_form(flat_targets, wave_probs)
+    res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+    if not res.success:
+        raise RuntimeError(f"LP solver failed: {res.message}")
+    return res.x[0], res.fun, res.x[2:3 * len(flat_targets) + 2:3]
 
 
 def _witness(wave_weight, wave_plus, flat_targets, threshold) -> HVModel:
@@ -387,9 +495,12 @@ def feasibility(targets, settings: SettingsList, wave_probs=None) -> Feasibility
     distance.  The optimum is zero iff the targets admit a model; otherwise
     it is returned as the infeasibility residual.  Only each tag's
     per-setting outcome marginals enter the distance, and any marginals
-    glue into a joint model.  When every target and wave_probs entry is a
-    Fraction or int the optimum is exact (``_exact_optimum``); otherwise
-    HiGHS solves the LP in 3n + 2 variables with tolerance 1e-9.
+    glue into a joint model.  Both number types run the same Kelley loop
+    over the wave weight (``_kelley``).  When every target and wave_probs
+    entry is a Fraction or int the optimum is exact; otherwise one numpy
+    table evaluates every setting per cut, and the residual is within 1e-12
+    of the optimum.  A float loop that reaches ``_FLOAT_CUTS`` cuts hands
+    the LP in 3n + 2 variables to HiGHS.  ``cuts`` reports the cuts made.
     """
     n = len(settings)
     flat_targets = _validate_targets(targets, n)
@@ -405,20 +516,19 @@ def feasibility(targets, settings: SettingsList, wave_probs=None) -> Feasibility
     exact = all(isinstance(v, (Fraction, int))
                 for v in itertools.chain(*flat_targets, *wave_probs))
     if exact:
-        wave_weight, residual, wave_plus = _exact_optimum(flat_targets, wave_probs)
+        cuts, (wave_weight, residual, wave_plus) = _kelley(
+            _exact_cut(flat_targets, wave_probs), Fraction(1))
         feasible = residual == 0
     else:
-        c, a, b = _standard_form(flat_targets, wave_probs)
-        res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
-        if not res.success:
-            raise RuntimeError(f"LP solver failed: {res.message}")
-        wave_weight, wave_plus = res.x[0], res.x[2:3 * n + 2:3]
-        residual = max(res.fun, 0.0)
+        cuts, optimum = _kelley(_float_cut(flat_targets, wave_probs), 1.0,
+                                _FLOAT_TOL, _FLOAT_CUTS)
+        wave_weight, residual, wave_plus = optimum or _highs_optimum(flat_targets, wave_probs)
+        residual = max(float(residual), 0.0)
         feasible = residual <= FEASIBILITY_TOL
     model = (_witness(wave_weight, wave_plus, flat_targets, 0 if exact else 1e-12)
              if feasible else None)
     return FeasibilityResult(feasible=feasible, residual=residual, model=model,
-                             method="exact" if exact else "float")
+                             method="exact" if exact else "float", cuts=cuts)
 
 
 def chsh_local_bound() -> float:

@@ -282,6 +282,16 @@ class TestCommands:
         assert captured.out == ""
         assert "settings.csv:2: settings must be finite" in captured.err
 
+    def test_hvcheck_duplicate_setting_names_both_lines(self, capsys, tmp_path):
+        # the same floats written two ways are one setting
+        settings = tmp_path / "f.csv"
+        settings.write_text(cli.SETTINGS_HEADER + "\n0.5,1.0\n0.25,2.0\n0.50, 1\n")
+        code = cli.main(["hvcheck", "--settings", str(settings)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {settings}:4: duplicate setting (first on line 2)\n"
+
     @pytest.mark.parametrize("angle", ["nan", "inf"])
     def test_analyze_non_finite_angle_names_line(self, capsys, tmp_path, angle):
         path = tmp_path / "f.csv"

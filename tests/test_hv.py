@@ -1,7 +1,11 @@
+import importlib.util
+import json
 import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +15,8 @@ import lp
 from qduality import hv
 from qduality.hv import HVModel, HVStrategy, SettingsList
 
-SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC_DIR = os.path.join(REPO_DIR, "src")
 
 
 def random_model(rng, strategies, exact=False):
@@ -491,6 +496,168 @@ class TestExactOptimum:
             assert hv.predicted_joint(result.model, settings, wave_probs=wave) == targets
 
 
+def highs(targets, settings):
+    """HiGHS on the same LP: its residual and, when feasible, its witness."""
+    flat = hv._validate_targets(targets, len(settings))
+    wave = [hv.wave_stats(phi) for _, phi in settings.entries]
+    wave_weight, residual, wave_plus = hv._highs_optimum(flat, wave)
+    residual = max(residual, 0.0)
+    if residual > hv.FEASIBILITY_TOL:
+        return residual, None
+    return residual, hv._witness(wave_weight, wave_plus, flat, 1e-12)
+
+
+def assert_matches_highs(targets, settings, same_witness=True):
+    """The float kernel gives HiGHS's residual, verdict and, if asked, witness.
+
+    A witness always reproduces the targets.  Where the optimal wave weight
+    is not unique, as when cos phi = 0 gives both tags the same statistics,
+    the two solvers may glue different ones.
+    """
+    result = hv.feasibility(targets, settings)
+    residual, witness = highs(targets, settings)
+    assert result.method == "float" and result.cuts < hv._FLOAT_CUTS
+    assert abs(result.residual - residual) <= 1e-12
+    assert result.feasible == (witness is not None)
+    if not result.feasible:
+        return
+    reproduced = np.array(hv.predicted_joint(result.model, settings), dtype=float)
+    assert np.allclose(reproduced, np.array(targets, dtype=float), rtol=0, atol=1e-9)
+    if same_witness:
+        assert result.model.strategies == witness.strategies
+        assert np.allclose(result.model.weights, witness.weights, rtol=0, atol=1e-9)
+
+
+def random_settings(rng, n, phi=None):
+    phi = phi or (lambda: float(rng.uniform(0, 2 * math.pi)))
+    return SettingsList(list({(float(rng.uniform(-1.5, 1.5)), phi()) for _ in range(n)}))
+
+
+def admixed_targets(rng, settings):
+    """A random tagged model's statistics, with no or up to 5% quantum admixture."""
+    n = len(settings)
+    strategies = [HVStrategy(str(rng.choice(["particle", "wave"])), tuple(rng.choice(["+", "-"], n)))
+                  for _ in range(int(rng.integers(1, 6)))]
+    model = random_model(rng, strategies)
+    eps = float(rng.choice([0.0, rng.uniform(0, 0.05)]))
+    quantum = np.array([hv.quantum_joint(t2, phi) for t2, phi in settings.entries])
+    return (1 - eps) * np.array(hv.predicted_joint(model, settings), dtype=float) + eps * quantum
+
+
+def load_perfbench_cases():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_cases", os.path.join(REPO_DIR, "perfbench", "cases.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFloatKernel:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_highs_on_random_cases(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        for i in range(100):
+            settings = random_settings(rng, int(rng.integers(1, 9)))
+            targets = ([hv.quantum_joint(t2, phi) for t2, phi in settings.entries] if i % 2
+                       else admixed_targets(rng, settings))
+            assert_matches_highs(targets, settings)
+
+    def test_matches_highs_on_quantum_targets_up_to_forty_settings(self):
+        rng = np.random.default_rng(640)
+        for n in range(1, 41):
+            settings = random_settings(rng, n)
+            assert_matches_highs([hv.quantum_joint(t2, phi) for t2, phi in settings.entries],
+                                 settings)
+
+    @pytest.mark.parametrize("phis, unique", [
+        ((0.0, math.pi), True),
+        ((math.pi / 2,), False),
+        ((0.0, math.pi / 2, math.pi), False),
+        # cos phi = +-1e-12: pieces k x and -k x cross far outside [0, W]
+        ((math.pi / 2 - 1e-12, math.pi / 2 + 1e-12), False),
+    ])
+    def test_matches_highs_at_degenerate_phases(self, phis, unique):
+        rng = np.random.default_rng(650)
+        for i in range(40):
+            settings = random_settings(rng, int(rng.integers(1, 7)), lambda: float(rng.choice(phis)))
+            targets = ([hv.quantum_joint(t2, phi) for t2, phi in settings.entries] if i % 2
+                       else admixed_targets(rng, settings))
+            assert_matches_highs(targets, settings, same_witness=unique)
+
+    def test_matches_the_exact_solver_on_nearly_parallel_pieces(self):
+        # phases 1e-3 to 1e-9 away from 0, pi/2 or pi put cos phi near 0 or
+        # +-1, where two pieces of one max are nearly parallel and their
+        # crossing is ill-conditioned.  The oracle is the exact solver on the
+        # same floats read as Fractions: HiGHS strays from it by more than
+        # 1e-12 on many of these inputs.
+        rng = np.random.default_rng(670)
+
+        def phi():
+            offset = float(rng.choice([-1.0, 1.0])) * 10.0 ** -float(rng.integers(3, 10))
+            return float(rng.choice([0.0, math.pi / 2, math.pi])) + offset
+
+        for i in range(40):
+            settings = random_settings(rng, int(rng.integers(1, 6)), phi)
+            targets = ([hv.quantum_joint(t2, phi) for t2, phi in settings.entries] if i % 2
+                       else admixed_targets(rng, settings))
+            result = hv.feasibility(targets, settings)
+            flat = [[Fraction(v) for v in q] for q in hv._validate_targets(targets, len(settings))]
+            wave = [tuple(map(Fraction, hv.wave_stats(phi))) for _, phi in settings.entries]
+            _, (_, residual, _) = hv._kelley(hv._exact_cut(flat, wave), Fraction(1))
+            assert abs(result.residual - float(residual)) <= 1e-12
+
+    def test_falls_back_to_highs_at_the_cut_cap(self, monkeypatch):
+        rng = np.random.default_rng(660)
+        monkeypatch.setattr(hv, "_FLOAT_CUTS", 0)
+        for i in range(6):
+            settings = random_settings(rng, 4)
+            targets = ([hv.quantum_joint(t2, phi) for t2, phi in settings.entries] if i % 2
+                       else admixed_targets(rng, settings))
+            result = hv.feasibility(targets, settings)
+            residual, witness = highs(targets, settings)
+            assert result.cuts == 0 and result.method == "float"
+            assert result.residual == residual and result.model == witness
+
+    def test_perfbench_reference_cases_stay_below_the_cap(self):
+        # floats match the recorded residuals to 1e-9 and Fractions exactly
+        cases = load_perfbench_cases()
+        with open(os.path.join(REPO_DIR, "perfbench", "reference", "hv_feasibility.json")) as fh:
+            reference = json.load(fh)
+        for n, pool in reference["float"].items():
+            for i, (feasible, residual) in enumerate(pool):
+                entries = cases.hv_settings("float", int(n), i)
+                result = hv.feasibility([hv.quantum_joint(t2, phi) for t2, phi in entries],
+                                        SettingsList(entries))
+                assert result.cuts < hv._FLOAT_CUTS, (n, i, result.cuts)
+                assert result.feasible == feasible and abs(result.residual - residual) <= 1e-9
+        for n, pool in reference["exact"].items():
+            for case in pool:
+                targets = [[[Fraction(v) for v in row] for row in table] for table in case["targets"]]
+                wave = [hv.wave_stats_from_cos(Fraction(c)) for c in case["cos"]]
+                settings = SettingsList(cases.hv_settings("exact", int(n), case["case"]))
+                result = hv.feasibility(targets, settings, wave_probs=wave)
+                assert result.residual == Fraction(case["residual"])
+
+    def test_memory_and_time_bounded_in_the_number_of_settings(self):
+        # n = 200 comes first, so a build quadratic in n fails there, long
+        # before n = 2,000 could exhaust the machine's memory
+        for n in (200, 2000):
+            rng = np.random.default_rng(n)
+            settings = random_settings(rng, n)
+            targets = [hv.quantum_joint(t2, phi) for t2, phi in settings.entries]
+            tracemalloc.start()
+            try:
+                start = time.perf_counter()
+                result = hv.feasibility(targets, settings)
+                elapsed = time.perf_counter() - start
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20, f"n={n}: {peak / 2**20:.0f} MB"
+            assert elapsed < 5, f"n={n}: {elapsed:.1f} s"
+            assert not result.feasible and result.cuts < hv._FLOAT_CUTS
+
+
 class TestLocalBound:
     def test_bound_is_two(self):
         assert hv.chsh_local_bound() == 2.0
@@ -576,6 +743,7 @@ class TestExactSimplex:
 
 
 def test_scipy_loaded_only_by_float_lp():
+    # scipy serves only the HiGHS fallback of a float solve that reaches the cut cap
     script = """
 import math, sys
 from fractions import Fraction
@@ -586,12 +754,22 @@ settings = hv.SettingsList(entries=[(math.pi / 4, math.pi / 2)])
 half = Fraction(1, 2)
 hv.feasibility([[[0, half], [half, 0]]], settings, wave_probs=[(half, half)])
 assert "scipy" not in sys.modules, "exact feasibility loaded scipy"
-hv.feasibility([hv.quantum_joint(math.pi / 4, math.pi / 2)], settings)
-assert "scipy" in sys.modules, "float feasibility did not load scipy"
+quantum = [hv.quantum_joint(math.pi / 4, math.pi / 2)]
+hv.feasibility(quantum, settings)
+assert "scipy" not in sys.modules, "float feasibility loaded scipy"
+for path in sys.argv[1:]:
+    for mode in ("objectivity", "chsh-bound"):
+        qduality.cli.main(["hvcheck", "--settings", path, "--mode", mode])
+assert "scipy" not in sys.modules, "hvcheck loaded scipy"
+hv._FLOAT_CUTS = 0
+hv.feasibility(quantum, settings)
+assert "scipy" in sys.modules, "the HiGHS fallback did not load scipy"
 """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    paths = [os.path.join(REPO_DIR, "perfbench", "data", f"settings_{name}.csv")
+             for name in ("feasible", "infeasible")]
+    proc = subprocess.run([sys.executable, "-c", script, *paths], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
