@@ -11,6 +11,7 @@ Bob's "-" outcome is, by construction, the "+" outcome at theta2 + pi/2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -276,10 +277,11 @@ def rng_stream(seed, index: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-# Uniforms drawn per block while sampling: 8 MiB of float64, whatever the
-# number of shots.  PCG64 yields the same doubles however the draws are split,
-# so the counts do not depend on this size.
-_SAMPLE_CHUNK = 1 << 20
+# Uniforms drawn per block while sampling: 512 KiB of float64, plus a 64 KiB
+# mask, allocated once per call and reused for every block of all three
+# binomial steps, whatever the number of shots.  PCG64 yields the same doubles
+# however the draws are split, so the counts do not depend on this size.
+_SAMPLE_CHUNK = 1 << 16
 
 
 def sample_counts(distribution: OutcomeDistribution, total: int, seed,
@@ -289,25 +291,34 @@ def sample_counts(distribution: OutcomeDistribution, total: int, seed,
     Sampled by sequential binomial conditioning, each binomial realized by
     counting uniforms below the conditional probability, so the counts are
     a pure function of the PCG64 stream for the given seed.  The uniforms
-    are drawn in fixed-size blocks, so memory does not grow with ``total``.
+    are drawn into one reused 512 KiB block, so the working set does not
+    grow with ``total``.  A caller's ``rng`` advances by exactly the draws
+    made: one uniform per remaining event at each binomial step.  ``total``
+    must be an integer (numpy integers included); anything else raises
+    ``TypeError``.
     """
+    total = operator.index(total)
     if total < 1:
         raise ValueError(f"total must be >= 1, got {total}")
     if rng is None:
         rng = rng_stream(seed)
     probs = distribution.as_array()
     counts = np.zeros(4, dtype=np.int64)
-    remaining = int(total)
+    block = np.empty(min(_SAMPLE_CHUNK, total))
+    below = np.empty(block.size, dtype=bool)
+    remaining = total
     tail = 1.0
     for k in range(3):
         if remaining == 0 or tail <= 0.0:
             break
         p = min(max(probs[k] / tail, 0.0), 1.0)
-        counts[k] = sum(
-            int(np.count_nonzero(rng.random(min(_SAMPLE_CHUNK, remaining - start)) < p))
-            for start in range(0, remaining, _SAMPLE_CHUNK)
-        )
-        remaining -= counts[k]
+        hits = 0
+        for start in range(0, remaining, _SAMPLE_CHUNK):
+            n = min(_SAMPLE_CHUNK, remaining - start)
+            uniforms = rng.random(out=block[:n])
+            hits += int(np.count_nonzero(np.less(uniforms, p, out=below[:n])))
+        counts[k] = hits
+        remaining -= hits
         tail -= probs[k]
     counts[3] = remaining
     return counts

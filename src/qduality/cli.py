@@ -292,6 +292,8 @@ def _noise(args) -> circuit.NoiseParams:
 def _cmd_simulate(args) -> int:
     if args.shots is not None and args.shots < 1:
         raise ValueError(f"--shots must be at least 1, got {args.shots}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     config = circuit.ExperimentConfig(
         phi=args.phi, theta1=args.theta1, theta2=args.theta2,
         delta=args.delta, noise=_noise(args),

@@ -286,9 +286,10 @@ class TestSurface:
             ct.correlation_surface(0.0, theta2_grid=(), phi_grid=(1.0,))
 
 
-def one_shot_counts(distribution, total, seed):
+def one_shot_counts(distribution, total, seed, rng=None):
     """Reference sampler: each binomial step draws all its uniforms at once."""
-    rng = ct.rng_stream(seed)
+    if rng is None:
+        rng = ct.rng_stream(seed)
     probs = distribution.as_array()
     counts = np.zeros(4, dtype=np.int64)
     remaining = total
@@ -305,7 +306,9 @@ def one_shot_counts(distribution, total, seed):
 
 
 class TestSampling:
-    @pytest.mark.parametrize("total", [1, 2**20 - 1, 2**20, 2**20 + 1, 3_000_003])
+    @pytest.mark.parametrize("total", [1, ct._SAMPLE_CHUNK - 1, ct._SAMPLE_CHUNK,
+                                       ct._SAMPLE_CHUNK + 1, 2**20 - 1, 2**20,
+                                       2**20 + 1, 3_000_003])
     @pytest.mark.parametrize("seed", [0, 7, (99, 3)])
     def test_counts_match_one_shot_sampler(self, total, seed):
         dist = ct.coincidence_probabilities(ct.ExperimentConfig(
@@ -322,7 +325,37 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("total, expected", [
+        (5585, [417, 2320, 2461, 387]),
+        (10**6, [72961, 426816, 426890, 73333]),
+        (10**7, [731350, 4267120, 4269128, 732402]),
+    ])
+    def test_readme_setting_counts_are_pinned(self, total, expected):
+        # the README / command-line setting; these literals pin the PCG64
+        # stream and the block loop byte for byte
+        dist = ct.coincidence_probabilities(ct.ExperimentConfig(
+            phi=3 * math.pi / 2, theta1=0.0, theta2=math.pi / 8))
+        assert ct.sample_counts(dist, total, seed=7).tolist() == expected
+
+    def test_caller_generator_advances_by_the_draws_made(self):
+        dist = ct.OutcomeDistribution(0.4, 0.1, 0.2, 0.3)
+        total = 3 * ct._SAMPLE_CHUNK + 5
+        g, oracle = ct.rng_stream(11), ct.rng_stream(11)
+        assert np.array_equal(ct.sample_counts(dist, total, seed=None, rng=g),
+                              one_shot_counts(dist, total, seed=None, rng=oracle))
+        assert g.random() == oracle.random()
+
+    @pytest.mark.parametrize("total", [2.5, 3.0, "10", None])
+    def test_non_integral_total_rejected(self, total):
+        dist = ct.OutcomeDistribution(0.25, 0.25, 0.25, 0.25)
+        with pytest.raises(TypeError):
+            ct.sample_counts(dist, total, seed=1)
+
+    def test_numpy_integer_total_accepted(self):
+        dist = ct.OutcomeDistribution(0.25, 0.25, 0.25, 0.25)
+        assert ct.sample_counts(dist, np.int64(10), seed=1).sum() == 10
 
     def test_degenerate_distribution(self):
         dist = ct.OutcomeDistribution(1.0, 0.0, 0.0, 0.0)

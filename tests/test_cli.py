@@ -176,6 +176,14 @@ class TestCommands:
         assert first == second
         assert "counts=" in first
 
+    def test_simulate_rejects_negative_seed(self, capsys):
+        code = cli.main(["simulate", "--theta1", "0", "--theta2", "0",
+                         "--phi", "0", "--shots", "10", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--seed" in captured.err
+
     def test_chsh_from_golden_file(self, capsys, table_a1_path):
         code = cli.main(["chsh", "--from", str(table_a1_path)])
         out = capsys.readouterr().out
@@ -412,7 +420,7 @@ FUZZ_COMMANDS = {
 # valid values that keep the work per call small
 FUZZ_EXTRA = {
     "--shots": ("3", "100"),
-    "--seed": ("7",),
+    "--seed": ("7", "-1"),
     "--steps": ("2", "5"),
     "--grid": ("1x1", "2x3"),
     "--mode": ("objectivity", "chsh-bound"),
