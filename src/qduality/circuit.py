@@ -91,9 +91,9 @@ class OutcomeDistribution:
 
     def __post_init__(self):
         probs = self.as_array()
-        if np.any(probs < -1e-10) or np.any(probs > 1.0 + 1e-10):
+        if not np.all((probs >= -1e-10) & (probs <= 1.0 + 1e-10)):  # NaN fails too
             raise ValueError(f"probabilities outside [0, 1]: {probs}")
-        if abs(float(probs.sum()) - 1.0) > 1e-10:
+        if not abs(float(probs.sum()) - 1.0) <= 1e-10:
             raise ValueError(f"probabilities sum to {probs.sum()}, expected 1")
 
     def as_array(self) -> np.ndarray:

@@ -8,12 +8,14 @@ strategies, shared by all settings, so setting-independence of the hidden
 variable is structural rather than checked at runtime.  Feasibility of a
 target family of joint distributions is a linear program whose optimum is
 the minimum of a convex piecewise-linear function of the wave weight.
-Kelley cuts find it exactly for rational inputs and to 1e-12 for floats;
-HiGHS solves the float LP only if the cuts stall.
+Kelley cuts find it to 1e-12 for floats and exactly for rational inputs,
+whose cuts run in integer coordinates and break ties by (value, +-slope),
+the first candidate winning; HiGHS solves the float LP only if cuts stall.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -202,6 +204,8 @@ def quantum_joint(theta2: float, phi: float, basis: str = "real") -> np.ndarray:
     theta2 + pi/2; ``basis="quadrature"`` uses the +-i superposition pair,
     which is a valid measurement only at theta2 = pi/4 + k pi/2.
     """
+    if not (math.isfinite(theta2) and math.isfinite(phi)):
+        raise ValueError("theta2 and phi must be finite angles")
     state = final_state(phi)
     if basis == "real":
         bob = {b: bob_projector(theta2, b) for b in _OUTCOMES}
@@ -285,66 +289,87 @@ def _standard_form(flat_targets, wave_probs):
     return [0, 1] + [0] * (len(a[0]) - 2), a, [rhs for _, rhs in rows]
 
 
-def _side(line, w, side):
-    """A line (slope, intercept) in W as (value at w, side * slope).
-
-    Compared as tuples, these order lines exactly just to the right
-    (side = 1) or to the left (side = -1) of w.
-    """
-    return line[0] * w + line[1], side * line[0]
-
-
-def _distance_pieces(q, k):
+def _distance_pieces(q, k, one=1):
     """The pieces (a, b, c) of a x + b W + c in the plus and minus maxima.
 
     ``q`` is (q0+, q0-, q1+, q1-) and ``k`` is cos phi, as numbers or as
-    arrays over settings.
+    arrays over settings, each scaled by ``one``.
     """
     q0p, q0m, q1p, q1m = q
     s_p, s_m, d_p, d_m = q0p + q1p, q0m + q1m, q0p - q1p, q0m - q1m
-    zero = k - k  # of k's type: a Fraction or an array
-    shared = [(zero, zero, zero), (zero + 1, zero, -s_p), (zero - 1, zero + 1, -s_m)]
+    zero = k - k  # of k's type: a number or an array
+    shared = [(zero, zero, zero), (zero + one, zero, -s_p), (zero - one, zero + one, -s_m)]
     return (shared + [(k, zero, -d_p), (-k, zero, d_p)],
             shared + [(-k, k, -d_m), (k, -k, d_m)])
 
 
 def _setting_pieces(q, wave):
-    """One setting's candidate optima x = p W + r, each with its distance lines.
+    """One setting's candidate optima x = (p W + r) / den, each with its distance lines.
 
     Twice the setting's distance at x in [0, W] is max(plus) + max(minus)
     over pieces a x + b W + c.  Its minimum over x lies at x = 0, x = W or
     where two pieces of one max cross, each affine in W; substituting a
-    candidate turns every piece into a line in W.
+    candidate turns every piece into a line in W.  All of it is integer:
+    the targets and cos phi scaled by their least common denominator d,
+    each candidate a reduced (p, r, den) with den > 0, sorted by (p / den,
+    r / den), and its lines (slope, intercept) over dd = d * den.
     """
-    plus, minus = _distance_pieces(map(Fraction, q), Fraction(wave[0] - wave[1]))
-    candidates = {(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))}
+    values = (*q, wave[0] - wave[1])
+    d = math.lcm(*(int(v.denominator) for v in values))
+    *q, k = (int(v.numerator) * (d // int(v.denominator)) for v in values)
+    plus, minus = _distance_pieces(q, k, d)
+    candidates = {(0, 0, 1), (1, 0, 1)}
     for pieces in (plus, minus):
         for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(pieces, 2):
             if a1 != a2:
-                candidates.add(((b2 - b1) / (a1 - a2), (c2 - c1) / (a1 - a2)))
-    return [((p, r), (1 - p, -r), [(a * p + b, a * r + c) for a, b, c in plus],
-             [(a * p + b, a * r + c) for a, b, c in minus]) for p, r in sorted(candidates)]
+                g = math.gcd(b2 - b1, c2 - c1, a1 - a2) * (1 if a1 > a2 else -1)
+                candidates.add(((b2 - b1) // g, (c2 - c1) // g, (a1 - a2) // g))
+    lcd = math.lcm(*(den for _, _, den in candidates))
+    ordered = sorted(candidates, key=lambda x: (x[0] * lcd // x[2], x[1] * lcd // x[2]))
+    return [(p, r, den, d * den, [(a * p + b * den, a * r + c * den) for a, b, c in plus],
+             [(a * p + b * den, a * r + c * den) for a, b, c in minus]) for p, r, den in ordered]
 
 
-def _setting_line(pieces, w, side):
-    """Twice r_j's line just to one side of w, and the x_j that attains it at w."""
-    options = []
-    for x, rest, plus, minus in pieces:
-        if min(_side(x, w, side), _side(rest, w, side)) < (0, 0):
+def _below(line, other, side):
+    """Whether line's (value, side * slope) is below other's, cross-multiplied by dd."""
+    return ((line[0] * other[3], side * line[1] * other[3])
+            < (other[0] * line[3], side * other[1] * line[3]))
+
+
+def _setting_line(pieces, pw, qw, side):
+    """Twice r_j's line just to one side of w = pw / qw, and the x_j there.
+
+    Returns (value, slope, intercept, dd, x, den): the line over dd, its
+    value at w over qw * dd, and x_j = x / (qw * den).  The largest piece of
+    each max, then the smallest candidate win, the first among equals.
+    """
+    best = None
+    for p, r, den, dd, plus, minus in pieces:
+        x = p * pw + r * qw
+        if (x, side * p) < (0, 0) or (den * pw - x, side * (den - p)) < (0, 0):
             continue  # x leaves [0, W] on that side of w
-        (a_p, b_p), (a_m, b_m) = (max(lines, key=lambda line: _side(line, w, side))
-                                  for lines in (plus, minus))
-        options.append(((a_p + a_m, b_p + b_m), x[0] * w + x[1]))
-    return min(options, key=lambda option: _side(option[0], w, side))
+        v_p, _, s_p, i_p = max((s * pw + i * qw, side * s, s, i) for s, i in plus)
+        v_m, _, s_m, i_m = max((s * pw + i * qw, side * s, s, i) for s, i in minus)
+        option = v_p + v_m, s_p + s_m, i_p + i_m, dd, x, den
+        if best is None or _below(option, best, side):
+            best = option
+    return best
 
 
 def _exact_cut(flat_targets, wave_probs):
-    """The ``cut`` of ``_kelley`` in Fractions, one setting at a time."""
+    """The ``cut`` of ``_kelley`` for Fractions, in integer coordinates.
+
+    w enters as its numerator and denominator; only the returned line and
+    x_j are Fractions.  The largest setting wins, the first among equals.
+    """
     settings = [_setting_pieces(q, wave) for q, wave in zip(flat_targets, wave_probs)]
 
     def cut(w, side):
-        lines, xs = zip(*(_setting_line(pieces, w, side) for pieces in settings))
-        return max(lines, key=lambda line: _side(line, w, side)), list(xs)
+        lines = [_setting_line(pieces, w.numerator, w.denominator, side) for pieces in settings]
+        _, slope, intercept, dd, _, _ = functools.reduce(
+            lambda top, line: line if _below(top, line, side) else top, lines)
+        return ((Fraction(slope, dd), Fraction(intercept, dd)),
+                [Fraction(x, w.denominator * den) for *_, x, den in lines])
 
     return cut
 

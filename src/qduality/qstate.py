@@ -49,7 +49,7 @@ class StateVector:
                 f"amplitude length {amps.size} != 2^{self.num_qubits}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > 1e-8:
+        if not abs(norm_sq - 1.0) <= 1e-8:  # NaN fails too
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq}")
         object.__setattr__(self, "amplitudes", _frozen_array(amps))
 
@@ -94,7 +94,7 @@ class GateOp:
         if mat.shape != (self.dimension, self.dimension):
             raise ValueError(f"matrix shape {mat.shape} != dimension {self.dimension}")
         dev = np.max(np.abs(mat @ mat.conj().T - np.eye(self.dimension)))
-        if dev > ATOL:
+        if not dev <= ATOL:
             raise ValueError(f"matrix is not unitary ({self.label!r}): |UU+ - I| = {dev}")
         object.__setattr__(self, "matrix", _frozen_array(mat))
 
@@ -114,9 +114,9 @@ class Projector:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (self.dimension, self.dimension):
             raise ValueError(f"matrix shape {mat.shape} != dimension {self.dimension}")
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
+        if not np.max(np.abs(mat - mat.conj().T)) <= ATOL:
             raise ValueError("projector is not Hermitian")
-        if np.max(np.abs(mat @ mat - mat)) > ATOL:
+        if not np.max(np.abs(mat @ mat - mat)) <= ATOL:
             raise ValueError("projector is not idempotent")
         object.__setattr__(self, "matrix", _frozen_array(mat))
 
@@ -129,8 +129,8 @@ def projector_onto(ket) -> Projector:
     """Rank-1 projector |k><k| onto a (normalized) ket."""
     vec = np.asarray(ket, dtype=complex).reshape(-1)
     norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        raise ValueError("cannot project onto the zero vector")
+    if not 1e-12 <= norm < math.inf:
+        raise ValueError("cannot project onto a zero or non-finite vector")
     vec = vec / norm
     return Projector(dimension=vec.size, matrix=np.outer(vec, vec.conj()))
 
@@ -175,6 +175,8 @@ def waveplate(kind: str, angle: float) -> GateOp:
     half(t)    = [[cos 2t, sin 2t], [sin 2t, -cos 2t]]
     quarter(0) = diag(1, i), rotated by conjugation for t != 0.
     """
+    if not math.isfinite(angle):
+        raise ValueError(f"waveplate angle must be finite, got {angle}")
     if kind == "half":
         c, s = math.cos(2 * angle), math.sin(2 * angle)
         mat = np.array([[c, s], [s, -c]], dtype=complex)
@@ -191,6 +193,8 @@ def waveplate(kind: str, angle: float) -> GateOp:
 
 def phase_shifter(phi: float) -> GateOp:
     """diag(1, e^{i phi}) on {|H>, |V>}."""
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {phi}")
     return GateOp(dimension=2,
                   matrix=np.diag([1.0, np.exp(1j * phi)]),
                   label=f"phase({phi:.6g})")
@@ -256,7 +260,7 @@ def outcome_probability(state: StateVector, projector: Projector, targets) -> fl
     projected = _apply_matrix(state.amplitudes, state.num_qubits,
                               projector.matrix, targets)
     prob = float(np.real(np.vdot(state.amplitudes, projected)))
-    if prob < -ATOL or prob > 1.0 + ATOL:
+    if not -ATOL <= prob <= 1.0 + ATOL:
         raise ValueError(f"probability {prob} outside [0, 1]")
     return min(max(prob, 0.0), 1.0)
 

@@ -95,6 +95,11 @@ class TestFinalState:
         overlap = abs(np.vdot(ct.wave_state(phi).amplitudes, conditional)) ** 2
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, phi):
+        with pytest.raises(ValueError, match="finite"):
+            ct.final_state(phi)
+
 
 class TestProjectors:
     def test_alice_zero_is_h(self):
@@ -178,6 +183,15 @@ class TestCoincidences:
             ct.NoiseParams(visibility=1.2)
         with pytest.raises(ValueError):
             ct.NoiseParams(background=-0.1)
+
+    @pytest.mark.parametrize("probs", [
+        (math.nan, 0.5, 0.25, 0.25),
+        (0.25, 0.25, 0.25, math.nan),
+        (math.inf, 0.0, 0.0, 0.0),
+    ])
+    def test_non_finite_probabilities_rejected(self, probs):
+        with pytest.raises(ValueError):
+            ct.OutcomeDistribution(*probs)
 
 
 class TestCorrelation:

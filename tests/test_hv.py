@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fraction_cut
 import lp
 from qduality import hv
 from qduality.hv import HVModel, HVStrategy, SettingsList
@@ -81,6 +82,13 @@ class TestQuantumJoint:
     def test_quadrature_basis_needs_orthogonal_angle(self):
         with pytest.raises(ValueError):
             hv.quantum_joint(0.3, 1.0, basis="quadrature")
+
+    @pytest.mark.parametrize("theta2, phi", [
+        (0.0, math.nan), (math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0),
+    ])
+    def test_non_finite_angles_rejected(self, theta2, phi):
+        with pytest.raises(ValueError, match="finite"):
+            hv.quantum_joint(theta2, phi)
 
     def test_quadrature_projector_rejects_unknown_sign(self):
         with pytest.raises(ValueError, match="sign"):
@@ -424,7 +432,7 @@ class TestExactOptimum:
         assert exact.method == "exact" and floats.method == "float"
         return exact, abs(float(exact.residual) - floats.residual)
 
-    @pytest.mark.parametrize("n", [8, 12, 24])
+    @pytest.mark.parametrize("n", [8, 12, 24, 48])
     def test_matches_highs_on_rationalized_quantum_targets(self, n):
         rng = np.random.default_rng(400 + n)
         settings, wave = rational_settings([Fraction(int(c), 5) for c in rng.integers(-5, 6, n)])
@@ -494,6 +502,82 @@ class TestExactOptimum:
             result = hv.feasibility(targets, settings, wave_probs=wave)
             assert result.feasible and result.residual == 0
             assert hv.predicted_joint(result.model, settings, wave_probs=wave) == targets
+
+
+def recorded(make_cut, log):
+    """``make_cut`` whose cuts append (w, side, (line, xs)) to ``log``."""
+    def make(flat_targets, wave_probs):
+        cut = make_cut(flat_targets, wave_probs)
+
+        def recording(w, side):
+            log.append((w, side, cut(w, side)))
+            return log[-1][2]
+        return recording
+    return make
+
+
+def load_exact_reference_cases():
+    """(targets, settings, wave, residual) of each exact perfbench reference case."""
+    cases = load_perfbench_cases()
+    with open(os.path.join(REPO_DIR, "perfbench", "reference", "hv_feasibility.json")) as fh:
+        reference = json.load(fh)
+    for n, pool in reference["exact"].items():
+        for case in pool:
+            targets = [[[Fraction(v) for v in row] for row in table] for table in case["targets"]]
+            wave = [hv.wave_stats_from_cos(Fraction(c)) for c in case["cos"]]
+            settings = SettingsList(cases.hv_settings("exact", int(n), case["case"]))
+            yield targets, settings, wave, Fraction(case["residual"])
+
+
+class TestIntegerCut:
+    """``hv._exact_cut`` against the Fraction cut it replaced, ``fraction_cut``."""
+
+    @staticmethod
+    def assert_matches_oracle(monkeypatch, targets, settings, wave):
+        runs = []
+        for make_cut in (hv._exact_cut, fraction_cut._exact_cut):
+            log = []
+            with monkeypatch.context() as m:
+                m.setattr(hv, "_exact_cut", recorded(make_cut, log))
+                runs.append((hv.feasibility(targets, settings, wave_probs=wave), log))
+        (got, got_log), (want, want_log) = runs
+        # the same cuts in the same order, each with the same line and x_j
+        assert got_log == want_log
+        assert all(type(v) is Fraction for *_, (line, xs) in got_log for v in (*line, *xs))
+        assert type(got.residual) is Fraction and got.residual == want.residual
+        assert (got.feasible, got.cuts, got.model) == (want.feasible, want.cuts, want.model)
+        return got
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_targets_at_degenerate_phases(self, monkeypatch, seed):
+        # cos phi in {0, +-1, +-k/9} makes pieces parallel or equal, and
+        # targets with zero entries put candidates on the ends of [0, W]
+        rng = np.random.default_rng(700 + seed)
+        for i in range(100):
+            n = int(rng.integers(1, 7))
+            cosines = [Fraction(int(c), 9) for c in rng.choice([-9, 0, 9, *range(-8, 9)], n)]
+            settings, wave = rational_settings(cosines)
+            if i % 2:
+                targets = [rational_joint(rng) for _ in range(n)]
+            else:
+                model = random_model(rng, hv.enumerate_strategies(n), exact=True)
+                targets = hv.predicted_joint(model, settings, wave_probs=wave)
+            result = self.assert_matches_oracle(monkeypatch, targets, settings, wave)
+            assert result.feasible or i % 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 12, 16, 24, 32, 48])
+    def test_rationalized_quantum_targets(self, monkeypatch, n):
+        rng = np.random.default_rng(800 + n)
+        settings, wave = rational_settings([Fraction(int(c), 9) for c in rng.integers(-9, 10, n)])
+        targets = [rationalize(hv.quantum_joint(t2, phi)) for t2, phi in settings.entries]
+        assert not self.assert_matches_oracle(monkeypatch, targets, settings, wave).feasible
+
+    def test_perfbench_exact_reference_cases(self, monkeypatch):
+        cases = list(load_exact_reference_cases())
+        assert len(cases) == 64
+        for targets, settings, wave, residual in cases:
+            result = self.assert_matches_oracle(monkeypatch, targets, settings, wave)
+            assert result.residual == residual
 
 
 def highs(targets, settings):
@@ -630,13 +714,9 @@ class TestFloatKernel:
                                         SettingsList(entries))
                 assert result.cuts < hv._FLOAT_CUTS, (n, i, result.cuts)
                 assert result.feasible == feasible and abs(result.residual - residual) <= 1e-9
-        for n, pool in reference["exact"].items():
-            for case in pool:
-                targets = [[[Fraction(v) for v in row] for row in table] for table in case["targets"]]
-                wave = [hv.wave_stats_from_cos(Fraction(c)) for c in case["cos"]]
-                settings = SettingsList(cases.hv_settings("exact", int(n), case["case"]))
-                result = hv.feasibility(targets, settings, wave_probs=wave)
-                assert result.residual == Fraction(case["residual"])
+        for targets, settings, wave, residual in load_exact_reference_cases():
+            result = hv.feasibility(targets, settings, wave_probs=wave)
+            assert result.residual == residual
 
     def test_memory_and_time_bounded_in_the_number_of_settings(self):
         # n = 200 comes first, so a build quadratic in n fails there, long

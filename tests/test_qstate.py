@@ -104,6 +104,12 @@ class TestWaveplates:
         with pytest.raises(ValueError):
             qs.waveplate("third", 0.1)
 
+    @pytest.mark.parametrize("kind", ["half", "quarter"])
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, kind, angle):
+        with pytest.raises(ValueError, match="finite"):
+            qs.waveplate(kind, angle)
+
 
 class TestPhaseShifter:
     def test_zero_is_identity(self):
@@ -118,6 +124,12 @@ class TestPhaseShifter:
                             qs.phase_shifter(math.pi / 2), (0,))
         assert out.fidelity(qs.product_state(qs.KET_L)) == pytest.approx(1.0,
                                                                          abs=1e-12)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, phi):
+        # raised before np.exp, which warns on inf
+        with pytest.raises(ValueError, match="finite"):
+            qs.phase_shifter(phi)
 
 
 class TestControlledHadamard:
@@ -248,6 +260,30 @@ class TestValidation:
     def test_non_idempotent_projector_rejected(self):
         with pytest.raises(ValueError):
             qs.Projector(dimension=2, matrix=np.array([[0.5, 0], [0, 2.0]]))
+
+    def test_nan_amplitudes_rejected(self):
+        # a NaN norm fails "|norm - 1| > tol" as well as "<= tol"
+        with pytest.raises(ValueError, match="normalized"):
+            qs.state_from_amplitudes([math.nan, 0.0])
+
+    @pytest.mark.parametrize("cls", [qs.GateOp, qs.Projector])
+    def test_nan_matrix_entry_rejected(self, cls):
+        with pytest.raises(ValueError):
+            cls(dimension=2, matrix=np.array([[math.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("ket", [[0.0, 0.0], [math.nan, 0.0], [math.inf, 1.0]])
+    def test_zero_or_non_finite_ket_rejected(self, ket):
+        # raised before the division by the norm, which warns on NaN and inf
+        with pytest.raises(ValueError, match="zero or non-finite"):
+            qs.projector_onto(ket)
+
+    def test_nan_probability_rejected(self):
+        # a state that skipped validation still cannot yield a NaN probability
+        state = object.__new__(qs.StateVector)
+        object.__setattr__(state, "num_qubits", 1)
+        object.__setattr__(state, "amplitudes", np.array([math.nan, 0.0], dtype=complex))
+        with pytest.raises(ValueError, match="outside"):
+            qs.outcome_probability(state, qs.projector_onto(qs.KET_H), (0,))
 
     def test_states_are_immutable(self):
         state = qs.bell_state("phi+")
