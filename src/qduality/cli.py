@@ -31,6 +31,10 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_INFEASIBLE = 3
 
+# most points one command computes (surface grid cells, hom positions), so
+# memory stays bounded whatever the input
+MAX_POINTS = 1_000_000
+
 
 class ParseError(ValueError):
     """Malformed input file; carries a 1-based line number."""
@@ -222,9 +226,12 @@ def _grid(text):
         rows, cols = int(rows), int(cols)
         if rows < 1 or cols < 1:
             raise ValueError
-        return rows, cols
     except ValueError:
         raise argparse.ArgumentTypeError(f"grid must look like '9x9', got {text!r}")
+    if rows * cols > MAX_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid {rows}x{cols} has more than {MAX_POINTS:,} points")
+    return rows, cols
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     surf = sub.add_parser("surface", help="correlation surface CSV")
     surf.add_argument("--theta1", type=_angle, required=True)
     surf.add_argument("--grid", type=_grid, default=(9, 9),
-                      help="theta2 x phi grid size, e.g. 9x9")
+                      help="theta2 x phi grid size, e.g. 9x9; at most "
+                           f"{MAX_POINTS:,} points")
     surf.add_argument("--visibility", type=float, default=1.0)
     surf.add_argument("--background", type=float, default=0.0)
     surf.add_argument("--out", default=None)
@@ -266,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     hom.add_argument("--sigma", type=float, default=0.5)
     hom.add_argument("--from", dest="start", type=float, required=True)
     hom.add_argument("--to", dest="stop", type=float, required=True)
-    hom.add_argument("--steps", type=int, required=True)
+    hom.add_argument("--steps", type=int, required=True,
+                     help=f"number of positions, 2 to {MAX_POINTS:,}")
     hom.add_argument("--out", default=None)
 
     hvc = sub.add_parser("hvcheck", help="hidden-variable feasibility check")
@@ -339,8 +348,8 @@ def _cmd_chsh(args) -> int:
 
 
 def _cmd_hom(args) -> int:
-    if args.steps < 2:
-        raise ValueError("--steps must be at least 2")
+    if not 2 <= args.steps <= MAX_POINTS:
+        raise ValueError(f"--steps must be from 2 to {MAX_POINTS:,}, got {args.steps}")
     # an infinite span (--to inf, or --from -1e308 --to 1e308) would make
     # linspace warn and return NaN positions
     if not math.isfinite(args.stop - args.start):

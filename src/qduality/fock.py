@@ -44,13 +44,10 @@ Pattern = tuple  # sorted tuple of Mode
 
 def _pattern_norm_factor(pattern: Pattern) -> float:
     """sqrt(prod n_m!) over the occupation multiplicities of a pattern."""
-    fac = 1
-    seen = {}
-    for m in pattern:
-        seen[m] = seen.get(m, 0) + 1
-    for n in seen.values():
-        fac *= math.factorial(n)
-    return math.sqrt(fac)
+    distinct = set(pattern)
+    if len(distinct) == len(pattern):
+        return 1.0
+    return math.sqrt(math.prod(math.factorial(pattern.count(m)) for m in distinct))
 
 
 @dataclass
@@ -83,19 +80,23 @@ class ModeState:
         for identity.
         """
         out = defaultdict(complex)
+        images = {}  # each distinct mode is mapped once per call
         for pattern, amp in self.amps.items():
-            terms = [((), amp / _pattern_norm_factor(pattern))]
+            factors = []
             for mode in pattern:
-                images = mode_map(mode)
-                if images is None:
-                    images = [(mode, 1.0)]
-                terms = [
-                    (modes + (new_mode,), coef * c)
-                    for modes, coef in terms
-                    for new_mode, c in images
-                ]
-            for modes, coef in terms:
-                out[tuple(sorted(modes))] += coef
+                image = images.get(mode)
+                if image is None:
+                    image = mode_map(mode)
+                    image = images[mode] = [(mode, 1.0)] if image is None else image
+                factors.append(image)
+            scaled = amp / _pattern_norm_factor(pattern)
+            # coefficients multiply in mode order and sum in product order,
+            # so the amplitudes match a term-by-term expansion bit for bit
+            for combo in itertools.product(*factors):
+                coef = scaled
+                for _, c in combo:
+                    coef *= c
+                out[tuple(sorted([m for m, _ in combo]))] += coef
         amps = {
             p: a * _pattern_norm_factor(p)
             for p, a in out.items()
@@ -185,6 +186,8 @@ def attenuate(state: ModeState, spatial: str, pol: str, transmission: float,
     Photon number is conserved globally; the loss port simply never
     satisfies the post-selection condition.
     """
+    if not 0.0 <= transmission <= 1.0:
+        raise ValueError(f"transmission {transmission} outside [0, 1]")
     rt, rr = math.sqrt(transmission), math.sqrt(1.0 - transmission)
 
     def mapper(mode: Mode):

@@ -404,6 +404,37 @@ class TestCommands:
         assert "nan" not in out
         assert out.endswith("# contrast=0.000000\n")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["hom", "--from", "0", "--to", "1", "--steps", "1000000000000000"],
+         "--steps must be from 2 to 1,000,000"),
+        (["surface", "--theta1", "0", "--grid", "100000000x100000000"],
+         "more than 1,000,000 points"),
+    ])
+    def test_output_size_over_the_limit_is_usage_error(self, capsys, argv, message):
+        # hom used to die in numpy with _ArrayMemoryError; surface ran on
+        # building 10^8 angles per axis until it was killed
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_output_size_limit_is_inclusive(self):
+        assert cli.MAX_POINTS == 1_000_000
+        args = cli.build_parser().parse_args(
+            ["surface", "--theta1", "0", "--grid", "1000x1000"])
+        assert args.grid == (1000, 1000)
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(
+                ["surface", "--theta1", "0", "--grid", "1001x1000"])
+
+    def test_output_size_limit_in_help(self, capsys):
+        for command in ("surface", "hom"):
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args([command, "--help"])
+            assert "1,000,000" in capsys.readouterr().out
+
 
 FUZZ_VOCABULARY = ("0", "-pi/4", "3pi/2", "1/3", "pi/0", "nan", "inf", "1e-200",
                    "1e300", "-1e300", "x", "--")
@@ -421,8 +452,8 @@ FUZZ_COMMANDS = {
 FUZZ_EXTRA = {
     "--shots": ("3", "100"),
     "--seed": ("7", "-1"),
-    "--steps": ("2", "5"),
-    "--grid": ("1x1", "2x3"),
+    "--steps": ("2", "5", "1000001"),
+    "--grid": ("1x1", "2x3", "1001x1000"),
     "--mode": ("objectivity", "chsh-bound"),
     "--error-model": ("multinomial",),
 }

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import fock_oracle
 import numpy as np
 import pytest
 
@@ -74,6 +75,14 @@ class TestPpbsTransform:
             fock.ppbs_transform(state, ("x", "y"), t_h=1.0, t_v=0.5)
         with pytest.raises(ValueError):
             fock.ppbs_transform(state, ("a", "b"), t_h=1.5, t_v=0.5)
+
+    @pytest.mark.parametrize("t", [math.nan, -0.2, 1.5])
+    def test_attenuate_transmission_outside_unit_interval_rejected(self, t):
+        # NaN used to drop the photon silently, -0.2 and 1.5 raised a bare
+        # "math domain error"
+        state = single_photons(("a", "H", "t"))
+        with pytest.raises(ValueError, match=r"transmission .* outside \[0, 1\]"):
+            fock.attenuate(state, "a", "H", t, "loss")
 
 
 class TestHomScan:
@@ -398,3 +407,131 @@ class TestModeState:
         ):
             assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
             assert out.photon_numbers() == {2}
+
+
+def assert_same_amplitudes(got, want):
+    """The same patterns in the same order, with == complex amplitudes."""
+    assert list(got.amps) == list(want.amps)
+    assert list(got.amps.values()) == list(want.amps.values())
+
+
+@pytest.fixture
+def oracle_checked(monkeypatch):
+    """Check every ModeState.transform against the term-list oracle.
+
+    Returns the list of input states seen, one per transform call.
+    """
+    seen = []
+    transform = ModeState.transform
+
+    def checked(self, mode_map):
+        got = transform(self, mode_map)
+        assert_same_amplitudes(got, fock_oracle.transform(self, mode_map))
+        seen.append(self)
+        return got
+
+    monkeypatch.setattr(ModeState, "transform", checked)
+    return seen
+
+
+def random_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_state(rng, ports):
+    """A superposition of 1-4 patterns of 1-3 photons; port "a" is occupied."""
+    entries = []
+    for k in range(int(rng.integers(1, 5))):
+        modes = [Mode(str(rng.choice(ports)), str(rng.choice(["H", "V"])),
+                      str(rng.choice(["t0", "t1"])))
+                 for _ in range(int(rng.integers(1, 4)))]
+        if k == 0:
+            modes[0] = modes[0]._replace(spatial="a")
+        entries.append((modes, complex(rng.normal(), rng.normal())))
+    return ModeState.from_patterns(entries)
+
+
+class TestTransformOracle:
+    """``ModeState.transform`` against the term-list expansion it replaced."""
+
+    def elements(self, rng, state):
+        """Every element builder on ports "a" and "b", random parameters."""
+        zero_column = np.array([[0.6, 0.0], [0.8j, 0.0]])
+        return [
+            state.transform(fock.polarization_map("a", random_unitary(rng))),
+            state.transform(fock.polarization_map("b", random_unitary(rng))),
+            state.transform(fock.polarization_map("a", zero_column)),
+            fock.ppbs_transform(state, ("a", "b"), t_h=rng.random(), t_v=rng.random()),
+            fock.ppbs_transform(state, ("a", "b"), t_h=1.0, t_v=1.0 / 3.0),
+            fock.pbs_transform(state, ("a", "b")),
+            fock.attenuate(state, "a", "H", rng.random(), "loss"),
+            fock.attenuate(state, "b", "V", 1.0 / 3.0, "loss"),
+        ]
+
+    @pytest.mark.parametrize("ports", [("a", "b"), ("a", "b", "c")])
+    def test_random_states_through_every_element(self, oracle_checked, ports):
+        rng = np.random.default_rng(len(ports))
+        states = [random_state(rng, ports) for _ in range(60)]
+        outputs = [out for state in states for out in self.elements(rng, state)]
+        assert len(oracle_checked) == len(outputs) == 8 * len(states)
+        # bunched inputs (a repeated mode) and outputs both occur
+        assert any(len(set(p)) < len(p) for s in states for p in s.amps)
+        assert any(len(set(p)) < len(p) for s in outputs for p in s.amps)
+
+    def test_fully_bunched_patterns(self, oracle_checked):
+        rng = np.random.default_rng(5)
+        h0, v1 = Mode("a", "H", "t0"), Mode("b", "V", "t1")
+        state = ModeState.from_patterns(
+            [((h0, h0, h0), 0.6), ((h0, h0, v1), 0.48j), ((v1, v1), -0.64)])
+        self.elements(rng, state)
+        assert len(oracle_checked) == 8
+
+    def test_hong_ou_mandel_cancellation(self, oracle_checked):
+        for pol in ("H", "V"):
+            state = single_photons(("a", pol, "t0"), ("b", pol, "t0"))
+            out = fock.ppbs_transform(state, ("a", "b"), t_h=0.5, t_v=0.5)
+            assert (Mode("a", pol, "t0"), Mode("b", pol, "t0")) not in out.amps
+            assert len(out.amps) == 2
+        assert len(oracle_checked) == 2
+
+    def test_each_distinct_mode_mapped_once(self):
+        rng = np.random.default_rng(6)
+        state = random_state(rng, ("a", "b", "c"))
+        for _ in range(5):
+            state = fock.ppbs_transform(state, ("a", "b"), t_h=0.5, t_v=0.3)
+        calls = []
+        mapper = fock.polarization_map("a", random_unitary(rng))
+        state.transform(lambda mode: calls.append(mode) or mapper(mode))
+        assert sorted(calls) == sorted({m for p in state.amps for m in p})
+        assert len(calls) < sum(len(p) for p in state.amps)
+
+    @pytest.mark.parametrize("v", [0.0, 0.5, 1.0])
+    def test_physical_correlation_states(self, oracle_checked, monkeypatch, v):
+        rng = np.random.default_rng(7)
+        configs = [ct.ExperimentConfig(phi=float(phi), theta1=float(t1),
+                                       theta2=float(t2))
+                   for phi, t1, t2 in rng.uniform(-math.pi, math.pi, (4, 3))]
+        got = [fock.physical_correlation(cfg, v) for cfg in configs]
+        # per overlap branch: 10 transforms to the analyzer, 3 per analyzer angle
+        assert len(oracle_checked) == 4 * (32 if 0.0 < v < 1.0 else 16)
+        monkeypatch.setattr(ModeState, "transform", fock_oracle.transform)
+        assert got == [fock.physical_correlation(cfg, v) for cfg in configs]
+
+    def test_gate_maps_and_analyzer(self, oracle_checked, monkeypatch):
+        positions = np.linspace(13.0, 16.0, 5)
+        overlap = OverlapModel(x0=14.42, sigma=0.5)
+
+        def outputs():
+            maps = [build(v)[0].apply(np.eye(4) / 4.0)
+                    for build in (fock.physical_cz, fock.physical_ch)
+                    for v in (0.0, 0.3, 1.0)]
+            return (maps, fock.bsm_scan(0.3, overlap, positions).rates,
+                    fock.bsm_projector_physical(0.3).matrix)
+
+        maps, rates, projector = outputs()
+        monkeypatch.setattr(ModeState, "transform", fock_oracle.transform)
+        want_maps, want_rates, want_projector = outputs()
+        assert all(np.array_equal(a, b) for a, b in zip(maps, want_maps, strict=True))
+        assert rates == want_rates
+        assert np.array_equal(projector, want_projector)
