@@ -1,9 +1,14 @@
 """Command-line front end: simulation, data ingestion, and CSV emission.
 
 Counts files are CSV with header ``theta1_rad,theta2_rad,phi_rad,n_pp,
-n_pm,n_mp,n_mm``, decimal radians, UTF-8, LF line endings, '#' comments.
+n_pm,n_mp,n_mm``, decimal radians, UTF-8 (a leading BOM is skipped), LF
+line endings, '#' comments.
 Exit codes: 0 success (or feasible), 1 usage error, 2 I/O or parse error,
 3 declared infeasible (hvcheck only).
+
+Each command imports only the layer it runs, inside its ``_cmd_*``
+function, so ``analyze``, ``chsh --from`` and usage errors never load
+numpy or the simulation layers.
 """
 
 from __future__ import annotations
@@ -13,12 +18,7 @@ import math
 import os
 import re
 import sys
-import tempfile
 from dataclasses import dataclass
-
-import numpy as np
-
-from . import circuit, fock, hv
 
 COUNTS_HEADER = "theta1_rad,theta2_rad,phi_rad,n_pp,n_pm,n_mp,n_mm"
 SURFACE_HEADER = "theta2_rad,phi_rad,E"
@@ -37,10 +37,12 @@ MAX_POINTS = 1_000_000
 
 
 class ParseError(ValueError):
-    """Malformed input file; carries a 1-based line number."""
+    """Malformed input file; carries a 1-based line number, or None when
+    the fault is in the file as a whole."""
 
     def __init__(self, path, line, message):
-        super().__init__(f"{path}:{line}: {message}")
+        where = path if line is None else f"{path}:{line}"
+        super().__init__(f"{where}: {message}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,15 @@ def parse_angle(text: str) -> float:
 
 def _data_lines(path):
     """Yield (line_number, line) skipping blanks, comments and the header."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading BOM; surrogateescape keeps a bad byte in its
+    # line, so the error below can name the line
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(raw[exc.start]) - 0xDC00
+                raise ParseError(path, lineno, f"not UTF-8 text (byte 0x{byte:02x})") from None
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -112,9 +121,8 @@ def _data_lines(path):
             yield lineno, line
 
 
-def ingest_counts(path) -> list:
-    """Read coincidence records from a counts CSV."""
-    records = []
+def _counts_rows(path):
+    """Yield (line_number, CoincidenceRecord) for each row of a counts CSV."""
     for lineno, line in _data_lines(path):
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 7:
@@ -122,10 +130,30 @@ def ingest_counts(path) -> list:
         try:
             angles = [float(f) for f in fields[:3]]
             counts = [int(f) for f in fields[3:]]
-            records.append(CoincidenceRecord(*angles, *counts))
+            record = CoincidenceRecord(*angles, *counts)
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
-    return records
+        yield lineno, record
+
+
+def ingest_counts(path) -> list:
+    """Read coincidence records from a counts CSV."""
+    return [record for _, record in _counts_rows(path)]
+
+
+def _analyze_counts(path) -> list:
+    """(record, CorrelationResult) per row of a counts CSV.
+
+    The whole file is parsed before any row is analyzed; a row that cannot
+    be analyzed (zero total counts) is a parse error on its line.
+    """
+    results = []
+    for lineno, record in list(_counts_rows(path)):
+        try:
+            results.append((record, correlation_with_error(record)))
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc)) from None
+    return results
 
 
 def emit_counts(records, stream) -> None:
@@ -174,6 +202,8 @@ def chsh_from_records(records) -> tuple:
 
 
 def _atomic_write(path, text: str) -> None:
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".csv")
     try:
@@ -294,11 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _noise(args) -> circuit.NoiseParams:
+    from . import circuit
+
     return circuit.NoiseParams(visibility=args.visibility,
                                background=args.background)
 
 
 def _cmd_simulate(args) -> int:
+    from . import circuit
+
     if args.shots is not None and args.shots < 1:
         raise ValueError(f"--shots must be at least 1, got {args.shots}")
     if args.seed < 0:
@@ -316,6 +350,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_surface(args) -> int:
+    import numpy as np
+
+    from . import circuit
+
     n_theta2, n_phi = args.grid
     theta2_grid = (
         circuit.THETA2_GRID_9 if n_theta2 == 9
@@ -337,17 +375,26 @@ def _cmd_surface(args) -> int:
 
 def _cmd_chsh(args) -> int:
     if args.counts_file is not None:
-        records = ingest_counts(args.counts_file)
-        s, sigma = chsh_from_records(records)
+        records = [record for record, _ in _analyze_counts(args.counts_file)]
+        try:
+            s, sigma = chsh_from_records(records)
+        except ValueError as exc:
+            raise ParseError(args.counts_file, None, str(exc)) from None
         print(f"S={s:.4f}")
         print(f"sigma_S={sigma:.4f}")
     else:
+        from . import circuit
+
         s = circuit.chsh(args.phi, noise=_noise(args))
         print(f"S={s:.4f}")
     return EXIT_OK
 
 
 def _cmd_hom(args) -> int:
+    import numpy as np
+
+    from . import fock
+
     if not 2 <= args.steps <= MAX_POINTS:
         raise ValueError(f"--steps must be from 2 to {MAX_POINTS:,}, got {args.steps}")
     # an infinite span (--to inf, or --from -1e308 --to 1e308) would make
@@ -366,6 +413,8 @@ def _cmd_hom(args) -> int:
 
 
 def _read_settings(path) -> hv.SettingsList:
+    from . import hv
+
     first_line = {}  # setting -> the line it is on
     for lineno, line in _data_lines(path):
         fields = [f.strip() for f in line.split(",")]
@@ -387,7 +436,11 @@ def _read_settings(path) -> hv.SettingsList:
 
 
 def _cmd_hvcheck(args) -> int:
+    from . import hv
+
     if args.mode == "chsh-bound":
+        from . import circuit
+
         bound = hv.chsh_local_bound()
         quantum = circuit.chsh(3 * math.pi / 2)
         print(f"LOCAL_BOUND={bound:.4f}")
@@ -407,10 +460,8 @@ def _cmd_hvcheck(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    records = ingest_counts(args.counts_file)
     lines = [ANALYZE_HEADER]
-    for r in records:
-        res = correlation_with_error(r)
+    for r, res in _analyze_counts(args.counts_file):
         lines.append(
             f"{r.theta1!r},{r.theta2!r},{r.phi!r},"
             f"{res.E:.6f},{res.sigma:.6f},{res.total}"

@@ -1,15 +1,23 @@
 import contextlib
+import importlib
 import io
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qduality
 from qduality import cli
 from qduality import circuit as ct
 from qduality.cli import CoincidenceRecord
+
+from conftest import REPO_ROOT
 
 SQRT2 = math.sqrt(2.0)
 
@@ -436,6 +444,190 @@ class TestCommands:
             assert "1,000,000" in capsys.readouterr().out
 
 
+def write_bad_inputs(root, table_a1_path) -> dict:
+    """Counts and settings files that are well-formed CSV but bad input."""
+    table = table_a1_path.read_bytes()
+    lines = table.split(b"\n")
+    assert lines[6].endswith(b",2162,658,692,1949")
+    files = {
+        # line 7 is the third data row
+        "zero_total.csv": b"\n".join(
+            lines[:6] + [lines[6].rsplit(b",", 4)[0] + b",0,0,0,0"] + lines[7:]),
+        "one_row.csv": b"\n".join(lines[:5]) + b"\n",
+        "bom.csv": b"\xef\xbb\xbf" + table,
+        "latin1.csv": (cli.COUNTS_HEADER + "\n# caf\xe9\n0.0,0.1,0.2,5,1,5,5\n").encode("latin-1"),
+    }
+    paths = {}
+    for name, data in files.items():
+        paths[name] = root / name
+        paths[name].write_bytes(data)
+    return paths
+
+
+@pytest.fixture
+def bad_inputs(tmp_path, table_a1_path):
+    return write_bad_inputs(tmp_path, table_a1_path)
+
+
+class TestInputFileErrors:
+    """A counts or settings file whose content is bad exits 2 naming path[:line]."""
+
+    @pytest.mark.parametrize("command", ["analyze", "chsh"])
+    def test_zero_total_row_names_its_line(self, capsys, bad_inputs, command):
+        path = bad_inputs["zero_total.csv"]
+        code = cli.main([command, "--from", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}:7: cannot analyze a record with zero total counts\n")
+
+    def test_chsh_wrong_record_count_names_file(self, capsys, bad_inputs):
+        path = bad_inputs["one_row.csv"]
+        code = cli.main(["chsh", "--from", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: expected exactly 4 records, got 1\n"
+
+    def test_chsh_duplicate_setting_names_file(self, capsys, tmp_path, table_a1_path):
+        path = tmp_path / "f.csv"
+        rows = table_a1_path.read_text().splitlines()
+        path.write_text("\n".join(rows[:5] + rows[4:5] + rows[6:]) + "\n")  # row 1 twice
+        code = cli.main(["chsh", "--from", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: duplicate setting (theta1=0.0, theta2=0.39269908169872414)\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "chsh"])
+    def test_bom_counts_file_reads_as_without(self, capsys, bad_inputs, table_a1_path,
+                                              command):
+        assert cli.main([command, "--from", str(table_a1_path)]) == 0
+        plain = capsys.readouterr()
+        assert cli.main([command, "--from", str(bad_inputs["bom.csv"])]) == 0
+        assert capsys.readouterr() == plain
+
+    def test_bom_before_the_header(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (cli.COUNTS_HEADER + "\n0.0,0.1,0.2,5,1,5,5\n").encode())
+        assert cli.ingest_counts(path) == [CoincidenceRecord(0.0, 0.1, 0.2, 5, 1, 5, 5)]
+
+    def test_bom_settings_file(self, capsys, tmp_path):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(cli.SETTINGS_HEADER + f"\n{-math.pi / 4!r},{math.pi / 4!r}\n")
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert cli.main(["hvcheck", "--settings", str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert cli.main(["hvcheck", "--settings", str(bom)]) == 0
+        assert capsys.readouterr() == expected
+
+    @pytest.mark.parametrize("argv", [["analyze", "--from"], ["chsh", "--from"],
+                                      ["hvcheck", "--settings"]])
+    def test_non_utf8_byte_names_its_line(self, capsys, bad_inputs, argv):
+        path = bad_inputs["latin1.csv"]
+        code = cli.main(argv + [str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {path}:2: not UTF-8 text (byte 0xe9)\n"
+
+    def test_non_utf8_byte_past_the_first_read_block(self, tmp_path):
+        # the text layer decodes in blocks of several KB; the line stays exact
+        path = tmp_path / "f.csv"
+        rows = "".join(f"0.0,0.1,0.2,{k},1,5,5\n" for k in range(2000))
+        path.write_bytes((cli.COUNTS_HEADER + "\n" + rows).encode() + b"0.0,\xff\n")
+        with pytest.raises(cli.ParseError, match=r"f\.csv:2002: not UTF-8 text \(byte 0xff\)"):
+            cli.ingest_counts(path)
+
+
+# what cli.main(argv) may not load in a fresh interpreter, and what it must
+_TABLE = str(REPO_ROOT / "data" / "table_a1.csv")
+_SETTINGS = str(REPO_ROOT / "perfbench" / "data" / "settings_feasible.csv")
+_NO_NUMPY = ("numpy", "qduality.qstate", "qduality.circuit", "qduality.fock", "qduality.hv")
+LAYER_LOADS = {
+    "analyze": (["analyze", "--from", _TABLE], _NO_NUMPY, ()),
+    "chsh_from": (["chsh", "--from", _TABLE], _NO_NUMPY, ()),
+    "usage_error": (["simulate", "--theta1", "3pi/x", "--theta2", "0", "--phi", "0"],
+                    _NO_NUMPY, ()),
+    "simulate": (["simulate", "--theta1", "0", "--theta2", "pi/8", "--phi", "3pi/2",
+                  "--shots", "10"], ("qduality.fock", "qduality.hv"), ("qduality.circuit",)),
+    "surface": (["surface", "--theta1", "0", "--grid", "2x3"],
+                ("qduality.fock", "qduality.hv"), ("qduality.circuit",)),
+    "chsh_model": (["chsh", "--phi", "3pi/2"], ("qduality.fock", "qduality.hv"),
+                   ("qduality.circuit",)),
+    "hom": (["hom", "--from", "10", "--to", "12", "--steps", "5"], ("qduality.hv",),
+            ("qduality.fock",)),
+    "hvcheck": (["hvcheck", "--settings", _SETTINGS], ("qduality.fock",), ("qduality.hv",)),
+    "hvcheck_bound": (["hvcheck", "--settings", _SETTINGS, "--mode", "chsh-bound"],
+                      ("qduality.fock",), ("qduality.hv", "qduality.circuit")),
+}
+_LOADED_SCRIPT = """
+import json, sys
+import qduality
+assert "numpy" not in sys.modules, "import qduality loaded numpy"
+from qduality import cli
+assert "numpy" not in sys.modules, "import qduality.cli loaded numpy"
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("case", sorted(LAYER_LOADS))
+def test_command_loads_only_its_layer(case):
+    argv, absent, present = LAYER_LOADS[case]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == (1 if case == "usage_error" else 0), proc.stderr
+    assert not set(absent) & set(modules), f"{argv} loaded {set(absent) & set(modules)}"
+    assert set(present) <= set(modules)
+
+
+PACKAGE_ALL = [
+    "ExperimentConfig", "GateOp", "NoiseParams", "OutcomeDistribution", "Projector",
+    "StateVector", "apply_gate", "bell_state", "chsh", "coincidence_probabilities",
+    "controlled_hadamard", "correlation", "correlation_surface", "final_state",
+    "initial_state", "outcome_probability", "particle_state", "phase_shifter",
+    "sample_counts", "schmidt_coefficients", "wave_state", "waveplate",
+]
+
+
+class TestLazyPackage:
+    def test_all_is_unchanged(self):
+        assert qduality.__all__ == PACKAGE_ALL
+
+    @pytest.mark.parametrize("name", PACKAGE_ALL)
+    def test_reexport_is_the_module_object(self, name):
+        obj = getattr(qduality, name)
+        assert obj.__module__ in ("qduality.circuit", "qduality.qstate")
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+        assert name in dir(qduality)
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from qduality import *", namespace)
+        namespace.pop("__builtins__")
+        assert sorted(namespace) == PACKAGE_ALL
+        assert namespace["chsh"] is ct.chsh
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            qduality.no_such_name
+        assert not hasattr(qduality, "no_such_name")
+        with pytest.raises(ImportError):
+            exec("from qduality import no_such_name", {})
+
+    def test_layer_modules_resolve(self):
+        assert qduality.circuit is ct
+        assert qduality.qstate is importlib.import_module("qduality.qstate")
+
+
 FUZZ_VOCABULARY = ("0", "-pi/4", "3pi/2", "1/3", "pi/0", "nan", "inf", "1e-200",
                    "1e300", "-1e300", "x", "--")
 # subcommand: (required options, optional options)
@@ -462,11 +654,14 @@ FUZZ_INPUT_FILES = {("chsh", "--from"), ("analyze", "--from"), ("hvcheck", "--se
 
 @pytest.fixture(scope="module")
 def fuzz_paths(tmp_path_factory, table_a1_path):
-    """Input paths (data CSV, settings CSV, missing, directory) and --out paths."""
+    """Input paths (data CSV, settings CSV, bad inputs, missing, directory) and
+    --out paths."""
     root = tmp_path_factory.mktemp("fuzz")
     settings = root / "settings.csv"
     settings.write_text(cli.SETTINGS_HEADER + "\n0.0,1.0\n")
-    inputs = (str(table_a1_path), str(settings), str(root / "missing.csv"), str(root))
+    bad = write_bad_inputs(root, table_a1_path)
+    inputs = (str(table_a1_path), str(settings), *map(str, bad.values()),
+              str(root / "missing.csv"), str(root))
     outputs = (str(root / "out.csv"), str(root / "missing" / "out.csv"), str(root), "--")
     return inputs, outputs
 
