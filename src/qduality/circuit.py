@@ -107,10 +107,6 @@ class OutcomeDistribution:
     def alice_plus_marginal(self) -> float:
         return self.p_pp + self.p_pm
 
-    @property
-    def bob_plus_marginal(self) -> float:
-        return self.p_pp + self.p_mp
-
 
 def initial_state(delta: float) -> StateVector:
     """|V>_S (x) (|HV> + e^{i delta}|VH>)_CA / sqrt2, register order (S, C, A)."""

@@ -14,11 +14,11 @@ numpy or the simulation layers.
 from __future__ import annotations
 
 import argparse
+import collections
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 COUNTS_HEADER = "theta1_rad,theta2_rad,phi_rad,n_pp,n_pm,n_mp,n_mm"
 SURFACE_HEADER = "theta2_rad,phi_rad,E"
@@ -45,36 +45,30 @@ class ParseError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-@dataclass(frozen=True)
-class CoincidenceRecord:
+# namedtuples, not dataclasses: the numpy-free commands then never import
+# dataclasses and the inspect module it loads
+class CoincidenceRecord(collections.namedtuple(
+        "CoincidenceRecord", "theta1 theta2 phi n_pp n_pm n_mp n_mm")):
     """One measurement setting with its four coincidence counts."""
 
-    theta1: float
-    theta2: float
-    phi: float
-    n_pp: int
-    n_pm: int
-    n_mp: int
-    n_mm: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("theta1", "theta2", "phi"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         for name in ("n_pp", "n_pm", "n_mp", "n_mm"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        return self
 
     @property
     def total(self) -> int:
         return self.n_pp + self.n_pm + self.n_mp + self.n_mm
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
-    E: float
-    sigma: float
-    total: int
+CorrelationResult = collections.namedtuple("CorrelationResult", "E sigma total")
 
 
 _ANGLE_RE = re.compile(
@@ -205,15 +199,18 @@ def _atomic_write(path, text: str) -> None:
     import tempfile
 
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".csv")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".csv")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as exc:  # name the path asked for, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _write_output(text: str, out_path) -> None:
@@ -294,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--background", type=float, default=0.0)
     ch.add_argument("--from", dest="counts_file", default=None,
                     help="counts CSV with the four CHSH settings")
-    ch.add_argument("--error-model", choices=("multinomial",),
-                    default="multinomial")
 
     hom = sub.add_parser("hom", help="two-photon dip curve CSV")
     hom.add_argument("--transmission", type=_angle, default=1.0 / 3.0,
@@ -317,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="per-record correlations CSV")
     ana.add_argument("--from", dest="counts_file", required=True)
     ana.add_argument("--out", default=None)
-    ana.add_argument("--error-model", choices=("multinomial",),
-                     default="multinomial")
 
     return parser
 
@@ -355,14 +348,8 @@ def _cmd_surface(args) -> int:
     from . import circuit
 
     n_theta2, n_phi = args.grid
-    theta2_grid = (
-        circuit.THETA2_GRID_9 if n_theta2 == 9
-        else tuple(np.linspace(-math.pi / 2, math.pi / 2, n_theta2))
-    )
-    phi_grid = (
-        circuit.PHI_GRID_9 if n_phi == 9
-        else tuple(np.linspace(0.0, 2 * math.pi, n_phi))
-    )
+    theta2_grid = tuple(np.linspace(-math.pi / 2, math.pi / 2, n_theta2))
+    phi_grid = tuple(np.linspace(0.0, 2 * math.pi, n_phi))
     table = circuit.correlation_surface(args.theta1, theta2_grid, phi_grid,
                                         noise=_noise(args))
     lines = [SURFACE_HEADER]

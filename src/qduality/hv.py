@@ -10,7 +10,7 @@ target family of joint distributions is a linear program whose optimum is
 the minimum of a convex piecewise-linear function of the wave weight.
 Kelley cuts find it to 1e-12 for floats and exactly for rational inputs,
 whose cuts run in integer coordinates and break ties by (value, +-slope),
-the first candidate winning; HiGHS solves the float LP only if cuts stall.
+the first candidate winning; a float loop that stalls finishes exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .qstate import Projector, bell_ket, projector_onto
 FEASIBILITY_TOL = 1e-9
 _FLOAT_TOL = 1e-12  # a float Kelley loop stops when g is this close to its lower bound
 _FLOAT_ROUNDING = 64 * np.finfo(float).eps  # bounds the rounding of a float cut's distances
-_FLOAT_CUTS = 64  # a float Kelley loop gives up to HiGHS after this many cuts
+_FLOAT_CUTS = 64  # a float Kelley loop finishes on the exact one after this many cuts
 
 TAG_PARTICLE = "particle"
 TAG_WAVE = "wave"
@@ -40,8 +40,9 @@ _OUTCOMES = ("+", "-")
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on first use.
 
-    scipy.optimize is slow to import and only the float LP needs it, so
-    every other user of this module, the CLI included, starts without it.
+    No program path calls it: with ``_standard_form`` and ``_highs_optimum``
+    it is the HiGHS reference that tests compare the Kelley loop against,
+    and the benchmark's tracer wraps it by name.
     """
     from scipy.optimize import linprog as _linprog
 
@@ -227,7 +228,7 @@ class FeasibilityResult:
     residual: object  # float or Fraction: min over models of max TV distance
     model: HVModel | None
     method: str  # "exact" or "float"
-    cuts: int  # Kelley cuts made; a float solve that reaches the cap ends on HiGHS
+    cuts: int  # Kelley cuts made, in both loops when a float solve reaches the cap
 
 
 def _sums_to_one(values) -> bool:
@@ -264,7 +265,7 @@ def _validate_targets(targets, n):
 
 
 def _standard_form(flat_targets, wave_probs):
-    """min t s.t. A x = b, x >= 0, over the tags' per-setting marginals.
+    """min t s.t. A x = b, x >= 0, over the tags' per-setting marginals; a test reference.
 
     Columns: W (wave weight), t (residual), per setting x_j (wave weight on
     '+'), m_j+ and m_j-, then one slack per "<=" row.  A setting's
@@ -484,7 +485,7 @@ def _kelley(cut, one, tol=0, cap=math.inf):
 
 
 def _highs_optimum(flat_targets, wave_probs):
-    """(W, residual, [x_j]) from HiGHS on the LP of ``_standard_form``."""
+    """(W, residual, [x_j]) from HiGHS on the LP of ``_standard_form``; a test reference."""
     c, a, b = _standard_form(flat_targets, wave_probs)
     res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
     if not res.success:
@@ -524,8 +525,9 @@ def feasibility(targets, settings: SettingsList, wave_probs=None) -> Feasibility
     over the wave weight (``_kelley``).  When every target and wave_probs
     entry is a Fraction or int the optimum is exact; otherwise one numpy
     table evaluates every setting per cut, and the residual is within 1e-12
-    of the optimum.  A float loop that reaches ``_FLOAT_CUTS`` cuts hands
-    the LP in 3n + 2 variables to HiGHS.  ``cuts`` reports the cuts made.
+    of the optimum.  A float loop that reaches ``_FLOAT_CUTS`` cuts starts
+    over on the exact loop, with the same floats read as Fractions, and its
+    optimum gives the float residual and witness.  ``cuts`` counts both loops.
     """
     n = len(settings)
     flat_targets = _validate_targets(targets, n)
@@ -547,7 +549,14 @@ def feasibility(targets, settings: SettingsList, wave_probs=None) -> Feasibility
     else:
         cuts, optimum = _kelley(_float_cut(flat_targets, wave_probs), 1.0,
                                 _FLOAT_TOL, _FLOAT_CUTS)
-        wave_weight, residual, wave_plus = optimum or _highs_optimum(flat_targets, wave_probs)
+        if optimum is None:  # the exact loop on the same floats read as Fractions
+            exact_targets, exact_wave = ([[Fraction(float(v)) for v in row] for row in rows]
+                                         for rows in (flat_targets, wave_probs))
+            exact_cuts, (wave_weight, residual, wave_plus) = _kelley(
+                _exact_cut(exact_targets, exact_wave), Fraction(1))
+            cuts += exact_cuts
+            optimum = float(wave_weight), residual, np.array(wave_plus, dtype=float)
+        wave_weight, residual, wave_plus = optimum
         residual = max(float(residual), 0.0)
         feasible = residual <= FEASIBILITY_TOL
     model = (_witness(wave_weight, wave_plus, flat_targets, 0 if exact else 1e-12)

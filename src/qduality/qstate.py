@@ -14,8 +14,6 @@ import numpy as np
 
 # Tolerance for exact algebraic identities (unitarity, idempotence, norms).
 ATOL = 1e-12
-# Looser tolerance for SVD-based decompositions.
-ATOL_SVD = 1e-10
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -73,10 +71,6 @@ def product_state(*kets) -> StateVector:
     for ket in kets:
         amps = np.kron(amps, np.asarray(ket, dtype=complex))
     return state_from_amplitudes(amps)
-
-
-def fidelity(a: StateVector, b: StateVector) -> float:
-    return a.fidelity(b)
 
 
 @dataclass(frozen=True)

@@ -380,6 +380,20 @@ class TestCommands:
         assert cli.main(["analyze", "--from", "/nonexistent/file.csv"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", [
+        ["surface", "--theta1", "0", "--grid", "2x2"],
+        ["hom", "--from", "10", "--to", "12", "--steps", "3"],
+        ["analyze", "--from", str(REPO_ROOT / "data" / "table_a1.csv")],
+    ])
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_out_error_names_the_path_asked_for(self, capsys, tmp_path, command, target):
+        # a missing directory fails to make the temporary file, a directory
+        # as --out fails to replace it; either way it is gone afterwards
+        out = str(tmp_path / target)
+        assert cli.main(command + ["--out", out]) == 2
+        assert capsys.readouterr().err.endswith(f": {out!r}\n")
+        assert not list(tmp_path.rglob(".tmp_*"))
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         path = tmp_path / "broken.csv"
         path.write_text("not,a,valid,row\n")
@@ -545,7 +559,9 @@ class TestInputFileErrors:
 # what cli.main(argv) may not load in a fresh interpreter, and what it must
 _TABLE = str(REPO_ROOT / "data" / "table_a1.csv")
 _SETTINGS = str(REPO_ROOT / "perfbench" / "data" / "settings_feasible.csv")
-_NO_NUMPY = ("numpy", "qduality.qstate", "qduality.circuit", "qduality.fock", "qduality.hv")
+# numpy and the layers on it, and dataclasses with the inspect module it imports
+_NO_NUMPY = ("numpy", "qduality.qstate", "qduality.circuit", "qduality.fock", "qduality.hv",
+             "dataclasses", "inspect")
 LAYER_LOADS = {
     "analyze": (["analyze", "--from", _TABLE], _NO_NUMPY, ()),
     "chsh_from": (["chsh", "--from", _TABLE], _NO_NUMPY, ()),
@@ -635,10 +651,10 @@ FUZZ_COMMANDS = {
     "simulate": (("--theta1", "--theta2", "--phi"),
                  ("--delta", "--visibility", "--background", "--shots", "--seed")),
     "surface": (("--theta1",), ("--grid", "--visibility", "--background", "--out")),
-    "chsh": ((), ("--phi", "--visibility", "--background", "--from", "--error-model")),
+    "chsh": ((), ("--phi", "--visibility", "--background", "--from")),
     "hom": (("--from", "--to", "--steps"), ("--transmission", "--x0", "--sigma", "--out")),
     "hvcheck": (("--settings",), ("--mode",)),
-    "analyze": (("--from",), ("--out", "--error-model")),
+    "analyze": (("--from",), ("--out",)),
 }
 # valid values that keep the work per call small
 FUZZ_EXTRA = {
@@ -647,7 +663,6 @@ FUZZ_EXTRA = {
     "--steps": ("2", "5", "1000001"),
     "--grid": ("1x1", "2x3", "1001x1000"),
     "--mode": ("objectivity", "chsh-bound"),
-    "--error-model": ("multinomial",),
 }
 FUZZ_INPUT_FILES = {("chsh", "--from"), ("analyze", "--from"), ("hvcheck", "--settings")}
 

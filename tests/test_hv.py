@@ -628,6 +628,15 @@ def admixed_targets(rng, settings):
     return (1 - eps) * np.array(hv.predicted_joint(model, settings), dtype=float) + eps * quantum
 
 
+def nearly_parallel_phases(rng):
+    """A draw of phases 1e-3 to 1e-9 away from 0, pi/2 or pi."""
+    def phi():
+        offset = float(rng.choice([-1.0, 1.0])) * 10.0 ** -float(rng.integers(3, 10))
+        return float(rng.choice([0.0, math.pi / 2, math.pi])) + offset
+
+    return phi
+
+
 def load_perfbench_cases():
     spec = importlib.util.spec_from_file_location(
         "perfbench_cases", os.path.join(REPO_DIR, "perfbench", "cases.py"))
@@ -675,13 +684,8 @@ class TestFloatKernel:
         # same floats read as Fractions: HiGHS strays from it by more than
         # 1e-12 on many of these inputs.
         rng = np.random.default_rng(670)
-
-        def phi():
-            offset = float(rng.choice([-1.0, 1.0])) * 10.0 ** -float(rng.integers(3, 10))
-            return float(rng.choice([0.0, math.pi / 2, math.pi])) + offset
-
         for i in range(40):
-            settings = random_settings(rng, int(rng.integers(1, 6)), phi)
+            settings = random_settings(rng, int(rng.integers(1, 6)), nearly_parallel_phases(rng))
             targets = ([hv.quantum_joint(t2, phi) for t2, phi in settings.entries] if i % 2
                        else admixed_targets(rng, settings))
             result = hv.feasibility(targets, settings)
@@ -690,17 +694,52 @@ class TestFloatKernel:
             _, (_, residual, _) = hv._kelley(hv._exact_cut(flat, wave), Fraction(1))
             assert abs(result.residual - float(residual)) <= 1e-12
 
-    def test_falls_back_to_highs_at_the_cut_cap(self, monkeypatch):
+    def test_finishes_on_the_exact_loop_at_the_cut_cap(self, monkeypatch):
         rng = np.random.default_rng(660)
-        monkeypatch.setattr(hv, "_FLOAT_CUTS", 0)
         for i in range(6):
             settings = random_settings(rng, 4)
             targets = ([hv.quantum_joint(t2, phi) for t2, phi in settings.entries] if i % 2
                        else admixed_targets(rng, settings))
+            uncapped = hv.feasibility(targets, settings)
+            with monkeypatch.context() as m:
+                m.setattr(hv, "_FLOAT_CUTS", 0)
+                result = hv.feasibility(targets, settings)
+            residual, _ = highs(targets, settings)
+            assert result.cuts > 0 and result.method == "float"
+            assert abs(result.residual - uncapped.residual) <= 1e-12
+            assert abs(result.residual - residual) <= 1e-9
+            assert result.feasible == uncapped.feasible
+            if result.feasible:
+                reproduced = np.array(hv.predicted_joint(result.model, settings), dtype=float)
+                assert np.allclose(reproduced, np.array(targets, dtype=float), rtol=0, atol=1e-9)
+
+    def test_exact_finish_matches_the_kernel_on_nearly_parallel_pieces(self, monkeypatch):
+        rng = np.random.default_rng(680)
+        for i in range(40):
+            settings = random_settings(rng, 1 + i % 5, nearly_parallel_phases(rng))
+            targets = ([hv.quantum_joint(t2, phi) for t2, phi in settings.entries] if i % 2
+                       else admixed_targets(rng, settings))
+            uncapped = hv.feasibility(targets, settings)
+            with monkeypatch.context() as m:
+                m.setattr(hv, "_FLOAT_CUTS", 0)
+                result = hv.feasibility(targets, settings)
+            assert abs(result.residual - uncapped.residual) <= 1e-12
+            assert result.feasible == uncapped.feasible
+
+    def test_exact_finish_memory_bounded(self, monkeypatch):
+        # HiGHS's dense standard form traced 120 MB here
+        rng = np.random.default_rng(200)
+        settings = random_settings(rng, 200)
+        targets = [hv.quantum_joint(t2, phi) for t2, phi in settings.entries]
+        monkeypatch.setattr(hv, "_FLOAT_CUTS", 0)
+        tracemalloc.start()
+        try:
             result = hv.feasibility(targets, settings)
-            residual, witness = highs(targets, settings)
-            assert result.cuts == 0 and result.method == "float"
-            assert result.residual == residual and result.model == witness
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"{peak / 2**20:.0f} MB"
+        assert not result.feasible and result.cuts > 0
 
     def test_perfbench_reference_cases_stay_below_the_cap(self):
         # floats match the recorded residuals to 1e-9 and Fractions exactly
@@ -822,34 +861,43 @@ class TestExactSimplex:
                 assert ref.status == 3
 
 
-def test_scipy_loaded_only_by_float_lp():
-    # scipy serves only the HiGHS fallback of a float solve that reaches the cut cap
+def test_no_program_path_needs_scipy():
+    # scipy only serves the HiGHS reference of these tests; every command and
+    # a float solve that reaches the cut cap run with it blocked
     script = """
 import math, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 from fractions import Fraction
-import qduality.cli
-from qduality import hv
-assert "scipy" not in sys.modules, "scipy imported with the package"
-settings = hv.SettingsList(entries=[(math.pi / 4, math.pi / 2)])
+from qduality import cli, hv
+table, feasible, infeasible = sys.argv[1:]
 half = Fraction(1, 2)
-hv.feasibility([[[0, half], [half, 0]]], settings, wave_probs=[(half, half)])
-assert "scipy" not in sys.modules, "exact feasibility loaded scipy"
-quantum = [hv.quantum_joint(math.pi / 4, math.pi / 2)]
-hv.feasibility(quantum, settings)
-assert "scipy" not in sys.modules, "float feasibility loaded scipy"
-for path in sys.argv[1:]:
-    for mode in ("objectivity", "chsh-bound"):
-        qduality.cli.main(["hvcheck", "--settings", path, "--mode", mode])
-assert "scipy" not in sys.modules, "hvcheck loaded scipy"
+result = hv.feasibility([[[0, half], [half, 0]]], hv.SettingsList(entries=[(0.0, math.pi / 2)]),
+                        wave_probs=[(half, half)])
+assert result.method == "exact" and result.residual == half, result
+for argv, code in [
+    (["simulate", "--theta1", "0", "--theta2", "pi/8", "--phi", "3pi/2", "--shots", "100"], 0),
+    (["surface", "--theta1", "0"], 0),
+    (["chsh", "--phi", "3pi/2"], 0),
+    (["chsh", "--from", table], 0),
+    (["hom", "--from", "10", "--to", "12", "--steps", "5"], 0),
+    (["analyze", "--from", table], 0),
+    (["hvcheck", "--settings", feasible], 0),
+    (["hvcheck", "--settings", infeasible], 3),
+    (["hvcheck", "--settings", feasible, "--mode", "chsh-bound"], 0),
+    (["hvcheck", "--settings", infeasible, "--mode", "chsh-bound"], 0),
+]:
+    assert cli.main(argv) == code, argv
 hv._FLOAT_CUTS = 0
-hv.feasibility(quantum, settings)
-assert "scipy" in sys.modules, "the HiGHS fallback did not load scipy"
+settings = hv.SettingsList(entries=[(0.3, 1.0), (math.pi / 4, math.pi / 2)])
+result = hv.feasibility([hv.quantum_joint(t2, phi) for t2, phi in settings.entries], settings)
+assert result.cuts > 0 and not result.feasible, result
 """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
-    paths = [os.path.join(REPO_DIR, "perfbench", "data", f"settings_{name}.csv")
-             for name in ("feasible", "infeasible")]
+    paths = [os.path.join(REPO_DIR, "data", "table_a1.csv")] + [
+        os.path.join(REPO_DIR, "perfbench", "data", f"settings_{name}.csv")
+        for name in ("feasible", "infeasible")]
     proc = subprocess.run([sys.executable, "-c", script, *paths], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
