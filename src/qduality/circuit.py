@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qstate import (
+    ATOL,
     GateOp,
     Projector,
     StateVector,
@@ -28,6 +29,7 @@ from .qstate import (
     phase_shifter,
     projector_onto,
     state_from_amplitudes,
+    _apply_matrix,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -246,21 +248,86 @@ def chsh(phi: float,
     return abs(e(t1, t2) + e(t1, t2p) - e(t1p, t2) + e(t1p, t2p))
 
 
+# phases per block of the surface kernel, whose workspace of about 1 KiB
+# per phase then stays near 1 MiB however long phi_grid is
+_PHI_BLOCK = 1024
+
+
+def _angle_grid(name: str, values) -> np.ndarray:
+    """``values`` as a nonempty 1-D array of finite angles; ValueError names ``name``."""
+    try:
+        grid = np.asarray(values if isinstance(values, np.ndarray) else tuple(values),
+                          dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a sequence of angles: {exc}") from None
+    if grid.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {grid.shape}")
+    if grid.size == 0:
+        raise ValueError(f"{name} must be nonempty")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(f"{name} must hold finite angles only")
+    return grid
+
+
+def _final_states(phi_grid: np.ndarray, delta: float) -> np.ndarray:
+    """(P, 8) amplitudes of ``final_state(phi, delta)`` for each phi in the grid.
+
+    The gates of ``final_state`` in the same order, each as one matmul over
+    the stack, so every row equals the per-point state bit for bit.
+    """
+    amps = _apply_matrix(initial_state(delta).amplitudes, 3, hadamard().matrix, (0,))
+    phases = np.zeros((phi_grid.size, 2, 2), dtype=complex)
+    phases[:, 0, 0] = 1.0
+    phases[:, 1, 1] = np.exp(1j * phi_grid)
+    amps = _apply_matrix(amps, 3, phases, (0,))
+    amps = _apply_matrix(amps, 3, controlled_hadamard().matrix, (1, 0))
+    amps = _apply_matrix(amps, 3, control_arm_rotation().matrix, (1,))
+    return _apply_matrix(amps, 3, ancilla_arm_rotation().matrix, (2,))
+
+
 def correlation_surface(theta1: float,
                         theta2_grid=None,
                         phi_grid=None,
                         noise: NoiseParams = IDEAL) -> np.ndarray:
-    """E(theta2, phi) table, rows over theta2 and columns over phi."""
-    theta2_grid = THETA2_GRID_9 if theta2_grid is None else tuple(theta2_grid)
-    phi_grid = PHI_GRID_9 if phi_grid is None else tuple(phi_grid)
-    if not theta2_grid or not phi_grid:
-        raise ValueError("grids must be nonempty")
-    table = np.empty((len(theta2_grid), len(phi_grid)))
-    for i, t2 in enumerate(theta2_grid):
-        for j, phi in enumerate(phi_grid):
-            table[i, j] = correlation(
-                ExperimentConfig(phi=phi, theta1=theta1, theta2=t2, noise=noise)
-            )
+    """E(theta2, phi) table, rows over theta2 and columns over phi.
+
+    Each entry is bit-identical to ``correlation`` at that setting: the
+    final states of a block of phases are built in one stacked pass of the
+    gate chain, and each theta2 row applies the same four product
+    projectors, Born rule, clamps and checks to all of them at once.  The
+    grids are checked once, here; beyond the (T, P) result the workspace
+    is O(P), and at most 1024 phases' worth.
+    """
+    if not math.isfinite(theta1):
+        raise ValueError(f"theta1 must be a finite angle, got {theta1}")
+    theta2_grid = _angle_grid(
+        "theta2_grid", THETA2_GRID_9 if theta2_grid is None else theta2_grid)
+    phi_grid = _angle_grid("phi_grid", PHI_GRID_9 if phi_grid is None else phi_grid)
+    delta = ExperimentConfig.delta  # the default every per-point config gets
+    alice = [alice_projector(theta1, a).matrix for a in "+-"]
+    scale = noise.correlation_scale
+    table = np.empty((theta2_grid.size, phi_grid.size))
+    for start in range(0, phi_grid.size, _PHI_BLOCK):
+        columns = slice(start, start + _PHI_BLOCK)
+        states = _final_states(phi_grid[columns], delta)
+        bras = states.conj()[:, None, :]
+        for row, theta2 in zip(table, theta2_grid.tolist()):
+            bob = [bob_projector(theta2, b).matrix for b in "+-"]
+            products = np.array([np.kron(a, b) for a in alice for b in bob])
+            kets = _apply_matrix(states, 3, products[:, None], (0, 1, 2))
+            # <psi|P|psi> as conj(psi) @ (P psi): the BLAS dot np.vdot makes,
+            # with the conjugation moved onto the (exactly negated) input
+            ideal = (bras @ kets[..., None])[..., 0, 0].real  # (4, P): ++ +- -+ --
+            outside = ~((ideal >= -ATOL) & (ideal <= 1.0 + ATOL))  # NaN too
+            if outside.any():
+                raise ValueError(f"probability {ideal[outside][0]} outside [0, 1]")
+            noisy = scale * np.clip(ideal, 0.0, 1.0) + (1.0 - scale) * 0.25
+            noisy = np.clip(noisy, 0.0, 1.0)
+            if not (np.all((noisy >= -1e-10) & (noisy <= 1.0 + 1e-10))
+                    and np.all(np.abs(noisy.sum(axis=0) - 1.0) <= 1e-10)):
+                raise ValueError(f"probabilities outside [0, 1] or not summing to 1 "
+                                 f"at theta2 = {theta2}")
+            row[columns] = noisy[0] - noisy[1] - noisy[2] + noisy[3]
     return table
 
 

@@ -195,7 +195,13 @@ def chsh_from_records(records) -> tuple:
     return s, sigma
 
 
-def _atomic_write(path, text: str) -> None:
+def _atomic_write(path, lines) -> None:
+    """Write each of ``lines`` plus a newline to ``path`` as it comes.
+
+    The text goes to a temporary file beside ``path`` that replaces it only
+    once ``lines`` is exhausted; if writing or ``lines`` itself raises, the
+    temporary file is removed and ``path`` is left as it was.
+    """
     import tempfile
 
     directory = os.path.dirname(os.path.abspath(path))
@@ -203,7 +209,7 @@ def _atomic_write(path, text: str) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".csv")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            _write_lines(fh, lines)
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:  # name the path asked for, not the temporary file
@@ -213,11 +219,16 @@ def _atomic_write(path, text: str) -> None:
             os.unlink(tmp)
 
 
-def _write_output(text: str, out_path) -> None:
+def _write_lines(stream, lines) -> None:
+    stream.writelines(line + "\n" for line in lines)
+
+
+def _write_output(lines, out_path) -> None:
+    """Stream ``lines`` (an iterable of str, no newlines) to stdout or ``out_path``."""
     if out_path is None:
-        sys.stdout.write(text)
+        _write_lines(sys.stdout, lines)
     else:
-        _atomic_write(out_path, text)
+        _atomic_write(out_path, lines)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -348,15 +359,19 @@ def _cmd_surface(args) -> int:
     from . import circuit
 
     n_theta2, n_phi = args.grid
-    theta2_grid = tuple(np.linspace(-math.pi / 2, math.pi / 2, n_theta2))
-    phi_grid = tuple(np.linspace(0.0, 2 * math.pi, n_phi))
+    theta2_grid = np.linspace(-math.pi / 2, math.pi / 2, n_theta2)
+    phi_grid = np.linspace(0.0, 2 * math.pi, n_phi)
     table = circuit.correlation_surface(args.theta1, theta2_grid, phi_grid,
                                         noise=_noise(args))
-    lines = [SURFACE_HEADER]
-    for i, t2 in enumerate(theta2_grid):
-        for j, phi in enumerate(phi_grid):
-            lines.append(f"{float(t2)!r},{float(phi)!r},{table[i, j]:.10f}")
-    _write_output("\n".join(lines) + "\n", args.out)
+
+    def lines():
+        yield SURFACE_HEADER
+        for t2, row in zip(theta2_grid, table):
+            t2 = repr(float(t2))
+            for phi, e in zip(phi_grid, row):
+                yield f"{t2},{float(phi)!r},{e:.10f}"
+
+    _write_output(lines(), args.out)
     return EXIT_OK
 
 
@@ -391,11 +406,14 @@ def _cmd_hom(args) -> int:
     positions = np.linspace(args.start, args.stop, args.steps)
     overlap = fock.OverlapModel(x0=args.x0, sigma=args.sigma)
     result = fock.hom_scan(args.transmission, overlap, positions)
-    lines = [DIP_HEADER]
-    for x, p in zip(result.positions, result.coincidence):
-        lines.append(f"{x!r},{p:.10f}")
-    lines.append(f"# contrast={result.contrast:.6f}")
-    _write_output("\n".join(lines) + "\n", args.out)
+
+    def lines():
+        yield DIP_HEADER
+        for x, p in zip(result.positions, result.coincidence):
+            yield f"{x!r},{p:.10f}"
+        yield f"# contrast={result.contrast:.6f}"
+
+    _write_output(lines(), args.out)
     return EXIT_OK
 
 
@@ -447,13 +465,15 @@ def _cmd_hvcheck(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    lines = [ANALYZE_HEADER]
-    for r, res in _analyze_counts(args.counts_file):
-        lines.append(
-            f"{r.theta1!r},{r.theta2!r},{r.phi!r},"
-            f"{res.E:.6f},{res.sigma:.6f},{res.total}"
-        )
-    _write_output("\n".join(lines) + "\n", args.out)
+    results = _analyze_counts(args.counts_file)
+
+    def lines():
+        yield ANALYZE_HEADER
+        for r, res in results:
+            yield (f"{r.theta1!r},{r.theta2!r},{r.phi!r},"
+                   f"{res.E:.6f},{res.sigma:.6f},{res.total}")
+
+    _write_output(lines(), args.out)
     return EXIT_OK
 
 

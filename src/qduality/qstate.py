@@ -134,26 +134,35 @@ def _apply_matrix(amplitudes: np.ndarray, num_qubits: int, matrix: np.ndarray,
     """Apply a (possibly non-unitary) operator on the target qubits.
 
     The matrix rows/columns are ordered with ``targets[0]`` as the most
-    significant target bit.
+    significant target bit.  ``amplitudes`` may be a stack (..., 2**n) and
+    ``matrix`` a stack (..., 2**k, 2**k); the stacks broadcast, and each
+    state in them sees the same matmul, on the same memory layout, as it
+    would alone.
     """
     k = len(targets)
-    if matrix.shape != (2**k, 2**k):
+    if matrix.shape[-2:] != (2**k, 2**k):
         raise ValueError(
-            f"operator dimension {matrix.shape[0]} does not match {k} target(s)"
+            f"operator dimension {matrix.shape[-1]} does not match {k} target(s)"
         )
     if len(set(targets)) != k:
         raise ValueError(f"duplicate target index in {targets}")
     for t in targets:
         if not 0 <= t < num_qubits:
             raise ValueError(f"target {t} out of range for {num_qubits} qubits")
-    psi = amplitudes.reshape([2] * num_qubits)
-    rest = [i for i in range(num_qubits) if i not in targets]
-    psi = np.transpose(psi, list(targets) + rest)
-    psi = psi.reshape(2**k, -1)
-    psi = matrix @ psi
-    psi = psi.reshape([2] * num_qubits)
-    inverse = np.argsort(list(targets) + rest)
-    return np.transpose(psi, inverse).reshape(-1)
+    order = list(targets) + [i for i in range(num_qubits) if i not in targets]
+    stack = amplitudes.shape[:-1]  # leading axes, left in place
+    psi = amplitudes.reshape(stack + (2,) * num_qubits)
+    psi = np.transpose(psi, _behind(len(stack), order))
+    psi = matrix @ psi.reshape(stack + (2**k, -1))
+    stack = psi.shape[:-2]  # a stack of matrices may add axes
+    psi = psi.reshape(stack + (2,) * num_qubits)
+    psi = np.transpose(psi, _behind(len(stack), np.argsort(order)))
+    return psi.reshape(stack + (-1,))
+
+
+def _behind(lead: int, axes):
+    """``axes`` shifted past ``lead`` untouched leading axes."""
+    return [*range(lead), *(lead + int(a) for a in axes)] if lead else axes
 
 
 def apply_gate(state: StateVector, gate: GateOp, targets) -> StateVector:

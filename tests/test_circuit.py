@@ -300,6 +300,143 @@ class TestSurface:
             ct.correlation_surface(0.0, theta2_grid=(), phi_grid=(1.0,))
 
 
+def per_point_surface(theta1, theta2_grid, phi_grid, noise):
+    """The oracle: one ``correlation`` call per grid point."""
+    return np.array([
+        [ct.correlation(ct.ExperimentConfig(phi=phi, theta1=theta1, theta2=t2,
+                                            noise=noise)) for phi in phi_grid]
+        for t2 in theta2_grid
+    ])
+
+
+def random_surface_case(seed, n_theta2, n_phi):
+    """Random theta1 and noise; angles reach well past their principal ranges."""
+    rng = np.random.default_rng(seed)
+    noise = ct.NoiseParams(visibility=rng.uniform(0.0, 1.0),
+                           background=rng.uniform(0.0, 1.0) * rng.integers(0, 2))
+    return (rng.uniform(-7.0, 7.0), rng.uniform(-10.0, 10.0, n_theta2),
+            rng.uniform(-15.0, 15.0, n_phi), noise)
+
+
+class TestSurfaceKernel:
+    @pytest.mark.parametrize("seed, n_theta2, n_phi", [
+        (1, 1, 1), (2, 1, 40), (3, 40, 1), (4, 2, 3), (5, 7, 13),
+        (6, 13, 7), (7, 21, 21), (8, 40, 40),
+    ])
+    def test_bit_identical_to_per_point_correlation(self, seed, n_theta2, n_phi):
+        theta1, theta2_grid, phi_grid, noise = random_surface_case(seed, n_theta2, n_phi)
+        table = ct.correlation_surface(theta1, theta2_grid, phi_grid, noise)
+        expected = per_point_surface(theta1, theta2_grid, phi_grid, noise)
+        np.testing.assert_array_equal(table.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("theta1, n_theta2, n_phi, noise", [
+        (0.0, 9, 9, ct.IDEAL),  # exact zeros: their signs must match too
+        (0.0, 9, 9, ct.NoiseParams(visibility=0.86)),
+        (math.pi / 4, 17, 33, ct.NoiseParams(visibility=0.9)),
+        (-math.pi / 4, 5, 17, ct.NoiseParams(visibility=1.0, background=1.0)),
+    ])
+    def test_bit_identical_on_the_command_line_grids(self, theta1, n_theta2, n_phi, noise):
+        theta2_grid = np.linspace(-math.pi / 2, math.pi / 2, n_theta2)
+        phi_grid = np.linspace(0.0, 2 * math.pi, n_phi)
+        table = ct.correlation_surface(theta1, theta2_grid, phi_grid, noise)
+        expected = per_point_surface(theta1, theta2_grid, phi_grid, noise)
+        np.testing.assert_array_equal(table.view(np.int64), expected.view(np.int64))
+
+    def test_bit_identical_across_phase_blocks(self, monkeypatch):
+        monkeypatch.setattr(ct, "_PHI_BLOCK", 4)
+        theta1, theta2_grid, phi_grid, noise = random_surface_case(9, 3, 11)
+        table = ct.correlation_surface(theta1, theta2_grid, phi_grid, noise)
+        expected = per_point_surface(theta1, theta2_grid, phi_grid, noise)
+        np.testing.assert_array_equal(table.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("factor, message", [
+        (2.0, r"^probability \S+ outside \[0, 1\]$"), (0.9, "not summing to 1"),
+    ])
+    def test_probability_checks_run_on_the_stack(self, monkeypatch, factor, message):
+        # unnormalized states, as no gate chain makes: the per-point checks
+        # of outcome_probability and OutcomeDistribution still apply
+        kernel = ct._final_states
+        monkeypatch.setattr(ct, "_final_states", lambda *args: factor * kernel(*args))
+        with pytest.raises(ValueError, match=message):
+            ct.correlation_surface(0.0)
+
+    def test_final_states_match_final_state(self):
+        phi_grid = np.random.default_rng(10).uniform(-15.0, 15.0, 25)
+        states = ct._final_states(phi_grid, 0.7)
+        for phi, amps in zip(phi_grid, states):
+            expected = ct.final_state(phi, 0.7).amplitudes
+            np.testing.assert_array_equal(amps.view(np.int64), expected.view(np.int64))
+
+    def test_arrays_and_generators_are_grids(self):
+        theta2_grid, phi_grid = (0.1, -0.4, 2.0), (0.0, 1.5)
+        expected = ct.correlation_surface(0.3, theta2_grid, phi_grid)
+        np.testing.assert_array_equal(
+            ct.correlation_surface(0.3, np.array(theta2_grid), np.array(phi_grid)),
+            expected)
+        np.testing.assert_array_equal(
+            ct.correlation_surface(0.3, (t for t in theta2_grid), iter(phi_grid)),
+            expected)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta1_rejected(self, bad):
+        with pytest.raises(ValueError, match="theta1"):
+            ct.correlation_surface(bad)
+
+    @pytest.mark.parametrize("name", ["theta2_grid", "phi_grid"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_value_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must hold finite angles"):
+            ct.correlation_surface(0.0, **{name: (0.0, 1.0, bad)})
+
+    @pytest.mark.parametrize("name", ["theta2_grid", "phi_grid"])
+    @pytest.mark.parametrize("empty", [(), [], np.array([]), iter(())])
+    def test_empty_grid_named(self, name, empty):
+        with pytest.raises(ValueError, match=f"{name} must be nonempty"):
+            ct.correlation_surface(0.0, **{name: empty})
+
+    @pytest.mark.parametrize("name", ["theta2_grid", "phi_grid"])
+    @pytest.mark.parametrize("shaped", [np.zeros((2, 3)), [[0.0], [1.0]], np.array(0.5)])
+    def test_grid_that_is_not_one_dimensional_rejected(self, name, shaped):
+        with pytest.raises(ValueError, match=f"{name} must be one-dimensional"):
+            ct.correlation_surface(0.0, **{name: shaped})
+
+    @pytest.mark.parametrize("name", ["theta2_grid", "phi_grid"])
+    @pytest.mark.parametrize("bad", [("a", "b"), [0.0, [1.0, 2.0]], 0.5])
+    def test_grid_that_is_not_angles_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            ct.correlation_surface(0.0, **{name: bad})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"theta1": math.nan},
+        {"theta1": 0.0, "theta2_grid": (0.0, math.nan)},
+        {"theta1": 0.0, "phi_grid": ()},
+    ])
+    def test_checked_before_any_work(self, monkeypatch, kwargs):
+        def no_work(*args):
+            raise AssertionError("the kernel ran before the grids were checked")
+
+        monkeypatch.setattr(ct, "_final_states", no_work)
+        monkeypatch.setattr(ct, "alice_projector", no_work)
+        with pytest.raises(ValueError):
+            ct.correlation_surface(**kwargs)
+
+    @pytest.mark.parametrize("n_theta2, n_phi, bound", [
+        (500, 64, 2**18),  # a (T, P, 4) intermediate alone would be 1 MiB
+        (1, 20000, 2**21),  # (P, 8) states alone would be 2.4 MiB
+    ])
+    def test_workspace_is_bounded(self, n_theta2, n_phi, bound):
+        theta2_grid = np.linspace(-1.0, 1.0, n_theta2)
+        phi_grid = np.linspace(0.0, 6.0, n_phi)
+        ct.correlation_surface(0.2, theta2_grid[:1], phi_grid[:1])  # warm caches
+        tracemalloc.start()
+        try:
+            ct.correlation_surface(0.2, theta2_grid, phi_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * n_theta2 * n_phi < bound
+
+
 def one_shot_counts(distribution, total, seed, rng=None):
     """Reference sampler: each binomial step draws all its uniforms at once."""
     if rng is None:

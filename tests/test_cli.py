@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import importlib
+import inspect
 import io
 import json
 import math
@@ -215,6 +217,12 @@ class TestCommands:
         values = [float(line.split(",")[2]) for line in lines[1:]]
         assert min(values) == pytest.approx(-1.0, abs=1e-9)
         assert max(values) == pytest.approx(1.0, abs=1e-9)
+
+    def test_surface_stdout_is_pinned(self, capsys):
+        # the README's 9x9 surface, byte for byte
+        assert cli.main(["surface", "--theta1", "0", "--visibility", "0.86"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "4bb59a76921f09aea74be2797bea68fc99adacdeb56e5747ea8dedeea7e01161"
 
     def test_surface_file_identical_across_runs(self, tmp_path):
         out1 = tmp_path / "a.csv"
@@ -456,6 +464,50 @@ class TestCommands:
             with pytest.raises(SystemExit):
                 cli.build_parser().parse_args([command, "--help"])
             assert "1,000,000" in capsys.readouterr().out
+
+
+class TestStreamedOutput:
+    LINES = ["a,b", "1,2", "# c"]
+
+    @staticmethod
+    def failing_lines():
+        yield "a,b"
+        yield "1,2"
+        raise RuntimeError("failed part-way")
+
+    def test_lines_written_with_newlines(self, capsys, tmp_path):
+        target = tmp_path / "x.csv"
+        cli._write_output(iter(self.LINES), str(target))
+        assert target.read_bytes() == b"a,b\n1,2\n# c\n"
+        cli._write_output(iter(self.LINES), None)
+        assert capsys.readouterr().out == "a,b\n1,2\n# c\n"
+
+    def test_lines_that_raise_leave_no_file(self, tmp_path):
+        target = tmp_path / "x.csv"
+        with pytest.raises(RuntimeError, match="part-way"):
+            cli._write_output(self.failing_lines(), str(target))
+        assert not target.exists()
+        assert not list(tmp_path.glob(".tmp_*"))
+
+    def test_lines_that_raise_keep_the_old_file(self, tmp_path):
+        target = tmp_path / "x.csv"
+        target.write_text("old\n")
+        with pytest.raises(RuntimeError, match="part-way"):
+            cli._write_output(self.failing_lines(), str(target))
+        assert target.read_text() == "old\n"
+        assert not list(tmp_path.glob(".tmp_*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["surface", "--theta1", "0", "--grid", "3x4"],
+        ["hom", "--from", "10", "--to", "12", "--steps", "5"],
+        ["analyze", "--from", str(REPO_ROOT / "data" / "table_a1.csv")],
+    ])
+    def test_commands_pass_a_generator(self, monkeypatch, argv):
+        # no command holds its whole output as one list or string
+        seen = []
+        monkeypatch.setattr(cli, "_write_output", lambda lines, out: seen.append(lines))
+        assert cli.main(argv) == 0
+        assert len(seen) == 1 and inspect.isgenerator(seen[0])
 
 
 def write_bad_inputs(root, table_a1_path) -> dict:
