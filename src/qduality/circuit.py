@@ -82,9 +82,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a finite angle")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutcomeDistribution:
-    """Joint probabilities for (Alice +-, Bob +-)."""
+    """Joint probabilities for (Alice +-, Bob +-), held as Python floats."""
 
     p_pp: float
     p_pm: float
@@ -92,6 +92,8 @@ class OutcomeDistribution:
     p_mm: float
 
     def __post_init__(self):
+        for name in ("p_pp", "p_pm", "p_mp", "p_mm"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         probs = self.as_array()
         if not np.all((probs >= -1e-10) & (probs <= 1.0 + 1e-10)):  # NaN fails too
             raise ValueError(f"probabilities outside [0, 1]: {probs}")
@@ -239,18 +241,15 @@ def chsh(phi: float,
     t2, t2p = theta2_pair
     if math.isclose(t1, t1p) or math.isclose(t2, t2p):
         raise ValueError("setting pairs must contain two distinct angles")
-
-    def e(a, b):
-        return correlation(
-            ExperimentConfig(phi=phi, theta1=a, theta2=b, noise=noise)
-        )
-
-    return abs(e(t1, t2) + e(t1, t2p) - e(t1p, t2) + e(t1p, t2p))
+    (e, ep), (f, fp) = (correlation_surface(a, (t2, t2p), (phi,), noise)[:, 0].tolist()
+                        for a in (t1, t1p))
+    return abs(e + ep - f + fp)
 
 
-# phases per block of the surface kernel, whose workspace of about 1 KiB
-# per phase then stays near 1 MiB however long phi_grid is
+# Blocks of the surface kernel: up to 1024 phases, and rows x phases up to 128,
+# so at about 1 KiB per point and 10 KiB per row the workspace stays under 2 MiB
 _PHI_BLOCK = 1024
+_BLOCK_POINTS = 128
 
 
 def _angle_grid(name: str, values) -> np.ndarray:
@@ -293,10 +292,10 @@ def correlation_surface(theta1: float,
 
     Each entry is bit-identical to ``correlation`` at that setting: the
     final states of a block of phases are built in one stacked pass of the
-    gate chain, and each theta2 row applies the same four product
+    gate chain, and each block of theta2 rows applies the same product
     projectors, Born rule, clamps and checks to all of them at once.  The
     grids are checked once, here; beyond the (T, P) result the workspace
-    is O(P), and at most 1024 phases' worth.
+    is bounded by the block size, whatever the shape of the grid.
     """
     if not math.isfinite(theta1):
         raise ValueError(f"theta1 must be a finite angle, got {theta1}")
@@ -304,30 +303,36 @@ def correlation_surface(theta1: float,
         "theta2_grid", THETA2_GRID_9 if theta2_grid is None else theta2_grid)
     phi_grid = _angle_grid("phi_grid", PHI_GRID_9 if phi_grid is None else phi_grid)
     delta = ExperimentConfig.delta  # the default every per-point config gets
-    alice = [alice_projector(theta1, a).matrix for a in "+-"]
+    alice = np.array([alice_projector(theta1, a).matrix for a in "+-"])
     scale = noise.correlation_scale
     table = np.empty((theta2_grid.size, phi_grid.size))
     for start in range(0, phi_grid.size, _PHI_BLOCK):
         columns = slice(start, start + _PHI_BLOCK)
         states = _final_states(phi_grid[columns], delta)
         bras = states.conj()[:, None, :]
-        for row, theta2 in zip(table, theta2_grid.tolist()):
-            bob = [bob_projector(theta2, b).matrix for b in "+-"]
-            products = np.array([np.kron(a, b) for a in alice for b in bob])
-            kets = _apply_matrix(states, 3, products[:, None], (0, 1, 2))
+        step = max(1, _BLOCK_POINTS // len(states))
+        for first in range(0, theta2_grid.size, step):
+            rows = theta2_grid[first:first + step].tolist()
+            bob = np.array([[bob_projector(t2, b).matrix for t2 in rows] for b in "+-"])
+            # np.kron(alice[a], bob[b, r]) for every row r at once, by the same
+            # products: axes (a, b, r, i, k, j, l) -> (2a + b, r, 4i + k, 4j + l)
+            products = (alice[:, None, None, :, None, :, None]
+                        * bob[:, :, None, :, None, :]).reshape(4, -1, 8, 8)
+            kets = _apply_matrix(states, 3, products[:, :, None], (0, 1, 2))
             # <psi|P|psi> as conj(psi) @ (P psi): the BLAS dot np.vdot makes,
             # with the conjugation moved onto the (exactly negated) input
-            ideal = (bras @ kets[..., None])[..., 0, 0].real  # (4, P): ++ +- -+ --
+            ideal = (bras @ kets[..., None])[..., 0, 0].real  # (4, R, P): ++ +- -+ --
             outside = ~((ideal >= -ATOL) & (ideal <= 1.0 + ATOL))  # NaN too
             if outside.any():
                 raise ValueError(f"probability {ideal[outside][0]} outside [0, 1]")
             noisy = scale * np.clip(ideal, 0.0, 1.0) + (1.0 - scale) * 0.25
             noisy = np.clip(noisy, 0.0, 1.0)
-            if not (np.all((noisy >= -1e-10) & (noisy <= 1.0 + 1e-10))
-                    and np.all(np.abs(noisy.sum(axis=0) - 1.0) <= 1e-10)):
+            valid = (np.all((noisy >= -1e-10) & (noisy <= 1.0 + 1e-10), axis=(0, 2))
+                     & np.all(np.abs(noisy.sum(axis=0) - 1.0) <= 1e-10, axis=1))
+            if not valid.all():
                 raise ValueError(f"probabilities outside [0, 1] or not summing to 1 "
-                                 f"at theta2 = {theta2}")
-            row[columns] = noisy[0] - noisy[1] - noisy[2] + noisy[3]
+                                 f"at theta2 = {rows[int(valid.argmin())]}")
+            table[first:first + step, columns] = noisy[0] - noisy[1] - noisy[2] + noisy[3]
     return table
 
 
@@ -397,12 +402,7 @@ def fit_visibility(theta2_values, measured, theta1: float, phi: float) -> float:
     measured = np.asarray(measured, dtype=float)
     if theta2_values.shape != measured.shape or theta2_values.size == 0:
         raise ValueError("theta2_values and measured must be equal-length, nonempty")
-    ideal = np.array(
-        [
-            correlation(ExperimentConfig(phi=phi, theta1=theta1, theta2=t2))
-            for t2 in theta2_values
-        ]
-    )
+    ideal = correlation_surface(theta1, theta2_values, (phi,))[:, 0]
     denom = float(np.dot(ideal, ideal))
     if denom < 1e-12:
         raise ValueError("ideal curve is identically zero; visibility undefined")

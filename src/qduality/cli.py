@@ -34,6 +34,9 @@ EXIT_INFEASIBLE = 3
 # most points one command computes (surface grid cells, hom positions), so
 # memory stays bounded whatever the input
 MAX_POINTS = 1_000_000
+# phases per block of `surface` lines: the first block's reprs are made once
+# per command and the rest once per row, so few strings are held at a time
+_CSV_BLOCK = 4096
 
 
 class ParseError(ValueError):
@@ -366,10 +369,14 @@ def _cmd_surface(args) -> int:
 
     def lines():
         yield SURFACE_HEADER
+        first = [repr(phi) for phi in phi_grid[:_CSV_BLOCK].tolist()]
         for t2, row in zip(theta2_grid, table):
             t2 = repr(float(t2))
-            for phi, e in zip(phi_grid, row):
-                yield f"{t2},{float(phi)!r},{e:.10f}"
+            for start in range(0, n_phi, _CSV_BLOCK):
+                block = slice(start, start + _CSV_BLOCK)
+                phis = [repr(phi) for phi in phi_grid[block].tolist()] if start else first
+                for phi, e in zip(phis, row[block].tolist()):
+                    yield f"{t2},{phi},{e:.10f}"
 
     _write_output(lines(), args.out)
     return EXIT_OK

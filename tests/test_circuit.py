@@ -193,6 +193,14 @@ class TestCoincidences:
         with pytest.raises(ValueError):
             ct.OutcomeDistribution(*probs)
 
+    def test_fields_are_plain_floats_in_slots(self):
+        dist = ct.coincidence_probabilities(ct.ExperimentConfig(phi=1.1, theta1=0.4,
+                                                                theta2=-0.3))
+        assert all(type(p) is float for p in (dist.p_pp, dist.p_pm, dist.p_mp, dist.p_mm))
+        assert type(dist.correlation) is float
+        assert not hasattr(dist, "__dict__")
+        assert type(ct.OutcomeDistribution(*np.full(4, 0.25)).p_mm) is float
+
 
 class TestCorrelation:
     def test_reference_point(self):
@@ -255,6 +263,29 @@ class TestCorrelation:
                                                                      abs=1e-10)
 
 
+def per_point_chsh(phi, theta1_pair=(0.0, math.pi / 4),
+                   theta2_pair=(math.pi / 8, 3 * math.pi / 8), noise=ct.IDEAL):
+    """The oracle: CHSH from one ``correlation`` call per setting."""
+    t1, t1p = theta1_pair
+    t2, t2p = theta2_pair
+    if math.isclose(t1, t1p) or math.isclose(t2, t2p):
+        raise ValueError("setting pairs must contain two distinct angles")
+
+    def e(a, b):
+        return ct.correlation(ct.ExperimentConfig(phi=phi, theta1=a, theta2=b, noise=noise))
+
+    return abs(e(t1, t2) + e(t1, t2p) - e(t1p, t2) + e(t1p, t2p))
+
+
+def random_chsh_case(seed):
+    """Random phase, pairs and noise; angles reach well past their principal ranges."""
+    rng = np.random.default_rng(seed)
+    noise = ct.NoiseParams(visibility=rng.uniform(0.0, 1.0),
+                           background=rng.uniform(0.0, 1.0) * rng.integers(0, 2))
+    return (rng.uniform(-15.0, 15.0), tuple(rng.uniform(-7.0, 7.0, 2).tolist()),
+            tuple(rng.uniform(-10.0, 10.0, 2).tolist()), noise)
+
+
 class TestChsh:
     def test_ideal_maximum_at_both_working_points(self):
         assert ct.chsh(3 * math.pi / 2) == pytest.approx(2 * SQRT2, abs=1e-10)
@@ -274,6 +305,37 @@ class TestChsh:
             ct.chsh(0.0, theta1_pair=(0.1, 0.1))
         with pytest.raises(ValueError):
             ct.chsh(0.0, theta2_pair=(0.2, 0.2))
+
+    def test_bit_identical_to_per_point_chsh(self):
+        for seed in range(100):
+            phi, theta1_pair, theta2_pair, noise = random_chsh_case(seed)
+            for pairs in ((theta1_pair, theta2_pair), (theta1_pair[::-1], theta2_pair),
+                          (theta1_pair, theta2_pair[::-1])):
+                s = ct.chsh(phi, *pairs, noise=noise)
+                assert type(s) is float
+                assert s.hex() == per_point_chsh(phi, *pairs, noise=noise).hex()
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 2, math.pi, 3 * math.pi / 2,
+                                     -3 * math.pi / 2, 11.0])
+    def test_bit_identical_at_the_default_pairs(self, phi):
+        for theta1_pair in ((0.0, math.pi / 4), (math.pi / 4, 0.0)):
+            for noise in (ct.IDEAL, ct.NoiseParams(visibility=0.7718),
+                          ct.NoiseParams(visibility=0.9, background=0.05)):
+                assert ct.chsh(phi, theta1_pair, noise=noise).hex() == \
+                    per_point_chsh(phi, theta1_pair, noise=noise).hex()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"phi": math.nan}, {"phi": math.inf},
+        {"phi": 0.0, "theta1_pair": (0.0, math.nan)},
+        {"phi": 0.0, "theta1_pair": (-math.inf, 0.5)},
+        {"phi": 0.0, "theta2_pair": (math.nan, 0.2)},
+        {"phi": 0.0, "theta2_pair": (0.2, math.inf)},
+        {"phi": 0.0, "theta1_pair": (0.3, 0.3 + 1e-12)},
+        {"phi": 0.0, "theta2_pair": (-0.7, -0.7)},
+    ])
+    def test_non_finite_angles_and_degenerate_pairs_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ct.chsh(**kwargs)
 
 
 class TestSurface:
@@ -321,7 +383,7 @@ def random_surface_case(seed, n_theta2, n_phi):
 class TestSurfaceKernel:
     @pytest.mark.parametrize("seed, n_theta2, n_phi", [
         (1, 1, 1), (2, 1, 40), (3, 40, 1), (4, 2, 3), (5, 7, 13),
-        (6, 13, 7), (7, 21, 21), (8, 40, 40),
+        (6, 13, 7), (7, 21, 21), (8, 40, 40), (10, 300, 2),
     ])
     def test_bit_identical_to_per_point_correlation(self, seed, n_theta2, n_phi):
         theta1, theta2_grid, phi_grid, noise = random_surface_case(seed, n_theta2, n_phi)
@@ -423,6 +485,7 @@ class TestSurfaceKernel:
     @pytest.mark.parametrize("n_theta2, n_phi, bound", [
         (500, 64, 2**18),  # a (T, P, 4) intermediate alone would be 1 MiB
         (1, 20000, 2**21),  # (P, 8) states alone would be 2.4 MiB
+        (4096, 1, 2**21),  # (T, 4, 8, 8) product projectors alone would be 16 MiB
     ])
     def test_workspace_is_bounded(self, n_theta2, n_phi, bound):
         theta2_grid = np.linspace(-1.0, 1.0, n_theta2)
@@ -542,6 +605,20 @@ class TestSampling:
         assert abs(values.mean() - expected) < 3 * stderr
 
 
+def per_point_fit_visibility(theta2_values, measured, theta1, phi):
+    """The oracle: the least-squares visibility from one ``correlation`` call per angle."""
+    theta2_values = np.asarray(theta2_values, dtype=float)
+    measured = np.asarray(measured, dtype=float)
+    if theta2_values.shape != measured.shape or theta2_values.size == 0:
+        raise ValueError("theta2_values and measured must be equal-length, nonempty")
+    ideal = np.array([ct.correlation(ct.ExperimentConfig(phi=phi, theta1=theta1, theta2=t2))
+                      for t2 in theta2_values])
+    denom = float(np.dot(ideal, ideal))
+    if denom < 1e-12:
+        raise ValueError("ideal curve is identically zero; visibility undefined")
+    return float(np.dot(ideal, measured) / denom)
+
+
 class TestVisibilityFit:
     def test_recovers_known_visibility(self):
         theta2 = np.linspace(-math.pi / 2, math.pi / 2, 17)
@@ -570,3 +647,29 @@ class TestVisibilityFit:
         fitted = ct.fit_visibility(theta2, measured, theta1=math.pi / 4,
                                    phi=math.pi / 2)
         assert fitted == pytest.approx(0.77, abs=0.02)
+
+    def test_bit_identical_to_per_point_fit(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            theta1, phi = rng.uniform(-7.0, 7.0), rng.uniform(-15.0, 15.0)
+            theta2 = rng.uniform(-10.0, 10.0, rng.integers(1, 40))
+            measured = rng.uniform(-1.0, 1.0, theta2.size)
+            fitted = ct.fit_visibility(tuple(theta2), list(measured), theta1, phi)
+            assert type(fitted) is float
+            assert fitted.hex() == per_point_fit_visibility(theta2, measured, theta1, phi).hex()
+
+    @pytest.mark.parametrize("theta2, measured, theta1, phi", [
+        ([0.1, math.nan], [0.5, 0.5], 0.0, 1.0),
+        ([0.1, 0.2], [0.5, 0.5], math.inf, 1.0),
+        ([0.1, 0.2], [0.5, 0.5], 0.0, -math.inf),
+        ([0.1, 0.2], [0.5, 0.5], 0.0, math.nan),
+        ([], [], 0.0, 1.0),
+        ([0.1, 0.2], [0.5], 0.0, 1.0),
+        ([[0.1], [0.2]], [0.5, 0.5], 0.0, 1.0),
+        ([math.pi / 8, math.pi / 8 + math.pi], [0.3, 0.1], 0.0, 0.0),  # E = 0 there
+    ])
+    def test_non_finite_angles_and_degenerate_curves_rejected(self, theta2, measured,
+                                                               theta1, phi):
+        with pytest.raises(ValueError):
+            ct.fit_visibility(theta2, measured, theta1, phi)
+

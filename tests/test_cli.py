@@ -224,6 +224,15 @@ class TestCommands:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "4bb59a76921f09aea74be2797bea68fc99adacdeb56e5747ea8dedeea7e01161"
 
+    @pytest.mark.parametrize("block", [4096, 33, 5, 1])
+    def test_surface_is_pinned_across_phase_blocks(self, capsys, monkeypatch, block):
+        # a 17x33 surface, byte for byte, however its phases are blocked
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        assert cli.main(["surface", "--theta1", "pi/4", "--grid", "17x33",
+                         "--visibility", "0.9"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "a6e619bdbca4780af3068f4211ba1a183eed9b2f7f06e6b46091337088344b51"
+
     def test_surface_file_identical_across_runs(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
