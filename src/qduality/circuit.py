@@ -21,12 +21,10 @@ from .qstate import (
     GateOp,
     Projector,
     StateVector,
-    apply_gate,
     bell_ket,
     controlled_hadamard,
     hadamard,
     outcome_probability,
-    phase_shifter,
     projector_onto,
     state_from_amplitudes,
     _apply_matrix,
@@ -147,20 +145,17 @@ def ancilla_arm_rotation() -> GateOp:
 
 
 def final_state(phi: float, delta: float = math.pi / 4) -> StateVector:
-    """Gate-by-gate evolution of the full interferometer.
+    """The output state of the full interferometer: one row of ``_final_states``.
 
     Hadamard and phase shifter on S, controlled-Hadamard with control C and
     target S, then the fixed circular-basis rotations on C and A.  The
     result is (1/2)[|p>_S(|phi-> - i|psi+>) + e^{i delta}|w>_S(|phi-> + i|psi+>)]
-    with |p>/|w> the particle/wave states at phase phi.
+    with |p>/|w> the particle/wave states at phase phi.  Both angles are
+    checked here; the state owns a copy of its amplitudes.
     """
-    state = initial_state(delta)
-    state = apply_gate(state, hadamard(), (0,))
-    state = apply_gate(state, phase_shifter(phi), (0,))
-    state = apply_gate(state, controlled_hadamard(), (1, 0))
-    state = apply_gate(state, control_arm_rotation(), (1,))
-    state = apply_gate(state, ancilla_arm_rotation(), (2,))
-    return state
+    if not (math.isfinite(phi) and math.isfinite(delta)):
+        raise ValueError(f"phi and delta must be finite angles, got {phi} and {delta}")
+    return StateVector(3, _final_states(np.array([phi]), delta)[0])
 
 
 def alice_projector(theta1: float, sign: str) -> Projector:
@@ -208,18 +203,14 @@ def coincidence_probabilities(config: ExperimentConfig) -> OutcomeDistribution:
     Noise is applied at the probability level: the ideal distribution is
     mixed with the uniform one, first by the visibility and then by the
     background fraction, so the correlation scales as (1-b)*V while fair
-    marginals stay fair.
+    marginals stay fair.  The ideal part is the surface kernel's ``_born``
+    on one state and one theta2 row.
     """
-    state = final_state(config.phi, config.delta)
-    alice = {s: alice_projector(config.theta1, s) for s in "+-"}
-    bob = {s: bob_projector(config.theta2, s) for s in "+-"}
-    ideal = np.array(
-        [joint_probability(state, alice[a], bob[b]) for a in "+-" for b in "+-"]
-    )
+    alice = np.array([alice_projector(config.theta1, a).matrix for a in "+-"])
+    bob = np.array([[bob_projector(config.theta2, b).matrix] for b in "+-"])
+    ideal = _born(_final_states(np.array([config.phi]), config.delta), alice, bob)[:, 0, 0]
     scale = config.noise.correlation_scale
-    noisy = scale * ideal + (1.0 - scale) * 0.25
-    noisy = np.clip(noisy, 0.0, 1.0)
-    return OutcomeDistribution(*noisy)
+    return OutcomeDistribution(*np.clip(scale * ideal + (1.0 - scale) * 0.25, 0.0, 1.0))
 
 
 def correlation(config: ExperimentConfig) -> float:
@@ -252,19 +243,19 @@ _PHI_BLOCK = 1024
 _BLOCK_POINTS = 128
 
 
-def _angle_grid(name: str, values) -> np.ndarray:
-    """``values`` as a nonempty 1-D array of finite angles; ValueError names ``name``."""
+def _finite_grid(name: str, values, kind: str = "angles") -> np.ndarray:
+    """``values`` as a nonempty 1-D array of finite floats; ValueError names ``name``."""
     try:
         grid = np.asarray(values if isinstance(values, np.ndarray) else tuple(values),
                           dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be a sequence of angles: {exc}") from None
+        raise ValueError(f"{name} must be a sequence of {kind}: {exc}") from None
     if grid.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {grid.shape}")
     if grid.size == 0:
         raise ValueError(f"{name} must be nonempty")
     if not np.all(np.isfinite(grid)):
-        raise ValueError(f"{name} must hold finite angles only")
+        raise ValueError(f"{name} must hold finite {kind} only")
     return grid
 
 
@@ -284,24 +275,44 @@ def _final_states(phi_grid: np.ndarray, delta: float) -> np.ndarray:
     return _apply_matrix(amps, 3, ancilla_arm_rotation().matrix, (2,))
 
 
+def _born(states: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """(4, R, P) Born-rule probabilities, in the order ++ +- -+ --, clamped to [0, 1].
+
+    ``states`` is a (P, 8) stack, ``alice`` Alice's two 2x2 projectors and
+    ``bob`` Bob's (2, R) 4x4 projectors.  Each value is bit for bit
+    ``outcome_probability(state, kron(alice[a], bob[b, r]), (0, 1, 2))``.
+    """
+    # np.kron(alice[a], bob[b, r]) for every row r at once, by the same
+    # products: axes (a, b, r, i, k, j, l) -> (2a + b, r, 4i + k, 4j + l)
+    products = (alice[:, None, None, :, None, :, None]
+                * bob[:, :, None, :, None, :]).reshape(4, -1, 8, 8)
+    kets = _apply_matrix(states, 3, products[:, :, None], (0, 1, 2))
+    # <psi|P|psi> as conj(psi) @ (P psi): the BLAS dot np.vdot makes,
+    # with the conjugation moved onto the (exactly negated) input
+    ideal = (states.conj()[:, None, :] @ kets[..., None])[..., 0, 0].real
+    outside = ~((ideal >= -ATOL) & (ideal <= 1.0 + ATOL))  # NaN too
+    if outside.any():
+        raise ValueError(f"probability {ideal[outside][0]} outside [0, 1]")
+    return np.clip(ideal, 0.0, 1.0)
+
+
 def correlation_surface(theta1: float,
                         theta2_grid=None,
                         phi_grid=None,
                         noise: NoiseParams = IDEAL) -> np.ndarray:
     """E(theta2, phi) table, rows over theta2 and columns over phi.
 
-    Each entry is bit-identical to ``correlation`` at that setting: the
-    final states of a block of phases are built in one stacked pass of the
-    gate chain, and each block of theta2 rows applies the same product
-    projectors, Born rule, clamps and checks to all of them at once.  The
-    grids are checked once, here; beyond the (T, P) result the workspace
-    is bounded by the block size, whatever the shape of the grid.
+    Each entry is bit-identical to ``correlation``, which runs the same
+    kernel on one setting: one stacked pass of the gate chain per block of
+    phases, then ``_born``, the noise mix and the checks per block of theta2
+    rows.  The grids are checked once, here; beyond the (T, P) result the
+    workspace is bounded by the block size, whatever the shape of the grid.
     """
     if not math.isfinite(theta1):
         raise ValueError(f"theta1 must be a finite angle, got {theta1}")
-    theta2_grid = _angle_grid(
+    theta2_grid = _finite_grid(
         "theta2_grid", THETA2_GRID_9 if theta2_grid is None else theta2_grid)
-    phi_grid = _angle_grid("phi_grid", PHI_GRID_9 if phi_grid is None else phi_grid)
+    phi_grid = _finite_grid("phi_grid", PHI_GRID_9 if phi_grid is None else phi_grid)
     delta = ExperimentConfig.delta  # the default every per-point config gets
     alice = np.array([alice_projector(theta1, a).matrix for a in "+-"])
     scale = noise.correlation_scale
@@ -309,23 +320,11 @@ def correlation_surface(theta1: float,
     for start in range(0, phi_grid.size, _PHI_BLOCK):
         columns = slice(start, start + _PHI_BLOCK)
         states = _final_states(phi_grid[columns], delta)
-        bras = states.conj()[:, None, :]
         step = max(1, _BLOCK_POINTS // len(states))
         for first in range(0, theta2_grid.size, step):
             rows = theta2_grid[first:first + step].tolist()
             bob = np.array([[bob_projector(t2, b).matrix for t2 in rows] for b in "+-"])
-            # np.kron(alice[a], bob[b, r]) for every row r at once, by the same
-            # products: axes (a, b, r, i, k, j, l) -> (2a + b, r, 4i + k, 4j + l)
-            products = (alice[:, None, None, :, None, :, None]
-                        * bob[:, :, None, :, None, :]).reshape(4, -1, 8, 8)
-            kets = _apply_matrix(states, 3, products[:, :, None], (0, 1, 2))
-            # <psi|P|psi> as conj(psi) @ (P psi): the BLAS dot np.vdot makes,
-            # with the conjugation moved onto the (exactly negated) input
-            ideal = (bras @ kets[..., None])[..., 0, 0].real  # (4, R, P): ++ +- -+ --
-            outside = ~((ideal >= -ATOL) & (ideal <= 1.0 + ATOL))  # NaN too
-            if outside.any():
-                raise ValueError(f"probability {ideal[outside][0]} outside [0, 1]")
-            noisy = scale * np.clip(ideal, 0.0, 1.0) + (1.0 - scale) * 0.25
+            noisy = scale * _born(states, alice, bob) + (1.0 - scale) * 0.25
             noisy = np.clip(noisy, 0.0, 1.0)
             valid = (np.all((noisy >= -1e-10) & (noisy <= 1.0 + 1e-10), axis=(0, 2))
                      & np.all(np.abs(noisy.sum(axis=0) - 1.0) <= 1e-10, axis=1))
@@ -396,12 +395,13 @@ def fit_visibility(theta2_values, measured, theta1: float, phi: float) -> float:
     """Least-squares visibility of a measured correlation curve.
 
     Fits measured ~= V * E_ideal(theta2) at fixed (theta1, phi); closed-form
-    linear regression through the origin.
+    linear regression through the origin.  Both curves must be nonempty,
+    equally long and finite; a ValueError names the one that is not.
     """
-    theta2_values = np.asarray(theta2_values, dtype=float)
-    measured = np.asarray(measured, dtype=float)
-    if theta2_values.shape != measured.shape or theta2_values.size == 0:
-        raise ValueError("theta2_values and measured must be equal-length, nonempty")
+    theta2_values = _finite_grid("theta2_values", theta2_values)
+    measured = _finite_grid("measured", measured, "values")
+    if measured.size != theta2_values.size:
+        raise ValueError("measured must hold one value per theta2_values angle")
     ideal = correlation_surface(theta1, theta2_values, (phi,))[:, 0]
     denom = float(np.dot(ideal, ideal))
     if denom < 1e-12:

@@ -43,9 +43,7 @@ class StateVector:
             raise ValueError(f"num_qubits must be in 1..4, got {self.num_qubits}")
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != 2**self.num_qubits:
-            raise ValueError(
-                f"amplitude length {amps.size} != 2^{self.num_qubits}"
-            )
+            raise ValueError(f"amplitude length {amps.size} != 2^{self.num_qubits}")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if not abs(norm_sq - 1.0) <= 1e-8:  # NaN fails too
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq}")
@@ -61,6 +59,8 @@ class StateVector:
 def state_from_amplitudes(amplitudes) -> StateVector:
     """Build a StateVector, inferring the register size from the length."""
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    if amps.size < 2:
+        raise ValueError(f"amplitude length {amps.size} is too short: one qubit needs 2")
     n = int(round(math.log2(amps.size)))
     return StateVector(num_qubits=n, amplitudes=amps)
 
@@ -141,9 +141,7 @@ def _apply_matrix(amplitudes: np.ndarray, num_qubits: int, matrix: np.ndarray,
     """
     k = len(targets)
     if matrix.shape[-2:] != (2**k, 2**k):
-        raise ValueError(
-            f"operator dimension {matrix.shape[-1]} does not match {k} target(s)"
-        )
+        raise ValueError(f"operator dimension {matrix.shape[-1]} does not match {k} target(s)")
     if len(set(targets)) != k:
         raise ValueError(f"duplicate target index in {targets}")
     for t in targets:

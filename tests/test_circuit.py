@@ -31,6 +31,42 @@ def closed_form_correlation(theta1, theta2, phi):
             + sign * math.sin(phi) * math.cos(2 * theta2 - math.pi / 4)) / SQRT2
 
 
+def oracle_final_state(phi, delta=math.pi / 4):
+    """The oracle: the interferometer applied gate by gate, one StateVector per step."""
+    state = ct.initial_state(delta)
+    state = qs.apply_gate(state, qs.hadamard(), (0,))
+    state = qs.apply_gate(state, qs.phase_shifter(phi), (0,))
+    state = qs.apply_gate(state, qs.controlled_hadamard(), (1, 0))
+    state = qs.apply_gate(state, ct.control_arm_rotation(), (1,))
+    return qs.apply_gate(state, ct.ancilla_arm_rotation(), (2,))
+
+
+def per_point_probabilities(config):
+    """The oracle: the gate-by-gate state, one 8x8 ``np.kron`` projector per outcome pair."""
+    state = oracle_final_state(config.phi, config.delta)
+    ideal = np.array([
+        qs.outcome_probability(state, qs.Projector(8, np.kron(
+            ct.alice_projector(config.theta1, a).matrix,
+            ct.bob_projector(config.theta2, b).matrix)), (0, 1, 2))
+        for a in "+-" for b in "+-"
+    ])
+    scale = config.noise.correlation_scale
+    return ct.OutcomeDistribution(*np.clip(scale * ideal + (1.0 - scale) * 0.25, 0.0, 1.0))
+
+
+def per_point_correlation(config):
+    return per_point_probabilities(config).correlation
+
+
+def random_setting(rng):
+    """Random angles well past their principal ranges, random delta and noise."""
+    noise = ct.NoiseParams(visibility=rng.uniform(0.0, 1.0),
+                           background=rng.uniform(0.0, 1.0) * rng.integers(0, 2))
+    return ct.ExperimentConfig(phi=rng.uniform(-15.0, 15.0), theta1=rng.uniform(-7.0, 7.0),
+                               theta2=rng.uniform(-10.0, 10.0),
+                               delta=rng.uniform(-10.0, 10.0), noise=noise)
+
+
 class TestInitialState:
     def test_delta_zero(self):
         amps = ct.initial_state(0.0).amplitudes
@@ -95,10 +131,25 @@ class TestFinalState:
         overlap = abs(np.vdot(ct.wave_state(phi).amplitudes, conditional)) ** 2
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
-    def test_non_finite_phase_rejected(self, phi):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            ct.final_state(phi)
+            ct.final_state(bad)
+        with pytest.raises(ValueError, match="finite"):
+            ct.final_state(0.3, bad)
+
+    def test_bit_identical_to_the_gate_by_gate_oracle(self):
+        rng = np.random.default_rng(21)
+        for _ in range(2000):
+            phi, delta = rng.uniform(-15.0, 15.0), rng.uniform(-10.0, 10.0)
+            got = ct.final_state(phi, delta).amplitudes
+            np.testing.assert_array_equal(
+                got.view(np.int64), oracle_final_state(phi, delta).amplitudes.view(np.int64))
+
+    def test_state_owns_its_amplitudes(self):
+        amps = ct.final_state(1.3, 0.4).amplitudes
+        assert amps.flags.owndata and amps.base is None
+        assert not amps.flags.writeable
 
 
 class TestProjectors:
@@ -193,6 +244,28 @@ class TestCoincidences:
         with pytest.raises(ValueError):
             ct.OutcomeDistribution(*probs)
 
+    def test_bit_identical_to_the_per_point_oracle(self):
+        rng = np.random.default_rng(23)
+        for _ in range(1200):
+            config = random_setting(rng)
+            got, expected = ct.coincidence_probabilities(config), per_point_probabilities(config)
+            for name in ("p_pp", "p_pm", "p_mp", "p_mm"):
+                assert getattr(got, name).hex() == getattr(expected, name).hex()
+            assert ct.correlation(config).hex() == expected.correlation.hex()
+
+    @pytest.mark.parametrize("theta1, n_theta2, n_phi, noise", [
+        (0.0, 9, 9, ct.IDEAL),
+        (0.0, 9, 9, ct.NoiseParams(visibility=0.86)),
+        (math.pi / 4, 17, 33, ct.NoiseParams(visibility=0.9)),
+    ])
+    def test_bit_identical_on_the_command_line_grids(self, theta1, n_theta2, n_phi, noise):
+        for theta2 in np.linspace(-math.pi / 2, math.pi / 2, n_theta2):
+            for phi in np.linspace(0.0, 2 * math.pi, n_phi):
+                config = ct.ExperimentConfig(phi=phi, theta1=theta1, theta2=theta2, noise=noise)
+                got, expected = ct.coincidence_probabilities(config), per_point_probabilities(config)
+                assert got.as_array().tobytes() == expected.as_array().tobytes()
+                assert ct.correlation(config).hex() == expected.correlation.hex()
+
     def test_fields_are_plain_floats_in_slots(self):
         dist = ct.coincidence_probabilities(ct.ExperimentConfig(phi=1.1, theta1=0.4,
                                                                 theta2=-0.3))
@@ -265,14 +338,15 @@ class TestCorrelation:
 
 def per_point_chsh(phi, theta1_pair=(0.0, math.pi / 4),
                    theta2_pair=(math.pi / 8, 3 * math.pi / 8), noise=ct.IDEAL):
-    """The oracle: CHSH from one ``correlation`` call per setting."""
+    """The oracle: CHSH from one per-point correlation per setting."""
     t1, t1p = theta1_pair
     t2, t2p = theta2_pair
     if math.isclose(t1, t1p) or math.isclose(t2, t2p):
         raise ValueError("setting pairs must contain two distinct angles")
 
     def e(a, b):
-        return ct.correlation(ct.ExperimentConfig(phi=phi, theta1=a, theta2=b, noise=noise))
+        return per_point_correlation(ct.ExperimentConfig(phi=phi, theta1=a, theta2=b,
+                                                         noise=noise))
 
     return abs(e(t1, t2) + e(t1, t2p) - e(t1p, t2) + e(t1p, t2p))
 
@@ -363,10 +437,10 @@ class TestSurface:
 
 
 def per_point_surface(theta1, theta2_grid, phi_grid, noise):
-    """The oracle: one ``correlation`` call per grid point."""
+    """The oracle: one per-point correlation per grid point."""
     return np.array([
-        [ct.correlation(ct.ExperimentConfig(phi=phi, theta1=theta1, theta2=t2,
-                                            noise=noise)) for phi in phi_grid]
+        [per_point_correlation(ct.ExperimentConfig(phi=phi, theta1=theta1, theta2=t2,
+                                                   noise=noise)) for phi in phi_grid]
         for t2 in theta2_grid
     ])
 
@@ -426,7 +500,7 @@ class TestSurfaceKernel:
         phi_grid = np.random.default_rng(10).uniform(-15.0, 15.0, 25)
         states = ct._final_states(phi_grid, 0.7)
         for phi, amps in zip(phi_grid, states):
-            expected = ct.final_state(phi, 0.7).amplitudes
+            expected = oracle_final_state(phi, 0.7).amplitudes
             np.testing.assert_array_equal(amps.view(np.int64), expected.view(np.int64))
 
     def test_arrays_and_generators_are_grids(self):
@@ -606,12 +680,13 @@ class TestSampling:
 
 
 def per_point_fit_visibility(theta2_values, measured, theta1, phi):
-    """The oracle: the least-squares visibility from one ``correlation`` call per angle."""
+    """The oracle: the least-squares visibility from one per-point correlation per angle."""
     theta2_values = np.asarray(theta2_values, dtype=float)
     measured = np.asarray(measured, dtype=float)
     if theta2_values.shape != measured.shape or theta2_values.size == 0:
         raise ValueError("theta2_values and measured must be equal-length, nonempty")
-    ideal = np.array([ct.correlation(ct.ExperimentConfig(phi=phi, theta1=theta1, theta2=t2))
+    ideal = np.array([per_point_correlation(ct.ExperimentConfig(phi=phi, theta1=theta1,
+                                                                theta2=t2))
                       for t2 in theta2_values])
     denom = float(np.dot(ideal, ideal))
     if denom < 1e-12:
@@ -673,3 +748,31 @@ class TestVisibilityFit:
         with pytest.raises(ValueError):
             ct.fit_visibility(theta2, measured, theta1, phi)
 
+    @pytest.mark.parametrize("measured", [[0.5, math.nan], [math.inf, 0.5], [0.5, -math.inf]])
+    def test_non_finite_measured_named(self, measured):
+        with pytest.raises(ValueError, match="^measured must hold finite values only$"):
+            ct.fit_visibility([0.1, 0.2], measured, 0.0, 1.0)
+
+    @pytest.mark.parametrize("theta2, measured, name", [
+        ([[0.1, 0.2]], [[0.5, 0.5]], "theta2_values"),
+        (np.zeros((2, 2)), np.zeros((2, 2)), "theta2_values"),
+        ([0.1, 0.2], [[0.5], [0.5]], "measured"),
+    ])
+    def test_two_dimensional_input_named(self, theta2, measured, name):
+        with pytest.raises(ValueError, match=f"^{name} must be one-dimensional"):
+            ct.fit_visibility(theta2, measured, 0.0, 1.0)
+
+    @pytest.mark.parametrize("theta2, measured, message", [
+        ([0.1, 0.2], [0.5], "measured must hold one value per theta2_values angle"),
+        ([], [], "theta2_values must be nonempty"),
+        ([0.1], [], "measured must be nonempty"),
+        (["a"], [0.5], "theta2_values must be a sequence of angles"),
+        ([0.1], ["b"], "measured must be a sequence of values"),
+    ])
+    def test_inputs_checked_at_entry(self, monkeypatch, theta2, measured, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the kernel ran before the inputs were checked")
+
+        monkeypatch.setattr(ct, "correlation_surface", no_work)
+        with pytest.raises(ValueError, match=message):
+            ct.fit_visibility(theta2, measured, 0.0, 1.0)

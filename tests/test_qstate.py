@@ -266,6 +266,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="normalized"):
             qs.state_from_amplitudes([math.nan, 0.0])
 
+    @pytest.mark.parametrize("amps", [[], np.array([]), [1.0]])
+    def test_too_short_amplitudes_name_the_length(self, amps):
+        with pytest.raises(ValueError, match=f"amplitude length {len(amps)} is too short"):
+            qs.state_from_amplitudes(amps)
+
     @pytest.mark.parametrize("cls", [qs.GateOp, qs.Projector])
     def test_nan_matrix_entry_rejected(self, cls):
         with pytest.raises(ValueError):
