@@ -24,7 +24,6 @@ from .qstate import (
     bell_ket,
     controlled_hadamard,
     hadamard,
-    outcome_probability,
     projector_onto,
     state_from_amplitudes,
     _apply_matrix,
@@ -189,12 +188,6 @@ def bob_projector(theta2: float, sign: str) -> Projector:
     if sign != "+":
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     return projector_onto(bob_superposition_ket(theta2))
-
-
-def joint_probability(state: StateVector, alice: Projector, bob: Projector) -> float:
-    """P(Alice outcome, Bob outcome): Born rule for the product projector."""
-    combined = Projector(dimension=8, matrix=np.kron(alice.matrix, bob.matrix))
-    return outcome_probability(state, combined, (0, 1, 2))
 
 
 def coincidence_probabilities(config: ExperimentConfig) -> OutcomeDistribution:

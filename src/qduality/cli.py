@@ -34,6 +34,9 @@ EXIT_INFEASIBLE = 3
 # most points one command computes (surface grid cells, hom positions), so
 # memory stays bounded whatever the input
 MAX_POINTS = 1_000_000
+# most settings `hvcheck` reads: a feasible witness holds up to 2(n + 1)
+# strategies of n outcomes each, so a run at the cap peaks under 50 MB
+MAX_SETTINGS = 1024
 # phases per block of `surface` lines: the first block's reprs are made once
 # per command and the rest once per row, so few strings are held at a time
 _CSV_BLOCK = 4096
@@ -441,6 +444,8 @@ def _read_settings(path) -> hv.SettingsList:
         if entry in first_line:
             raise ParseError(path, lineno,
                              f"duplicate setting (first on line {first_line[entry]})")
+        if len(first_line) == MAX_SETTINGS:
+            raise ParseError(path, lineno, f"more than {MAX_SETTINGS:,} settings")
         first_line[entry] = lineno
     if not first_line:
         raise ParseError(path, 1, "settings file contains no settings")

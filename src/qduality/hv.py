@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuit import bob_projector, final_state, joint_probability
+from .circuit import _born, _final_states, bob_projector
 from .qstate import Projector, bell_ket, projector_onto
 
 FEASIBILITY_TOL = 1e-9
@@ -35,6 +35,8 @@ TAG_PARTICLE = "particle"
 TAG_WAVE = "wave"
 _TAGS = (TAG_PARTICLE, TAG_WAVE)
 _OUTCOMES = ("+", "-")
+# Alice's H/V analyzer, s = 0 first: the cos^2(phi/2) branch is her |V> port
+_ALICE_HV = np.array([projector_onto(ket).matrix for ket in ([0.0, 1.0], [1.0, 0.0])])
 
 
 def linprog(*args, **kwargs):
@@ -67,7 +69,7 @@ def wave_stats_from_cos(cos_phi) -> tuple:
     return ((one + cos_phi) * half, (one - cos_phi) * half)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HVStrategy:
     """One deterministic response: a wave/particle tag plus analyzer outcomes."""
 
@@ -83,7 +85,7 @@ class HVStrategy:
         object.__setattr__(self, "bob_outcomes", outcomes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HVModel:
     """Probability distribution over deterministic strategies."""
 
@@ -113,7 +115,7 @@ class HVModel:
         object.__setattr__(self, "weights", weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SettingsList:
     """Measurement settings (theta2, phi) the hidden variable must answer."""
 
@@ -173,12 +175,6 @@ def predicted_joint(model: HVModel, settings: SettingsList, wave_probs=None):
     return joints
 
 
-def _alice_projector_hv(s: int) -> Projector:
-    # outcome label s = 0 is the cos^2(phi/2) branch, i.e. Alice's |V> port
-    ket = [0.0, 1.0] if s == 0 else [1.0, 0.0]
-    return projector_onto(ket)
-
-
 def quadrature_pair_projector(theta2: float, sign: str) -> Projector:
     """Projector onto cos(theta2)|phi-> +- i sin(theta2)|psi+>.
 
@@ -197,32 +193,29 @@ def quadrature_pair_projector(theta2: float, sign: str) -> Projector:
 
 
 def quantum_joint(theta2: float, phi: float, basis: str = "real") -> np.ndarray:
-    """Joint quantum distribution q(s, b) at one setting.
+    """Joint quantum distribution q(s, b) at one setting, as a fresh 2x2 array.
 
     Alice measures the system photon in the H/V basis (s = 0 is |V>); Bob
     projects the pair.  ``basis="real"`` uses the real tunable
     superposition cos|phi-> + sin|psi+> and its orthogonal partner at
     theta2 + pi/2; ``basis="quadrature"`` uses the +-i superposition pair,
-    which is a valid measurement only at theta2 = pi/4 + k pi/2.
+    which is a valid measurement only at theta2 = pi/4 + k pi/2.  The
+    values are the circuit's ``_born`` on the state ``final_state(phi)``.
     """
     if not (math.isfinite(theta2) and math.isfinite(phi)):
         raise ValueError("theta2 and phi must be finite angles")
-    state = final_state(phi)
     if basis == "real":
-        bob = {b: bob_projector(theta2, b) for b in _OUTCOMES}
+        projector = bob_projector
     elif basis == "quadrature":
-        bob = {b: quadrature_pair_projector(theta2, b) for b in _OUTCOMES}
+        projector = quadrature_pair_projector
     else:
         raise ValueError(f"basis must be 'real' or 'quadrature', got {basis!r}")
-    q = np.zeros((2, 2))
-    for s in (0, 1):
-        alice = _alice_projector_hv(s)
-        for bi, b in enumerate(_OUTCOMES):
-            q[s, bi] = joint_probability(state, alice, bob[b])
-    return q
+    bob = np.array([[projector(theta2, b).matrix] for b in _OUTCOMES])
+    q = _born(_final_states(np.array([phi]), math.pi / 4), _ALICE_HV, bob)
+    return q.reshape(2, 2).copy()  # owns its data: no view keeps the (4, 1, 1) block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeasibilityResult:
     feasible: bool
     residual: object  # float or Fraction: min over models of max TV distance

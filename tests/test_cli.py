@@ -325,6 +325,26 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == f"error: {settings}:4: duplicate setting (first on line 2)\n"
 
+    def test_hvcheck_rejects_one_setting_past_the_cap(self, capsys, tmp_path, monkeypatch):
+        from qduality import hv
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved past the settings cap")
+
+        monkeypatch.setattr(hv, "quantum_joint", no_solve)
+        monkeypatch.setattr(hv, "feasibility", no_solve)
+        settings = tmp_path / "many.csv"
+        settings.write_text(cli.SETTINGS_HEADER + "\n" + "".join(
+            f"0.25,{k}\n" for k in range(cli.MAX_SETTINGS + 1)))
+        code = cli.main(["hvcheck", "--settings", str(settings)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: {settings}:{cli.MAX_SETTINGS + 2}: "
+                                f"more than {cli.MAX_SETTINGS:,} settings\n")
+        settings.write_text("".join(f"0.25,{k}\n" for k in range(cli.MAX_SETTINGS)))
+        assert len(cli._read_settings(str(settings))) == cli.MAX_SETTINGS
+
     @pytest.mark.parametrize("angle", ["nan", "inf"])
     def test_analyze_non_finite_angle_names_line(self, capsys, tmp_path, angle):
         path = tmp_path / "f.csv"

@@ -14,6 +14,8 @@ import pytest
 import fraction_cut
 import lp
 from qduality import hv
+from qduality import qstate as qs
+from qduality.circuit import bob_projector, final_state
 from qduality.hv import HVModel, HVStrategy, SettingsList
 
 REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -32,6 +34,19 @@ def random_model(rng, strategies, exact=False):
         weights = tuple(float(w) for w in raw / raw.sum())
     return HVModel(strategies=tuple(strategies[i] for i in pick),
                    weights=weights)
+
+
+def oracle_quantum_joint(theta2, phi, basis="real"):
+    """The oracle: ``final_state``, one 8x8 ``np.kron`` projector per outcome pair."""
+    state = final_state(phi)
+    pair = {"real": bob_projector, "quadrature": hv.quadrature_pair_projector}[basis]
+    q = np.zeros((2, 2))
+    for s, ket in enumerate(([0.0, 1.0], [1.0, 0.0])):  # s = 0 is Alice's |V>
+        alice = qs.projector_onto(ket)
+        for bi, b in enumerate("+-"):
+            combined = qs.Projector(8, np.kron(alice.matrix, pair(theta2, b).matrix))
+            q[s, bi] = qs.outcome_probability(state, combined, (0, 1, 2))
+    return q
 
 
 class TestStats:
@@ -93,6 +108,33 @@ class TestQuantumJoint:
     def test_quadrature_projector_rejects_unknown_sign(self):
         with pytest.raises(ValueError, match="sign"):
             hv.quadrature_pair_projector(math.pi / 4, "x")
+
+    def test_matches_oracle_on_dense_random_settings(self):
+        rng = np.random.default_rng(2024)
+        for theta2, phi in rng.uniform(-10.0, 10.0, size=(2000, 2)).tolist():
+            np.testing.assert_array_equal(
+                hv.quantum_joint(theta2, phi).view(np.int64),
+                oracle_quantum_joint(theta2, phi).view(np.int64))
+
+    def test_matches_oracle_in_quadrature_basis(self):
+        rng = np.random.default_rng(2025)
+        for k in range(-8, 9):
+            theta2 = math.pi / 4 + k * math.pi / 2
+            for phi in rng.uniform(-10.0, 10.0, size=12).tolist():
+                np.testing.assert_array_equal(
+                    hv.quantum_joint(theta2, phi, "quadrature").view(np.int64),
+                    oracle_quantum_joint(theta2, phi, "quadrature").view(np.int64))
+
+    def test_returns_an_owned_float_table(self):
+        # a view would keep the kernel's whole (4, 1, 1) block alive
+        q = hv.quantum_joint(0.3, 1.2)
+        assert q.shape == (2, 2)
+        assert q.dtype == np.float64
+        assert q.flags.owndata
+
+    def test_unknown_basis_rejected(self):
+        with pytest.raises(ValueError, match="basis"):
+            hv.quantum_joint(0.3, 1.0, basis="circular")
 
     def test_bob_marginals_fair_at_working_phases(self):
         for phi in (math.pi / 2, 3 * math.pi / 2):
