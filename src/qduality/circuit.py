@@ -25,7 +25,6 @@ from .qstate import (
     controlled_hadamard,
     hadamard,
     projector_onto,
-    state_from_amplitudes,
     _apply_matrix,
 )
 
@@ -114,33 +113,31 @@ def initial_state(delta: float) -> StateVector:
     amps = np.zeros(8, dtype=complex)
     amps[0b101] = 1.0 / _SQRT2                  # |V H V>
     amps[0b110] = np.exp(1j * delta) / _SQRT2   # |V V H>
-    return StateVector(num_qubits=3, amplitudes=amps)
+    return StateVector(amps)
 
 
 def particle_state(phi: float) -> StateVector:
     """(|H> - e^{i phi}|V>)/sqrt2: H/V statistics independent of phi."""
-    return state_from_amplitudes([1.0 / _SQRT2, -np.exp(1j * phi) / _SQRT2])
+    return StateVector([1.0 / _SQRT2, -np.exp(1j * phi) / _SQRT2])
 
 
 def wave_state(phi: float) -> StateVector:
     """e^{i phi/2}(-i sin(phi/2)|H> + cos(phi/2)|V>): fringes in phi."""
     half = phi / 2.0
     pref = np.exp(1j * half)
-    return state_from_amplitudes(
-        [pref * (-1j) * math.sin(half), pref * math.cos(half)]
-    )
+    return StateVector([pref * (-1j) * math.sin(half), pref * math.cos(half)])
 
 
 def control_arm_rotation() -> GateOp:
     """Fixed rotation on photon C: |H> -> |R>, |V> -> |L>."""
     mat = np.array([[1.0, 1.0], [-1.0j, 1.0j]], dtype=complex) / _SQRT2
-    return GateOp(dimension=2, matrix=mat, label="C:H->R,V->L")
+    return GateOp(mat, label="C:H->R,V->L")
 
 
 def ancilla_arm_rotation() -> GateOp:
     """Fixed rotation on photon A: |V> -> |R>, |H> -> |L>."""
     mat = np.array([[1.0, 1.0], [1.0j, -1.0j]], dtype=complex) / _SQRT2
-    return GateOp(dimension=2, matrix=mat, label="A:V->R,H->L")
+    return GateOp(mat, label="A:V->R,H->L")
 
 
 def final_state(phi: float, delta: float = math.pi / 4) -> StateVector:
@@ -154,7 +151,7 @@ def final_state(phi: float, delta: float = math.pi / 4) -> StateVector:
     """
     if not (math.isfinite(phi) and math.isfinite(delta)):
         raise ValueError(f"phi and delta must be finite angles, got {phi} and {delta}")
-    return StateVector(3, _final_states(np.array([phi]), delta)[0])
+    return StateVector(_final_states(np.array([phi]), delta)[0])
 
 
 def alice_projector(theta1: float, sign: str) -> Projector:
@@ -319,22 +316,19 @@ def correlation_surface(theta1: float,
             bob = np.array([[bob_projector(t2, b).matrix for t2 in rows] for b in "+-"])
             noisy = scale * _born(states, alice, bob) + (1.0 - scale) * 0.25
             noisy = np.clip(noisy, 0.0, 1.0)
-            valid = (np.all((noisy >= -1e-10) & (noisy <= 1.0 + 1e-10), axis=(0, 2))
-                     & np.all(np.abs(noisy.sum(axis=0) - 1.0) <= 1e-10, axis=1))
-            if not valid.all():
-                raise ValueError(f"probabilities outside [0, 1] or not summing to 1 "
-                                 f"at theta2 = {rows[int(valid.argmin())]}")
+            sums = noisy.sum(axis=0)
+            bad = ~(np.abs(sums - 1.0) <= 1e-10)
+            if bad.any():
+                row, col = np.argwhere(bad)[0]
+                raise ValueError(f"probabilities not summing to 1 (sum {sums[row, col]}) "
+                                 f"at theta2 = {rows[row]}")
             table[first:first + step, columns] = noisy[0] - noisy[1] - noisy[2] + noisy[3]
     return table
 
 
-def rng_stream(seed, index: int | None = None) -> np.random.Generator:
-    """Seeded portable generator; (seed, index) derives independent streams."""
-    if index is None:
-        seq = np.random.SeedSequence(seed)
-    else:
-        seq = np.random.SeedSequence(seed, spawn_key=(index,))
-    return np.random.Generator(np.random.PCG64(seq))
+def rng_stream(seed) -> np.random.Generator:
+    """Seeded portable generator."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 # Uniforms drawn per block while sampling: 512 KiB of float64, plus a 64 KiB

@@ -31,6 +31,7 @@ _SQRT2 = math.sqrt(2.0)
 
 POL_H = "H"
 POL_V = "V"
+_POLS = (POL_H, POL_V)
 
 
 class Mode(NamedTuple):
@@ -119,21 +120,33 @@ class ModeState:
         return ModeState(kept), float(sum(abs(a) ** 2 for a in kept.values()))
 
 
-def polarization_map(spatial: str, jones: np.ndarray) -> Callable[[Mode], list]:
-    """Waveplate/rotation acting on the polarization of one spatial port."""
-    jones = np.asarray(jones, dtype=complex)
+def _linear_map(modes, matrix) -> Callable[[Mode], list]:
+    """Mapper of a linear map on the listed (port, polarization) modes.
+
+    The k-th mode goes to sum_r matrix[r, k] times the r-th, with the
+    photon's temporal label kept; other modes pass unchanged, and zero
+    coefficients are dropped.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.shape != (len(modes), len(modes)):
+        raise ValueError(f"matrix shape {matrix.shape} does not fit {len(modes)} modes")
+    columns = dict(zip(modes, matrix.T.tolist()))
+    if len(columns) < len(modes):
+        raise ValueError(f"modes {modes} are not distinct")
 
     def mapper(mode: Mode):
-        if mode.spatial != spatial:
+        column = columns.get(mode[:2])
+        if column is None:
             return None
-        col = 0 if mode.pol == POL_H else 1
-        return [
-            (Mode(mode.spatial, pol, mode.temporal), jones[row, col])
-            for row, pol in ((0, POL_H), (1, POL_V))
-            if abs(jones[row, col]) > 0.0
-        ]
+        return [(Mode(port, pol, mode.temporal), c)
+                for (port, pol), c in zip(modes, column) if c != 0]
 
     return mapper
+
+
+def polarization_map(spatial: str, jones: np.ndarray) -> Callable[[Mode], list]:
+    """Waveplate/rotation acting on the polarization of one spatial port."""
+    return _linear_map([(spatial, pol) for pol in _POLS], jones)
 
 
 def ppbs_transform(state: ModeState, in_modes, t_h: float, t_v: float) -> ModeState:
@@ -150,33 +163,18 @@ def ppbs_transform(state: ModeState, in_modes, t_h: float, t_v: float) -> ModeSt
     present = state.spatial_labels()
     if port_a not in present and port_b not in present:
         raise ValueError(f"spatial labels {in_modes} not present in the state")
-    trans = {POL_H: t_h, POL_V: t_v}
-
-    def mapper(mode: Mode):
-        if mode.spatial not in (port_a, port_b):
-            return None
-        t = trans[mode.pol]
-        rt, rr = math.sqrt(t), math.sqrt(1.0 - t)
-        a = Mode(port_a, mode.pol, mode.temporal)
-        b = Mode(port_b, mode.pol, mode.temporal)
-        if mode.spatial == port_a:
-            return [(a, rt), (b, rr)]
-        return [(a, rr), (b, -rt)]
-
-    return state.transform(mapper)
+    th, tv = math.sqrt(t_h), math.sqrt(t_v)
+    rh, rv = math.sqrt(1.0 - t_h), math.sqrt(1.0 - t_v)
+    matrix = [[th, 0, rh, 0], [0, tv, 0, rv], [rh, 0, -th, 0], [0, rv, 0, -tv]]
+    modes = [(port, pol) for port in in_modes for pol in _POLS]
+    return state.transform(_linear_map(modes, matrix))
 
 
 def pbs_transform(state: ModeState, in_modes) -> ModeState:
     """Polarizing beam splitter: H transmits, V swaps ports (real convention)."""
-    port_a, port_b = in_modes
-
-    def mapper(mode: Mode):
-        if mode.spatial not in (port_a, port_b) or mode.pol == POL_H:
-            return None
-        other = port_b if mode.spatial == port_a else port_a
-        return [(Mode(other, POL_V, mode.temporal), 1.0)]
-
-    return state.transform(mapper)
+    matrix = [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]
+    modes = [(port, pol) for port in in_modes for pol in _POLS]
+    return state.transform(_linear_map(modes, matrix))
 
 
 def attenuate(state: ModeState, spatial: str, pol: str, transmission: float,
@@ -189,16 +187,8 @@ def attenuate(state: ModeState, spatial: str, pol: str, transmission: float,
     if not 0.0 <= transmission <= 1.0:
         raise ValueError(f"transmission {transmission} outside [0, 1]")
     rt, rr = math.sqrt(transmission), math.sqrt(1.0 - transmission)
-
-    def mapper(mode: Mode):
-        if mode.spatial != spatial or mode.pol != pol:
-            return None
-        return [
-            (mode, rt),
-            (Mode(loss_label, pol, mode.temporal), rr),
-        ]
-
-    return state.transform(mapper)
+    return state.transform(
+        _linear_map([(spatial, pol), (loss_label, pol)], [[rt, 0.0], [rr, 1.0]]))
 
 
 @dataclass(frozen=True)
@@ -264,43 +254,36 @@ def hom_scan(transmission: float, overlap: OverlapModel, positions) -> HomScanRe
 class PostselectedMap:
     """Completely positive two-qubit map from a post-selected interferometer.
 
-    ``branches`` is a list of (weight, [K_1, K_2, ...]): a classical mixture
-    over temporal-distinguishability branches, each branch a sum of Kraus
-    terms labelled by orthogonal temporal configurations.
+    ``kraus`` lists its Kraus operators, each scaled by the square root of
+    the weight of its temporal-distinguishability branch; the terms within
+    a branch are labelled by orthogonal temporal configurations.
     """
 
-    def __init__(self, branches):
-        self.branches = [
-            (float(w), [np.asarray(k, dtype=complex) for k in ks])
-            for w, ks in branches
-            if w > 1e-15
-        ]
+    def __init__(self, kraus):
+        self.kraus = [np.asarray(k, dtype=complex) for k in kraus]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Unnormalized conditional output state."""
         rho = np.asarray(rho, dtype=complex)
         out = np.zeros_like(rho)
-        for weight, kraus in self.branches:
-            for k in kraus:
-                out += weight * (k @ rho @ k.conj().T)
+        for k in self.kraus:
+            out += k @ rho @ k.conj().T
         return out
 
     def apply_to_ket(self, ket) -> np.ndarray:
         ket = np.asarray(ket, dtype=complex).reshape(-1)
         return self.apply(np.outer(ket, ket.conj()))
 
-    def success_probability(self, rho: np.ndarray | None = None) -> float:
-        if rho is None:
-            rho = np.eye(4, dtype=complex) / 4.0
-        return float(np.real(np.trace(self.apply(rho))))
+    def success_probability(self) -> float:
+        """Heralding probability for a maximally mixed input."""
+        return float(np.real(np.trace(self.apply(np.eye(4, dtype=complex) / 4.0))))
 
     @property
     def coherent_operator(self) -> np.ndarray:
         """The single Kraus operator, when the map is a pure rescaled unitary."""
-        if len(self.branches) != 1 or len(self.branches[0][1]) != 1:
-            raise ValueError("map is not coherent (multiple Kraus branches)")
-        weight, (kraus,) = self.branches[0]
-        return math.sqrt(weight) * kraus
+        if len(self.kraus) != 1:
+            raise ValueError("map is not coherent (multiple Kraus operators)")
+        return self.kraus[0]
 
 
 def _run_gate_chain(inputs: ModeState, with_w: bool) -> ModeState:
@@ -325,7 +308,6 @@ def _run_gate_chain(inputs: ModeState, with_w: bool) -> ModeState:
     return state
 
 
-_POLS = (POL_H, POL_V)
 _DA_KETS = {"D": KET_D, "A": KET_A}
 
 
@@ -374,8 +356,9 @@ def _physical_gate(v: float, with_w: bool) -> tuple[PostselectedMap, float]:
     """Gate map in the (control, target) basis, index 2*c + s with H = 0, V = 1."""
     chain = functools.partial(_run_gate_chain, with_w=with_w)
     gate_map = PostselectedMap(
-        (w, _transfer(chain, ("c", "s"), labels))
-        for w, labels in _overlap_branches(v, ("t0", "t0"), ("t0", "t1"))
+        math.sqrt(w) * kraus
+        for w, labels in _overlap_branches(v, ("t0", "t0"), ("t0", "t1")) if w > 1e-15
+        for kraus in _transfer(chain, ("c", "s"), labels)
     )
     return gate_map, gate_map.success_probability()
 
@@ -446,7 +429,7 @@ def bsm_projector_physical(theta2: float) -> Projector:
     chain = functools.partial(_apply_bsm_elements, theta2=theta2)
     (transfer,) = _transfer(chain, ("c", "a"), ("t0", "t0"))
     rows = _analyzer_bras(("DA", "AD")) @ transfer
-    return Projector(dimension=4, matrix=rows.conj().T @ rows)
+    return Projector(rows.conj().T @ rows)
 
 
 @dataclass(frozen=True)

@@ -435,12 +435,14 @@ def _kelley(cut, one, tol=0, cap=math.inf):
     the LP optimum is the minimum of g, convex and piecewise linear in one
     variable.  ``cut(w, side)`` returns twice g's line just right (side = 1)
     or left (side = -1) of w, and the x_j that attain each r_j(w).
-    Kelley's cutting planes (1960) keep the line of g just right of the
-    lower bracket (slope < 0) and just left of the upper one (slope > 0)
-    and move a bracket to where the two lines cross.  Each move brings in a
-    new line of g, so the loop ends: when the slopes at the crossing change
-    sign, or when g there exceeds the lines' crossing by at most ``tol``.
-    Then the minimum lies between the two, and the lower is returned.
+    Kelley's cutting planes (1960) start from the lines just right of
+    W = 0 and just left of W = 1, and move a bracket to where the two lines
+    cross: the line just right of the crossing becomes the lower bracket's
+    if its slope is < 0 and the upper one's if it is > 0.  Each move brings
+    in a new line of g, so the loop ends: when that slope is 0, or when g
+    at the crossing exceeds the lines' crossing by at most ``tol``.  Then
+    the minimum lies between the two, and the lower is returned.  So a left
+    cut (side = -1) is taken at W = 1 only.
     Returns the number of cuts and (W, residual, [x_j]), with None for the
     optimum once ``cap`` cuts have not found it.
     """
@@ -467,13 +469,10 @@ def _kelley(cut, one, tol=0, cap=math.inf):
             return cuts, (w, min(value, bound) / 2, xs)
         if a < 0:
             lo = a, b
-            continue
-        cuts += 1
-        (a, b), xs = cut(w, -1)
-        if a > 0:
+        elif a > 0:
             hi = a, b
-            continue
-        return cuts, (w, value / 2, xs)
+        else:
+            return cuts, (w, value / 2, xs)
     return cuts, None
 
 

@@ -31,23 +31,27 @@ def _frozen_array(values, dtype=complex) -> np.ndarray:
     return arr
 
 
+_SIZES = (2, 4, 8, 16)  # one to four qubits
+
+
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized pure state of ``num_qubits`` polarization qubits."""
+    """Normalized pure state of one to four qubits, sized by its amplitudes."""
 
-    num_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.num_qubits <= 4:
-            raise ValueError(f"num_qubits must be in 1..4, got {self.num_qubits}")
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != 2**self.num_qubits:
-            raise ValueError(f"amplitude length {amps.size} != 2^{self.num_qubits}")
+        if amps.size not in _SIZES:
+            raise ValueError(f"amplitude length {amps.size} is not 2^n for n in 1..4")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if not abs(norm_sq - 1.0) <= 1e-8:  # NaN fails too
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq}")
         object.__setattr__(self, "amplitudes", _frozen_array(amps))
+
+    @property
+    def num_qubits(self) -> int:
+        return self.amplitudes.size.bit_length() - 1
 
     def fidelity(self, other: "StateVector") -> float:
         """|<self|other>|^2; the global-phase-free comparison."""
@@ -56,67 +60,62 @@ class StateVector:
         return float(abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2)
 
 
-def state_from_amplitudes(amplitudes) -> StateVector:
-    """Build a StateVector, inferring the register size from the length."""
-    amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if amps.size < 2:
-        raise ValueError(f"amplitude length {amps.size} is too short: one qubit needs 2")
-    n = int(round(math.log2(amps.size)))
-    return StateVector(num_qubits=n, amplitudes=amps)
-
-
 def product_state(*kets) -> StateVector:
     """Tensor product of single-qubit kets (each a length-2 array)."""
     amps = np.array([1.0], dtype=complex)
     for ket in kets:
         amps = np.kron(amps, np.asarray(ket, dtype=complex))
-    return state_from_amplitudes(amps)
+    return StateVector(amps)
+
+
+class _Operator:
+    """A square operator whose size is read from its matrix."""
+
+    @staticmethod
+    def _square(matrix, sizes) -> np.ndarray:
+        """``matrix`` as a complex array of shape (d, d) with d in ``sizes``."""
+        mat = np.asarray(matrix, dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or len(mat) not in sizes:
+            raise ValueError(f"matrix shape {mat.shape} is not d x d for d in {sizes}")
+        return mat
+
+    @property
+    def dimension(self) -> int:
+        return len(self.matrix)
+
+    @property
+    def num_qubits(self) -> int:
+        return self.dimension.bit_length() - 1
 
 
 @dataclass(frozen=True)
-class GateOp:
-    """Unitary acting on one or two qubits."""
+class GateOp(_Operator):
+    """Unitary acting on one or two qubits; its size comes from the matrix."""
 
-    dimension: int
     matrix: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        if self.dimension not in (2, 4):
-            raise ValueError(f"gate dimension must be 2 or 4, got {self.dimension}")
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (self.dimension, self.dimension):
-            raise ValueError(f"matrix shape {mat.shape} != dimension {self.dimension}")
-        dev = np.max(np.abs(mat @ mat.conj().T - np.eye(self.dimension)))
+        mat = self._square(self.matrix, (2, 4))
+        dev = np.max(np.abs(mat @ mat.conj().T - np.eye(len(mat))))
         if not dev <= ATOL:
             raise ValueError(f"matrix is not unitary ({self.label!r}): |UU+ - I| = {dev}")
         object.__setattr__(self, "matrix", _frozen_array(mat))
 
-    @property
-    def num_qubits(self) -> int:
-        return 1 if self.dimension == 2 else 2
-
 
 @dataclass(frozen=True)
-class Projector:
-    """Hermitian idempotent operator on one or two qubits."""
+class Projector(_Operator):
+    """Hermitian idempotent operator on one to four qubits; sized by its matrix."""
 
-    dimension: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (self.dimension, self.dimension):
-            raise ValueError(f"matrix shape {mat.shape} != dimension {self.dimension}")
+        mat = self._square(self.matrix, _SIZES)
         if not np.max(np.abs(mat - mat.conj().T)) <= ATOL:
             raise ValueError("projector is not Hermitian")
         if not np.max(np.abs(mat @ mat - mat)) <= ATOL:
             raise ValueError("projector is not idempotent")
         object.__setattr__(self, "matrix", _frozen_array(mat))
-
-    @property
-    def num_qubits(self) -> int:
-        return int(round(math.log2(self.dimension)))
 
 
 def projector_onto(ket) -> Projector:
@@ -126,7 +125,7 @@ def projector_onto(ket) -> Projector:
     if not 1e-12 <= norm < math.inf:
         raise ValueError("cannot project onto a zero or non-finite vector")
     vec = vec / norm
-    return Projector(dimension=vec.size, matrix=np.outer(vec, vec.conj()))
+    return Projector(np.outer(vec, vec.conj()))
 
 
 def _apply_matrix(amplitudes: np.ndarray, num_qubits: int, matrix: np.ndarray,
@@ -167,7 +166,7 @@ def apply_gate(state: StateVector, gate: GateOp, targets) -> StateVector:
     """Apply a unitary gate to the given ordered target qubits."""
     targets = tuple(targets)
     amps = _apply_matrix(state.amplitudes, state.num_qubits, gate.matrix, targets)
-    return StateVector(num_qubits=state.num_qubits, amplitudes=amps)
+    return StateVector(amps)
 
 
 def waveplate(kind: str, angle: float) -> GateOp:
@@ -189,41 +188,35 @@ def waveplate(kind: str, angle: float) -> GateOp:
         mat = rot @ np.diag([1.0, 1.0j]) @ rot.T
     else:
         raise ValueError(f"unknown waveplate kind {kind!r}")
-    return GateOp(dimension=2, matrix=mat, label=f"{kind}({angle:.6g})")
+    return GateOp(mat, label=f"{kind}({angle:.6g})")
 
 
 def phase_shifter(phi: float) -> GateOp:
     """diag(1, e^{i phi}) on {|H>, |V>}."""
     if not math.isfinite(phi):
         raise ValueError(f"phase must be finite, got {phi}")
-    return GateOp(dimension=2,
-                  matrix=np.diag([1.0, np.exp(1j * phi)]),
-                  label=f"phase({phi:.6g})")
+    return GateOp(np.diag([1.0, np.exp(1j * phi)]), label=f"phase({phi:.6g})")
 
 
 def hadamard() -> GateOp:
-    return GateOp(dimension=2,
-                  matrix=np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2,
-                  label="H")
+    return GateOp(np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2, label="H")
 
 
 def w_gate() -> GateOp:
     """Rotation by pi/8; conjugates Z into the Hadamard."""
     c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
-    return GateOp(dimension=2, matrix=np.array([[c, -s], [s, c]], dtype=complex),
-                  label="W")
+    return GateOp(np.array([[c, -s], [s, c]], dtype=complex), label="W")
 
 
 def cz_gate() -> GateOp:
-    return GateOp(dimension=4, matrix=np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex),
-                  label="CZ")
+    return GateOp(np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex), label="CZ")
 
 
 def controlled_hadamard() -> GateOp:
     """Hadamard on the target iff the control is |V>; qubit order (control, target)."""
     mat = np.eye(4, dtype=complex)
     mat[2:, 2:] = hadamard().matrix
-    return GateOp(dimension=4, matrix=mat, label="CH")
+    return GateOp(mat, label="CH")
 
 
 def controlled_hadamard_decomposition() -> GateOp:
@@ -231,7 +224,7 @@ def controlled_hadamard_decomposition() -> GateOp:
     w = w_gate().matrix
     iw = np.kron(np.eye(2), w)
     mat = iw @ cz_gate().matrix @ iw.conj().T
-    return GateOp(dimension=4, matrix=mat, label="CH(W,CZ)")
+    return GateOp(mat, label="CH(W,CZ)")
 
 
 _BELL_KETS = {
@@ -252,7 +245,7 @@ def bell_ket(label: str) -> np.ndarray:
 
 def bell_state(label: str) -> StateVector:
     """Two-qubit Bell state: psi+- = (|HV> +- |VH>)/sqrt2, phi+- = (|HH> +- |VV>)/sqrt2."""
-    return StateVector(num_qubits=2, amplitudes=bell_ket(label))
+    return StateVector(bell_ket(label))
 
 
 def outcome_probability(state: StateVector, projector: Projector, targets) -> float:

@@ -32,7 +32,7 @@ def closed_form_state(phi, delta=math.pi / 4):
     w = ct.wave_state(phi).amplitudes
     minus_i = qs.bell_ket("phi-") - 1j * qs.bell_ket("psi+")
     plus_i = qs.bell_ket("phi-") + 1j * qs.bell_ket("psi+")
-    return qs.state_from_amplitudes(
+    return qs.StateVector(
         0.5 * (np.kron(p, minus_i) + np.exp(1j * delta) * np.kron(w, plus_i)))
 
 

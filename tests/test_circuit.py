@@ -21,7 +21,7 @@ def closed_form_final_state(phi, delta=math.pi / 4):
     minus_i = qs.bell_ket("phi-") - 1j * qs.bell_ket("psi+")
     plus_i = qs.bell_ket("phi-") + 1j * qs.bell_ket("psi+")
     amps = 0.5 * (np.kron(p, minus_i) + np.exp(1j * delta) * np.kron(w, plus_i))
-    return qs.state_from_amplitudes(amps)
+    return qs.StateVector(amps)
 
 
 def closed_form_correlation(theta1, theta2, phi):
@@ -45,7 +45,7 @@ def per_point_probabilities(config):
     """The oracle: the gate-by-gate state, one 8x8 ``np.kron`` projector per outcome pair."""
     state = oracle_final_state(config.phi, config.delta)
     ideal = np.array([
-        qs.outcome_probability(state, qs.Projector(8, np.kron(
+        qs.outcome_probability(state, qs.Projector(np.kron(
             ct.alice_projector(config.theta1, a).matrix,
             ct.bob_projector(config.theta2, b).matrix)), (0, 1, 2))
         for a in "+-" for b in "+-"

@@ -535,3 +535,68 @@ class TestTransformOracle:
         assert all(np.array_equal(a, b) for a, b in zip(maps, want_maps, strict=True))
         assert rates == want_rates
         assert np.array_equal(projector, want_projector)
+
+
+class TestElementOracle:
+    """The matrix-built elements against the closures in ``fock_oracle``, with ``==``."""
+
+    TRANSMISSIONS = (0.0, 1.0 / 3.0, 1.0)
+
+    @classmethod
+    def pairs(cls, rng, state, ports):
+        """(element output, oracle output) for every element on ``ports``."""
+        a, b = ports
+        zero_column = np.array([[0.6, 0.0], [0.8j, 0.0]])
+        out = []
+        for jones in (random_unitary(rng), zero_column, zero_column.T):
+            out.append((state.transform(fock.polarization_map(a, jones)),
+                        fock_oracle.transform(state, fock_oracle.polarization_map(a, jones))))
+        for t_h, t_v in itertools.product((*cls.TRANSMISSIONS, rng.random()), repeat=2):
+            if a in state.spatial_labels() or b in state.spatial_labels():
+                out.append((fock.ppbs_transform(state, ports, t_h=t_h, t_v=t_v),
+                            fock_oracle.ppbs_transform(state, ports, t_h, t_v)))
+        out.append((fock.pbs_transform(state, ports), fock_oracle.pbs_transform(state, ports)))
+        for t in (*cls.TRANSMISSIONS, rng.random()):
+            for port, pol in ((a, "H"), (b, "V")):
+                out.append((fock.attenuate(state, port, pol, t, "loss"),
+                            fock_oracle.attenuate(state, port, pol, t, "loss")))
+        return out
+
+    @pytest.mark.parametrize("ports", [("a", "b"), ("b", "a"), ("a", "x"), ("x", "y")])
+    def test_random_states(self, ports):
+        rng = np.random.default_rng(11)
+        states = [random_state(rng, ("a", "b", "c")) for _ in range(40)]
+        assert any(len(set(p)) < len(p) for s in states for p in s.amps)  # bunched
+        for state in states:
+            for got, want in self.pairs(rng, state, ports):
+                assert got == want
+
+    def test_fully_bunched_patterns(self):
+        rng = np.random.default_rng(12)
+        h0, v1 = Mode("a", "H", "t0"), Mode("b", "V", "t1")
+        state = ModeState.from_patterns(
+            [((h0, h0, h0), 0.6), ((h0, h0, v1), 0.48j), ((v1, v1), -0.64)])
+        for got, want in self.pairs(rng, state, ("a", "b")):
+            assert got == want
+
+    def test_mapper_images(self):
+        # column k of the matrix, zeros dropped, the temporal label kept
+        mapper = fock.polarization_map("a", np.array([[0.6, 0.0], [0.8j, 0.0]]))
+        h, v = Mode("a", "H", "t1"), Mode("a", "V", "t1")
+        assert mapper(h) == [(h, 0.6), (v, 0.8j)]
+        assert mapper(v) == []
+        assert mapper(Mode("b", "H", "t1")) is None
+
+    def test_matrix_of_the_wrong_size_rejected(self):
+        with pytest.raises(ValueError, match="does not fit 2 modes"):
+            fock.polarization_map("a", np.eye(3))
+
+    def test_one_port_twice_rejected(self):
+        # a port listed twice would count its photons twice
+        state = single_photons(("a", "H", "t"))
+        with pytest.raises(ValueError, match="not distinct"):
+            fock.ppbs_transform(state, ("a", "a"), t_h=0.5, t_v=0.5)
+        with pytest.raises(ValueError, match="not distinct"):
+            fock.pbs_transform(state, ("a", "a"))
+        with pytest.raises(ValueError, match="not distinct"):
+            fock.attenuate(state, "a", "H", 0.5, "a")

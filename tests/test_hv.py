@@ -44,7 +44,7 @@ def oracle_quantum_joint(theta2, phi, basis="real"):
     for s, ket in enumerate(([0.0, 1.0], [1.0, 0.0])):  # s = 0 is Alice's |V>
         alice = qs.projector_onto(ket)
         for bi, b in enumerate("+-"):
-            combined = qs.Projector(8, np.kron(alice.matrix, pair(theta2, b).matrix))
+            combined = qs.Projector(np.kron(alice.matrix, pair(theta2, b).matrix))
             q[s, bi] = qs.outcome_probability(state, combined, (0, 1, 2))
     return q
 
@@ -556,6 +556,20 @@ def recorded(make_cut, log):
             return log[-1][2]
         return recording
     return make
+
+
+@pytest.mark.parametrize("name, exact", [("_float_cut", False), ("_exact_cut", True)])
+def test_left_cut_taken_at_w_one_only(monkeypatch, name, exact):
+    # an interior step keeps the line just right of the crossing, whatever its slope
+    log = []
+    monkeypatch.setattr(hv, name, recorded(getattr(hv, name), log))
+    rng = np.random.default_rng(900)
+    for n in (1, 2, 3, 5, 8):
+        for targets, wave, settings in oracle_cases(rng, n, exact):
+            hv.feasibility(targets, settings, wave_probs=wave)
+    assert any(side == 1 and 0 < w < 1 for w, side, _ in log)
+    assert any(side == -1 for _, side, _ in log)
+    assert all(w == 1 for w, side, _ in log if side == -1)
 
 
 def load_exact_reference_cases():

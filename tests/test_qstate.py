@@ -11,7 +11,7 @@ SQRT2 = math.sqrt(2.0)
 
 def random_state(rng, n):
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return qs.state_from_amplitudes(amps / np.linalg.norm(amps))
+    return qs.StateVector(amps / np.linalg.norm(amps))
 
 
 def random_unitary(rng, dim):
@@ -23,7 +23,7 @@ def random_unitary(rng, dim):
 class TestApplyGate:
     def test_identity_returns_same_state(self):
         state = qs.product_state(qs.KET_D, qs.KET_R)
-        ident = qs.GateOp(dimension=2, matrix=np.eye(2), label="I")
+        ident = qs.GateOp(np.eye(2), label="I")
         out = qs.apply_gate(state, ident, (1,))
         assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-12)
 
@@ -42,7 +42,7 @@ class TestApplyGate:
         swap = np.eye(4)[[0, 2, 1, 3]]
         expected = swap @ ch @ swap @ psi
 
-        state = qs.state_from_amplitudes(psi)
+        state = qs.StateVector(psi)
         out = qs.apply_gate(state, qs.controlled_hadamard(), (1, 0))
         assert np.allclose(out.amplitudes, expected, atol=1e-12)
         # and the conditional output equals the wave-state builder
@@ -56,7 +56,7 @@ class TestApplyGate:
             state = random_state(rng, n)
             k = int(rng.integers(1, min(n, 2) + 1))
             targets = tuple(rng.choice(n, size=k, replace=False))
-            gate = qs.GateOp(dimension=2**k, matrix=random_unitary(rng, 2**k))
+            gate = qs.GateOp(random_unitary(rng, 2**k))
             out = qs.apply_gate(state, gate, targets)
             assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-12
 
@@ -247,34 +247,50 @@ class TestSchmidt:
 class TestValidation:
     def test_non_normalized_state_rejected(self):
         with pytest.raises(ValueError):
-            qs.StateVector(num_qubits=1, amplitudes=np.array([1.0, 1.0]))
+            qs.StateVector(np.array([1.0, 1.0]))
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            qs.StateVector(num_qubits=2, amplitudes=np.array([1.0, 0.0]))
+            qs.StateVector(np.array([1.0, 0.0, 0.0]))
+
+    def test_sizes_come_from_the_arrays(self):
+        for n in range(1, 5):
+            state = qs.StateVector(np.eye(2**n)[0])
+            assert state.num_qubits == n
+            proj = qs.Projector(np.outer(state.amplitudes, state.amplitudes))
+            assert (proj.dimension, proj.num_qubits) == (2**n, n)
+        assert (qs.hadamard().dimension, qs.hadamard().num_qubits) == (2, 1)
+        assert (qs.cz_gate().dimension, qs.cz_gate().num_qubits) == (4, 2)
+        for bad in (np.eye(32)[0], np.eye(3)[0]):
+            with pytest.raises(ValueError, match="amplitude length"):
+                qs.StateVector(bad)
+        for cls, bad in ((qs.GateOp, np.eye(8)), (qs.GateOp, np.eye(2)[:1]),
+                         (qs.Projector, np.eye(3)), (qs.Projector, np.eye(4)[0])):
+            with pytest.raises(ValueError, match="matrix shape"):
+                cls(bad)
 
     def test_non_unitary_gate_rejected(self):
         with pytest.raises(ValueError):
-            qs.GateOp(dimension=2, matrix=np.array([[1, 0], [0, 2.0]]))
+            qs.GateOp(np.array([[1, 0], [0, 2.0]]))
 
     def test_non_idempotent_projector_rejected(self):
         with pytest.raises(ValueError):
-            qs.Projector(dimension=2, matrix=np.array([[0.5, 0], [0, 2.0]]))
+            qs.Projector(np.array([[0.5, 0], [0, 2.0]]))
 
     def test_nan_amplitudes_rejected(self):
         # a NaN norm fails "|norm - 1| > tol" as well as "<= tol"
         with pytest.raises(ValueError, match="normalized"):
-            qs.state_from_amplitudes([math.nan, 0.0])
+            qs.StateVector([math.nan, 0.0])
 
     @pytest.mark.parametrize("amps", [[], np.array([]), [1.0]])
     def test_too_short_amplitudes_name_the_length(self, amps):
-        with pytest.raises(ValueError, match=f"amplitude length {len(amps)} is too short"):
-            qs.state_from_amplitudes(amps)
+        with pytest.raises(ValueError, match=f"amplitude length {len(amps)} is not 2"):
+            qs.StateVector(amps)
 
     @pytest.mark.parametrize("cls", [qs.GateOp, qs.Projector])
     def test_nan_matrix_entry_rejected(self, cls):
         with pytest.raises(ValueError):
-            cls(dimension=2, matrix=np.array([[math.nan, 0.0], [0.0, 1.0]]))
+            cls(np.array([[math.nan, 0.0], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("ket", [[0.0, 0.0], [math.nan, 0.0], [math.inf, 1.0]])
     def test_zero_or_non_finite_ket_rejected(self, ket):
@@ -285,7 +301,6 @@ class TestValidation:
     def test_nan_probability_rejected(self):
         # a state that skipped validation still cannot yield a NaN probability
         state = object.__new__(qs.StateVector)
-        object.__setattr__(state, "num_qubits", 1)
         object.__setattr__(state, "amplitudes", np.array([math.nan, 0.0], dtype=complex))
         with pytest.raises(ValueError, match="outside"):
             qs.outcome_probability(state, qs.projector_onto(qs.KET_H), (0,))
