@@ -26,6 +26,7 @@ from .qstate import (
     hadamard,
     projector_onto,
     _apply_matrix,
+    _check_projectors,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -169,22 +170,35 @@ def alice_projector(theta1: float, sign: str) -> Projector:
     return projector_onto(ket)
 
 
-def bob_superposition_ket(theta2: float) -> np.ndarray:
-    """cos(theta2)|phi-> + sin(theta2)|psi+> as a 4-amplitude array."""
-    return math.cos(theta2) * bell_ket("phi-") + math.sin(theta2) * bell_ket("psi+")
-
-
 def bob_projector(theta2: float, sign: str) -> Projector:
-    """Tunable Bell-superposition analyzer for photons C and A.
+    """Tunable Bell-superposition analyzer for photons C and A: one row of ``_bob_projectors``.
 
     The "-" outcome is defined as the "+" outcome at theta2 + pi/2, exactly
     mirroring how the measurement is taken: one analyzer angle per run.
     """
-    if sign == "-":
-        return bob_projector(theta2 + math.pi / 2, "+")
-    if sign != "+":
+    if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    return projector_onto(bob_superposition_ket(theta2))
+    return Projector(_bob_projectors([theta2])["+-".index(sign), 0])
+
+
+def _bob_projectors(rows) -> np.ndarray:
+    """(2, R, 4, 4) stack of Bob's "+" and "-" (theta2 + pi/2) projectors per theta2 row.
+
+    Bit for bit ``projector_onto(cos(t)|phi-> + sin(t)|psi+>)``: the norm's
+    squares come in equal pairs, so summing them pairwise is exact, as in
+    ``np.linalg.norm``.  The projector checks run once on the whole stack.
+    """
+    angles = [*rows, *(t + math.pi / 2 for t in rows)]
+    kets = (np.array([math.cos(t) for t in angles])[:, None] * bell_ket("phi-")
+            + np.array([math.sin(t) for t in angles])[:, None] * bell_ket("psi+"))
+    squares = kets.real * kets.real
+    norm = np.sqrt((squares[:, :1] + squares[:, 1:2]) + (squares[:, 2:3] + squares[:, 3:]))
+    if not np.all((norm >= 1e-12) & (norm < math.inf)):  # NaN fails too
+        raise ValueError("cannot project onto a zero or non-finite vector")
+    kets = kets / norm
+    stack = kets[:, :, None] * kets.conj()[:, None, :]
+    _check_projectors(stack)
+    return stack.reshape(2, -1, 4, 4)
 
 
 def coincidence_probabilities(config: ExperimentConfig) -> OutcomeDistribution:
@@ -197,8 +211,8 @@ def coincidence_probabilities(config: ExperimentConfig) -> OutcomeDistribution:
     on one state and one theta2 row.
     """
     alice = np.array([alice_projector(config.theta1, a).matrix for a in "+-"])
-    bob = np.array([[bob_projector(config.theta2, b).matrix] for b in "+-"])
-    ideal = _born(_final_states(np.array([config.phi]), config.delta), alice, bob)[:, 0, 0]
+    states = _final_states(np.array([config.phi]), config.delta)
+    ideal = _born(states, alice, _bob_projectors([config.theta2]))[:, 0, 0]
     scale = config.noise.correlation_scale
     return OutcomeDistribution(*np.clip(scale * ideal + (1.0 - scale) * 0.25, 0.0, 1.0))
 
@@ -271,6 +285,8 @@ def _born(states: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     ``states`` is a (P, 8) stack, ``alice`` Alice's two 2x2 projectors and
     ``bob`` Bob's (2, R) 4x4 projectors.  Each value is bit for bit
     ``outcome_probability(state, kron(alice[a], bob[b, r]), (0, 1, 2))``.
+    States stacked as (R, 1, 8) pair up instead: state r meets only row r,
+    and the result is (4, R, 1).
     """
     # np.kron(alice[a], bob[b, r]) for every row r at once, by the same
     # products: axes (a, b, r, i, k, j, l) -> (2a + b, r, 4i + k, 4j + l)
@@ -279,7 +295,7 @@ def _born(states: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     kets = _apply_matrix(states, 3, products[:, :, None], (0, 1, 2))
     # <psi|P|psi> as conj(psi) @ (P psi): the BLAS dot np.vdot makes,
     # with the conjugation moved onto the (exactly negated) input
-    ideal = (states.conj()[:, None, :] @ kets[..., None])[..., 0, 0].real
+    ideal = (states.conj()[..., None, :] @ kets[..., None])[..., 0, 0].real
     outside = ~((ideal >= -ATOL) & (ideal <= 1.0 + ATOL))  # NaN too
     if outside.any():
         raise ValueError(f"probability {ideal[outside][0]} outside [0, 1]")
@@ -313,8 +329,7 @@ def correlation_surface(theta1: float,
         step = max(1, _BLOCK_POINTS // len(states))
         for first in range(0, theta2_grid.size, step):
             rows = theta2_grid[first:first + step].tolist()
-            bob = np.array([[bob_projector(t2, b).matrix for t2 in rows] for b in "+-"])
-            noisy = scale * _born(states, alice, bob) + (1.0 - scale) * 0.25
+            noisy = scale * _born(states, alice, _bob_projectors(rows)) + (1.0 - scale) * 0.25
             noisy = np.clip(noisy, 0.0, 1.0)
             sums = noisy.sum(axis=0)
             bad = ~(np.abs(sums - 1.0) <= 1e-10)

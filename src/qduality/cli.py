@@ -464,7 +464,7 @@ def _cmd_hvcheck(args) -> int:
         print(f"QUANTUM_S={quantum:.4f}")
         return EXIT_OK
     settings = _read_settings(args.settings)
-    targets = [hv.quantum_joint(t2, phi) for t2, phi in settings.entries]
+    targets = hv.quantum_joints(settings.entries)
     result = hv.feasibility(targets, settings)
     if result.feasible:
         print(f"FEASIBLE residual={float(result.residual):.3e}")

@@ -149,6 +149,24 @@ def polarization_map(spatial: str, jones: np.ndarray) -> Callable[[Mode], list]:
     return _linear_map([(spatial, pol) for pol in _POLS], jones)
 
 
+def _ppbs_map(in_modes, t_h: float, t_v: float) -> Callable[[Mode], list]:
+    """Mapper of the beam splitter of ``ppbs_transform``."""
+    for t in (t_h, t_v):
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"transmission {t} outside [0, 1]")
+    th, tv = math.sqrt(t_h), math.sqrt(t_v)
+    rh, rv = math.sqrt(1.0 - t_h), math.sqrt(1.0 - t_v)
+    matrix = [[th, 0, rh, 0], [0, tv, 0, rv], [rh, 0, -th, 0], [0, rv, 0, -tv]]
+    return _linear_map([(port, pol) for port in in_modes for pol in _POLS], matrix)
+
+
+def _require_ports(state: ModeState, in_modes) -> ModeState:
+    """``state``, once it is known to occupy at least one of the ports."""
+    if not set(in_modes) & state.spatial_labels():
+        raise ValueError(f"spatial labels {in_modes} not present in the state")
+    return state
+
+
 def ppbs_transform(state: ModeState, in_modes, t_h: float, t_v: float) -> ModeState:
     """Partial polarizing beam splitter on a pair of spatial ports.
 
@@ -156,18 +174,8 @@ def ppbs_transform(state: ModeState, in_modes, t_h: float, t_v: float) -> ModeSt
     b -> sqrt(1-T) a - sqrt(T) b (real symmetric convention).  T_h = T_v = 1/2
     degenerates to a balanced beam splitter.
     """
-    for t in (t_h, t_v):
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"transmission {t} outside [0, 1]")
-    port_a, port_b = in_modes
-    present = state.spatial_labels()
-    if port_a not in present and port_b not in present:
-        raise ValueError(f"spatial labels {in_modes} not present in the state")
-    th, tv = math.sqrt(t_h), math.sqrt(t_v)
-    rh, rv = math.sqrt(1.0 - t_h), math.sqrt(1.0 - t_v)
-    matrix = [[th, 0, rh, 0], [0, tv, 0, rv], [rh, 0, -th, 0], [0, rv, 0, -tv]]
-    modes = [(port, pol) for port in in_modes for pol in _POLS]
-    return state.transform(_linear_map(modes, matrix))
+    mapper = _ppbs_map(in_modes, t_h, t_v)
+    return _require_ports(state, in_modes).transform(mapper)
 
 
 def pbs_transform(state: ModeState, in_modes) -> ModeState:
@@ -177,6 +185,15 @@ def pbs_transform(state: ModeState, in_modes) -> ModeState:
     return state.transform(_linear_map(modes, matrix))
 
 
+def _attenuation_map(spatial: str, pol: str, transmission: float,
+                     loss_label: str) -> Callable[[Mode], list]:
+    """Mapper of the loss port of ``attenuate``."""
+    if not 0.0 <= transmission <= 1.0:
+        raise ValueError(f"transmission {transmission} outside [0, 1]")
+    rt, rr = math.sqrt(transmission), math.sqrt(1.0 - transmission)
+    return _linear_map([(spatial, pol), (loss_label, pol)], [[rt, 0.0], [rr, 1.0]])
+
+
 def attenuate(state: ModeState, spatial: str, pol: str, transmission: float,
               loss_label: str) -> ModeState:
     """Route 1-T of one port's polarization into a dedicated loss port.
@@ -184,11 +201,7 @@ def attenuate(state: ModeState, spatial: str, pol: str, transmission: float,
     Photon number is conserved globally; the loss port simply never
     satisfies the post-selection condition.
     """
-    if not 0.0 <= transmission <= 1.0:
-        raise ValueError(f"transmission {transmission} outside [0, 1]")
-    rt, rr = math.sqrt(transmission), math.sqrt(1.0 - transmission)
-    return state.transform(
-        _linear_map([(spatial, pol), (loss_label, pol)], [[rt, 0.0], [rr, 1.0]]))
+    return state.transform(_attenuation_map(spatial, pol, transmission, loss_label))
 
 
 @dataclass(frozen=True)
@@ -286,8 +299,8 @@ class PostselectedMap:
         return self.kraus[0]
 
 
-def _run_gate_chain(inputs: ModeState, with_w: bool) -> ModeState:
-    """PPBS controlled-phase chain on ports ('s', 'c').
+def _gate_chain(with_w: bool) -> Callable[[ModeState], ModeState]:
+    """PPBS controlled-phase chain on ports ('s', 'c'), its element maps built once.
 
     PPBS with T_h = 1, T_v = 1/3, then 1/3-transmission balancing of the
     horizontal component of each output, then a common path phase of pi on
@@ -296,16 +309,15 @@ def _run_gate_chain(inputs: ModeState, with_w: bool) -> ModeState:
     chain in the target-side rotation that turns the controlled phase flip
     into a controlled Hadamard.
     """
-    state = inputs
+    maps = [_ppbs_map(("s", "c"), 1.0, 1.0 / 3.0),
+            _attenuation_map("s", POL_H, 1.0 / 3.0, "loss_s"),
+            _attenuation_map("c", POL_H, 1.0 / 3.0, "loss_c"),
+            polarization_map("c", -np.eye(2))]
     if with_w:
-        state = state.transform(polarization_map("s", w_gate().matrix.conj().T))
-    state = ppbs_transform(state, ("s", "c"), t_h=1.0, t_v=1.0 / 3.0)
-    state = attenuate(state, "s", POL_H, 1.0 / 3.0, "loss_s")
-    state = attenuate(state, "c", POL_H, 1.0 / 3.0, "loss_c")
-    state = state.transform(polarization_map("c", -np.eye(2)))
-    if with_w:
-        state = state.transform(polarization_map("s", w_gate().matrix))
-    return state
+        w = w_gate().matrix
+        maps = [polarization_map("s", w.conj().T), *maps, polarization_map("s", w)]
+    return lambda state: functools.reduce(ModeState.transform, maps,
+                                          _require_ports(state, ("s", "c")))
 
 
 _DA_KETS = {"D": KET_D, "A": KET_A}
@@ -354,7 +366,7 @@ def _overlap_branches(v: float, same, distinct) -> list:
 
 def _physical_gate(v: float, with_w: bool) -> tuple[PostselectedMap, float]:
     """Gate map in the (control, target) basis, index 2*c + s with H = 0, V = 1."""
-    chain = functools.partial(_run_gate_chain, with_w=with_w)
+    chain = _gate_chain(with_w)
     gate_map = PostselectedMap(
         math.sqrt(w) * kraus
         for w, labels in _overlap_branches(v, ("t0", "t0"), ("t0", "t1")) if w > 1e-15
@@ -479,6 +491,7 @@ def physical_correlation(config: _circuit.ExperimentConfig, v: float) -> float:
     # rows (alice, bob cross outcome): (+, DA), (+, AD), (-, DA), (-, AD)
     bras = np.kron(np.array([[c1, s1], [-s1, c1]]), _analyzer_bras(("DA", "AD")))
     rates = np.zeros((2, 2))  # [alice sign, bob sign]
+    chain = _gate_chain(with_w=True)
     for weight, (t_s, t_c, t_a) in branches:
         state = ModeState.from_patterns([
             ((Mode("s", POL_V, t_s), Mode("c", POL_H, t_c), Mode("a", POL_V, t_a)),
@@ -492,7 +505,7 @@ def physical_correlation(config: _circuit.ExperimentConfig, v: float) -> float:
         state = state.transform(
             polarization_map("s", np.diag([1.0, np.exp(1j * config.phi)]))
         )
-        state = _rotate_arms(_run_gate_chain(state, with_w=True))
+        state = _rotate_arms(chain(state))
         for bob, theta2 in enumerate((config.theta2, config.theta2 + math.pi / 2)):
             probs = _analyzer_probs(state, theta2, ("s", "c", "a"), bras)
             rates[:, bob] += weight * probs.reshape(2, 2).sum(axis=1)

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuit import _born, _final_states, bob_projector
+from .circuit import _BLOCK_POINTS, _born, _bob_projectors, _final_states
 from .qstate import Projector, bell_ket, projector_onto
 
 FEASIBILITY_TOL = 1e-9
@@ -193,26 +193,36 @@ def quadrature_pair_projector(theta2: float, sign: str) -> Projector:
 
 
 def quantum_joint(theta2: float, phi: float, basis: str = "real") -> np.ndarray:
-    """Joint quantum distribution q(s, b) at one setting, as a fresh 2x2 array.
+    """One setting's ``quantum_joints`` table, as a fresh 2x2 array that owns its data."""
+    return quantum_joints([(theta2, phi)], basis)[0].copy()
+
+
+def quantum_joints(settings, basis: str = "real") -> np.ndarray:
+    """Joint quantum distributions q(s, b) per (theta2, phi) setting, as a fresh (n, 2, 2) array.
 
     Alice measures the system photon in the H/V basis (s = 0 is |V>); Bob
     projects the pair.  ``basis="real"`` uses the real tunable
     superposition cos|phi-> + sin|psi+> and its orthogonal partner at
     theta2 + pi/2; ``basis="quadrature"`` uses the +-i superposition pair,
-    which is a valid measurement only at theta2 = pi/4 + k pi/2.  The
-    values are the circuit's ``_born`` on the state ``final_state(phi)``.
+    which is a valid measurement only at theta2 = pi/4 + k pi/2.  Per block
+    of settings, the circuit's ``_born`` pairs each state ``final_state(phi)``
+    with its own setting's projectors only.
     """
-    if not (math.isfinite(theta2) and math.isfinite(phi)):
+    table = np.array(tuple(settings), dtype=float)
+    if table.shape[1:] != (2,) or not len(table):
+        raise ValueError(f"settings must be nonempty (theta2, phi) pairs, got {table.shape}")
+    if not np.all(np.isfinite(table)):
         raise ValueError("theta2 and phi must be finite angles")
-    if basis == "real":
-        projector = bob_projector
-    elif basis == "quadrature":
-        projector = quadrature_pair_projector
-    else:
+    if basis not in ("real", "quadrature"):
         raise ValueError(f"basis must be 'real' or 'quadrature', got {basis!r}")
-    bob = np.array([[projector(theta2, b).matrix] for b in _OUTCOMES])
-    q = _born(_final_states(np.array([phi]), math.pi / 4), _ALICE_HV, bob)
-    return q.reshape(2, 2).copy()  # owns its data: no view keeps the (4, 1, 1) block
+    q = np.empty((len(table), 2, 2))
+    for first in range(0, len(table), _BLOCK_POINTS):
+        theta2, phi = table[first:first + _BLOCK_POINTS].T.tolist()
+        bob = (_bob_projectors(theta2) if basis == "real" else np.array(
+            [[quadrature_pair_projector(t2, b).matrix for t2 in theta2] for b in _OUTCOMES]))
+        ideal = _born(_final_states(np.array(phi), math.pi / 4)[:, None], _ALICE_HV, bob)
+        q[first:first + _BLOCK_POINTS] = ideal[..., 0].T.reshape(-1, 2, 2)
+    return q
 
 
 @dataclass(frozen=True, slots=True)

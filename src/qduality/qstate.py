@@ -111,11 +111,16 @@ class Projector(_Operator):
 
     def __post_init__(self):
         mat = self._square(self.matrix, _SIZES)
-        if not np.max(np.abs(mat - mat.conj().T)) <= ATOL:
-            raise ValueError("projector is not Hermitian")
-        if not np.max(np.abs(mat @ mat - mat)) <= ATOL:
-            raise ValueError("projector is not idempotent")
+        _check_projectors(mat)
         object.__setattr__(self, "matrix", _frozen_array(mat))
+
+
+def _check_projectors(mats: np.ndarray) -> None:
+    """ValueError unless every matrix of the (..., d, d) stack is Hermitian and idempotent."""
+    if not np.max(np.abs(mats - mats.conj().swapaxes(-1, -2))) <= ATOL:
+        raise ValueError("projector is not Hermitian")
+    if not np.max(np.abs(mats @ mats - mats)) <= ATOL:
+        raise ValueError("projector is not idempotent")
 
 
 def projector_onto(ket) -> Projector:

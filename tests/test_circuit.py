@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import bob_oracle
 from qduality import circuit as ct
 from qduality import qstate as qs
 
@@ -47,7 +48,7 @@ def per_point_probabilities(config):
     ideal = np.array([
         qs.outcome_probability(state, qs.Projector(np.kron(
             ct.alice_projector(config.theta1, a).matrix,
-            ct.bob_projector(config.theta2, b).matrix)), (0, 1, 2))
+            bob_oracle.bob_projector(config.theta2, b).matrix)), (0, 1, 2))
         for a in "+-" for b in "+-"
     ])
     scale = config.noise.correlation_scale
@@ -195,6 +196,57 @@ class TestProjectors:
         plus = ct.bob_projector(0.7, "+").matrix
         minus = ct.bob_projector(0.7, "-").matrix
         assert np.max(np.abs(plus @ minus)) < 1e-12
+
+
+class TestBobStack:
+    """``_bob_projectors`` against the one-projector-at-a-time oracle, bit for bit."""
+
+    @staticmethod
+    def assert_matches_oracle(rows):
+        stack = ct._bob_projectors(rows)
+        assert stack.shape == (2, len(rows), 4, 4)
+        for b, sign in enumerate("+-"):
+            want = np.array([bob_oracle.bob_projector(t2, sign).matrix for t2 in rows])
+            np.testing.assert_array_equal(stack[b].view(np.int64), want.view(np.int64))
+
+    def test_dense_random_angles(self):
+        self.assert_matches_oracle(np.random.default_rng(17).uniform(-10.0, 10.0, 20000).tolist())
+
+    def test_exact_angles(self):
+        quarter, half = math.pi / 4, math.pi / 2
+        self.assert_matches_oracle([0.0, -0.0, quarter, -quarter, half, -half]
+                                   + [k * math.pi / 8 for k in range(-40, 41)])
+
+    def test_bob_projector_is_one_validated_row(self):
+        for theta2 in (0.0, -0.0, 0.7, -3.1, math.pi / 2, 9.5):
+            for sign in "+-":
+                got = ct.bob_projector(theta2, sign)
+                assert isinstance(got, qs.Projector)
+                np.testing.assert_array_equal(
+                    got.matrix.view(np.int64),
+                    bob_oracle.bob_projector(theta2, sign).matrix.view(np.int64))
+        with pytest.raises(ValueError, match="sign"):
+            ct.bob_projector(0.3, "x")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ct._bob_projectors([0.2, bad])
+
+    @pytest.mark.parametrize("message", ["Hermitian", "idempotent"])
+    def test_a_corrupted_entry_fails_the_stack_check(self, monkeypatch, message):
+        check = ct._check_projectors
+
+        def corrupt_then_check(stack):
+            if message == "Hermitian":
+                stack[7, 1, 2] += 1e-9  # one off-diagonal entry of one projector
+            else:
+                stack[12] *= 1.001  # still Hermitian, no longer idempotent
+            check(stack)
+
+        monkeypatch.setattr(ct, "_check_projectors", corrupt_then_check)
+        with pytest.raises(ValueError, match=message):
+            ct._bob_projectors(np.linspace(-1.0, 1.0, 9).tolist())
 
 
 class TestCoincidences:
@@ -458,6 +510,7 @@ class TestSurfaceKernel:
     @pytest.mark.parametrize("seed, n_theta2, n_phi", [
         (1, 1, 1), (2, 1, 40), (3, 40, 1), (4, 2, 3), (5, 7, 13),
         (6, 13, 7), (7, 21, 21), (8, 40, 40), (10, 300, 2),
+        (11, 300, 1),  # a tall grid: three blocks of up to 128 theta2 rows
     ])
     def test_bit_identical_to_per_point_correlation(self, seed, n_theta2, n_phi):
         theta1, theta2_grid, phi_grid, noise = random_surface_case(seed, n_theta2, n_phi)
@@ -476,6 +529,14 @@ class TestSurfaceKernel:
         phi_grid = np.linspace(0.0, 2 * math.pi, n_phi)
         table = ct.correlation_surface(theta1, theta2_grid, phi_grid, noise)
         expected = per_point_surface(theta1, theta2_grid, phi_grid, noise)
+        np.testing.assert_array_equal(table.view(np.int64), expected.view(np.int64))
+
+    def test_tall_grid_matches_correlation(self):
+        # 300 rows at one phase cross two 128-row block boundaries
+        theta1, theta2_grid, phi_grid, noise = random_surface_case(12, 300, 1)
+        table = ct.correlation_surface(theta1, theta2_grid, phi_grid, noise)
+        expected = np.array([[ct.correlation(ct.ExperimentConfig(
+            phi=phi_grid[0], theta1=theta1, theta2=t2, noise=noise))] for t2 in theta2_grid])
         np.testing.assert_array_equal(table.view(np.int64), expected.view(np.int64))
 
     def test_bit_identical_across_phase_blocks(self, monkeypatch):

@@ -332,6 +332,7 @@ class TestCommands:
             raise AssertionError("solved past the settings cap")
 
         monkeypatch.setattr(hv, "quantum_joint", no_solve)
+        monkeypatch.setattr(hv, "quantum_joints", no_solve)
         monkeypatch.setattr(hv, "feasibility", no_solve)
         settings = tmp_path / "many.csv"
         settings.write_text(cli.SETTINGS_HEADER + "\n" + "".join(

@@ -11,11 +11,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import bob_oracle
 import fraction_cut
 import lp
-from qduality import hv
+from qduality import cli, hv
 from qduality import qstate as qs
-from qduality.circuit import bob_projector, final_state
+from qduality.circuit import final_state
 from qduality.hv import HVModel, HVStrategy, SettingsList
 
 REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -39,7 +40,7 @@ def random_model(rng, strategies, exact=False):
 def oracle_quantum_joint(theta2, phi, basis="real"):
     """The oracle: ``final_state``, one 8x8 ``np.kron`` projector per outcome pair."""
     state = final_state(phi)
-    pair = {"real": bob_projector, "quadrature": hv.quadrature_pair_projector}[basis]
+    pair = {"real": bob_oracle.bob_projector, "quadrature": hv.quadrature_pair_projector}[basis]
     q = np.zeros((2, 2))
     for s, ket in enumerate(([0.0, 1.0], [1.0, 0.0])):  # s = 0 is Alice's |V>
         alice = qs.projector_onto(ket)
@@ -142,6 +143,68 @@ class TestQuantumJoint:
                 q = hv.quantum_joint(float(theta2), phi)
                 assert q[:, 0].sum() == pytest.approx(0.5, abs=1e-10)
                 assert q[:, 1].sum() == pytest.approx(0.5, abs=1e-10)
+
+
+def oracle_joints(settings, basis="real"):
+    return np.array([oracle_quantum_joint(t2, phi, basis) for t2, phi in settings])
+
+
+class TestQuantumJoints:
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 1024])
+    def test_matches_oracle_across_blocks(self, n):
+        settings = np.random.default_rng(3000 + n).uniform(-10.0, 10.0, size=(n, 2)).tolist()
+        np.testing.assert_array_equal(hv.quantum_joints(settings).view(np.int64),
+                                      oracle_joints(settings).view(np.int64))
+
+    def test_matches_oracle_in_quadrature_basis(self):
+        rng = np.random.default_rng(3001)
+        settings = [(math.pi / 4 + k * math.pi / 2, phi)
+                    for k in range(-8, 9) for phi in rng.uniform(-10.0, 10.0, size=12).tolist()]
+        np.testing.assert_array_equal(
+            hv.quantum_joints(settings, "quadrature").view(np.int64),
+            oracle_joints(settings, "quadrature").view(np.int64))
+
+    def test_returns_an_owned_float_stack(self):
+        q = hv.quantum_joints(SettingsList(entries=[(0.3, 1.2), (-0.4, 2.0), (1.0, 0.0)]).entries)
+        assert q.shape == (3, 2, 2)
+        assert q.dtype == np.float64
+        assert q.flags.owndata
+
+    def test_arrays_are_settings(self):
+        settings = [(0.3, 1.2), (-0.4, 2.0)]
+        np.testing.assert_array_equal(hv.quantum_joints(np.array(settings)),
+                                      hv.quantum_joints(settings))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_setting_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            hv.quantum_joints([(0.1, 0.2)] * 200 + [(0.3, bad)])
+
+    def test_unknown_basis_rejected(self):
+        with pytest.raises(ValueError, match="basis"):
+            hv.quantum_joints([(0.3, 1.0)], basis="circular")
+
+    @pytest.mark.parametrize("settings", [[], [(0.1, 0.2, 0.3)], [0.1, 0.2], np.zeros((2, 2, 2))])
+    def test_settings_that_are_not_pairs_rejected(self, settings):
+        with pytest.raises(ValueError, match="pairs"):
+            hv.quantum_joints(settings)
+
+    @pytest.mark.parametrize("entries, expected", [
+        ([(-math.pi / 4, phi) for phi in np.linspace(0.1, 1.5, cli.MAX_SETTINGS).tolist()],
+         cli.EXIT_OK),
+        (np.random.default_rng(3002).uniform(-3.0, 3.0, (cli.MAX_SETTINGS, 2)).tolist(),
+         cli.EXIT_INFEASIBLE),
+    ], ids=["feasible", "infeasible"])
+    def test_hvcheck_at_the_cap_matches_oracle_targets(self, capsys, monkeypatch, tmp_path,
+                                                       entries, expected):
+        path = tmp_path / "settings.csv"
+        path.write_text(cli.SETTINGS_HEADER + "\n"
+                        + "".join(f"{t2!r},{phi!r}\n" for t2, phi in entries))
+        args = ["hvcheck", "--settings", str(path)]
+        code, out = cli.main(args), capsys.readouterr().out
+        assert code == expected
+        monkeypatch.setattr(hv, "quantum_joints", oracle_joints)
+        assert (cli.main(args), capsys.readouterr().out) == (code, out)
 
 
 class TestPredictedJoint:
