@@ -455,6 +455,7 @@ def _read_settings(path) -> hv.SettingsList:
 def _cmd_hvcheck(args) -> int:
     from . import hv
 
+    settings = _read_settings(args.settings)
     if args.mode == "chsh-bound":
         from . import circuit
 
@@ -463,7 +464,6 @@ def _cmd_hvcheck(args) -> int:
         print(f"LOCAL_BOUND={bound:.4f}")
         print(f"QUANTUM_S={quantum:.4f}")
         return EXIT_OK
-    settings = _read_settings(args.settings)
     targets = hv.quantum_joints(settings.entries)
     result = hv.feasibility(targets, settings)
     if result.feasible:

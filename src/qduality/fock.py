@@ -15,7 +15,6 @@ silently.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import defaultdict
@@ -160,13 +159,6 @@ def _ppbs_map(in_modes, t_h: float, t_v: float) -> Callable[[Mode], list]:
     return _linear_map([(port, pol) for port in in_modes for pol in _POLS], matrix)
 
 
-def _require_ports(state: ModeState, in_modes) -> ModeState:
-    """``state``, once it is known to occupy at least one of the ports."""
-    if not set(in_modes) & state.spatial_labels():
-        raise ValueError(f"spatial labels {in_modes} not present in the state")
-    return state
-
-
 def ppbs_transform(state: ModeState, in_modes, t_h: float, t_v: float) -> ModeState:
     """Partial polarizing beam splitter on a pair of spatial ports.
 
@@ -175,14 +167,20 @@ def ppbs_transform(state: ModeState, in_modes, t_h: float, t_v: float) -> ModeSt
     degenerates to a balanced beam splitter.
     """
     mapper = _ppbs_map(in_modes, t_h, t_v)
-    return _require_ports(state, in_modes).transform(mapper)
+    if not set(in_modes) & state.spatial_labels():
+        raise ValueError(f"spatial labels {in_modes} not present in the state")
+    return state.transform(mapper)
+
+
+def _pbs_map(in_modes) -> Callable[[Mode], list]:
+    """Mapper of the beam splitter of ``pbs_transform``."""
+    matrix = [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]
+    return _linear_map([(port, pol) for port in in_modes for pol in _POLS], matrix)
 
 
 def pbs_transform(state: ModeState, in_modes) -> ModeState:
     """Polarizing beam splitter: H transmits, V swaps ports (real convention)."""
-    matrix = [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]
-    modes = [(port, pol) for port in in_modes for pol in _POLS]
-    return state.transform(_linear_map(modes, matrix))
+    return state.transform(_pbs_map(in_modes))
 
 
 def _attenuation_map(spatial: str, pol: str, transmission: float,
@@ -299,28 +297,48 @@ class PostselectedMap:
         return self.kraus[0]
 
 
-def _gate_chain(with_w: bool) -> Callable[[ModeState], ModeState]:
-    """PPBS controlled-phase chain on ports ('s', 'c'), its element maps built once.
-
-    PPBS with T_h = 1, T_v = 1/3, then 1/3-transmission balancing of the
-    horizontal component of each output, then a common path phase of pi on
-    the control port (the interferometric phase reference that absorbs the
-    overall sign of the beam-splitter convention).  ``with_w`` wraps the
-    chain in the target-side rotation that turns the controlled phase flip
-    into a controlled Hadamard.
-    """
-    maps = [_ppbs_map(("s", "c"), 1.0, 1.0 / 3.0),
-            _attenuation_map("s", POL_H, 1.0 / 3.0, "loss_s"),
-            _attenuation_map("c", POL_H, 1.0 / 3.0, "loss_c"),
-            polarization_map("c", -np.eye(2))]
-    if with_w:
-        w = w_gate().matrix
-        maps = [polarization_map("s", w.conj().T), *maps, polarization_map("s", w)]
-    return lambda state: functools.reduce(ModeState.transform, maps,
-                                          _require_ports(state, ("s", "c")))
+def _run(state: ModeState, elements) -> ModeState:
+    """``state`` through a tuple of element maps, one ``transform`` each, in order."""
+    for element in elements:
+        state = state.transform(element)
+    return state
 
 
 _DA_KETS = {"D": KET_D, "A": KET_A}
+
+
+def _analyzer_bras(outcomes) -> np.ndarray:
+    """Rows <oc| (x) <oa| on (control, ancilla) for outcomes such as "DA"."""
+    return np.array([np.kron(_DA_KETS[oc], _DA_KETS[oa]) for oc, oa in outcomes]).conj()
+
+
+# The fixed optics, built and checked once.  Controlled phase on ports ("s",
+# "c"): PPBS with T_h = 1, T_v = 1/3, 1/3-transmission balancing of each
+# output's horizontal component, then a path phase of pi on the control port
+# (the phase reference that absorbs the sign of the beam-splitter
+# convention).  The controlled Hadamard wraps it in the target-side W.
+_CZ_CHAIN = (_ppbs_map(("s", "c"), 1.0, 1.0 / 3.0),
+             _attenuation_map("s", POL_H, 1.0 / 3.0, "loss_s"),
+             _attenuation_map("c", POL_H, 1.0 / 3.0, "loss_c"),
+             polarization_map("c", -np.eye(2)))
+_W = w_gate().matrix
+_CH_CHAIN = (polarization_map("s", _W.conj().T), *_CZ_CHAIN, polarization_map("s", _W))
+# the fixed polarization rotations of the control and ancilla arms
+_ARM_ROTATIONS = (polarization_map("c", _circuit.control_arm_rotation().matrix),
+                  polarization_map("a", _circuit.ancilla_arm_rotation().matrix))
+# the source's half-wave plate at pi/8 on the signal photon
+_SOURCE_PLATE = polarization_map("s", waveplate("half", math.pi / 8).matrix)
+# the analyzer after its theta2 plate: a half-wave plate at 0 on the ancilla
+# port, then the interference beam splitter
+_ANALYZER_FIXED = (polarization_map("a", waveplate("half", 0.0).matrix), _pbs_map(("c", "a")))
+_CROSS_BRAS = _analyzer_bras(("DA", "AD"))
+_SCAN_OUTCOMES = ("DA", "AD", "DD", "AA")
+_SCAN_BRAS = _analyzer_bras(_SCAN_OUTCOMES)
+
+
+def _analyzer(theta2: float) -> tuple:
+    """The BSM analyzer: a half-wave plate at theta2/2 on the control port, then the fixed optics."""
+    return (polarization_map("c", waveplate("half", theta2 / 2.0).matrix), *_ANALYZER_FIXED)
 
 
 def _port_amplitudes(state: ModeState, ports) -> dict:
@@ -340,19 +358,19 @@ def _port_amplitudes(state: ModeState, ports) -> dict:
     return tensors
 
 
-def _transfer(chain: Callable[[ModeState], ModeState], ports, labels) -> list:
-    """Post-selected 4x4 maps of a two-photon chain, one per temporal configuration.
+def _transfer(elements, ports, labels) -> list:
+    """Post-selected 4x4 maps of a two-photon pipeline, one per temporal configuration.
 
     Row and column index 2*i + j for polarization i on ``ports[0]`` and j on
     ``ports[1]``; the input photons carry the temporal ``labels``.  The maps
-    are the Kraus terms of the chain, sorted by temporal configuration.
+    are the Kraus terms of the pipeline, sorted by temporal configuration.
     """
     maps = defaultdict(lambda: np.zeros((4, 4), dtype=complex))
     for col, (pol0, pol1) in enumerate(itertools.product(_POLS, repeat=2)):
         start = ModeState.from_patterns(
             [((Mode(ports[0], pol0, labels[0]), Mode(ports[1], pol1, labels[1])), 1.0)]
         )
-        for key, tensor in _port_amplitudes(chain(start), ports).items():
+        for key, tensor in _port_amplitudes(_run(start, elements), ports).items():
             maps[key][:, col] = tensor.reshape(4)
     return [maps[key] for key in sorted(maps)]
 
@@ -364,9 +382,8 @@ def _overlap_branches(v: float, same, distinct) -> list:
     return [(w, labels) for w, labels in ((v, same), (1.0 - v, distinct)) if w > 0.0]
 
 
-def _physical_gate(v: float, with_w: bool) -> tuple[PostselectedMap, float]:
+def _physical_gate(v: float, chain: tuple) -> tuple[PostselectedMap, float]:
     """Gate map in the (control, target) basis, index 2*c + s with H = 0, V = 1."""
-    chain = _gate_chain(with_w)
     gate_map = PostselectedMap(
         math.sqrt(w) * kraus
         for w, labels in _overlap_branches(v, ("t0", "t0"), ("t0", "t1")) if w > 1e-15
@@ -383,53 +400,23 @@ def physical_cz(v: float) -> tuple[PostselectedMap, float]:
     temporal-label mixture.  The returned probability is for a maximally
     mixed input.
     """
-    return _physical_gate(v, with_w=False)
+    return _physical_gate(v, _CZ_CHAIN)
 
 
 def physical_ch(v: float) -> tuple[PostselectedMap, float]:
     """The controlled-phase chain conjugated by the target-side rotation."""
-    return _physical_gate(v, with_w=True)
+    return _physical_gate(v, _CH_CHAIN)
 
 
-def _analyzer_bras(outcomes) -> np.ndarray:
-    """Rows <oc| (x) <oa| on (control, ancilla) for outcomes such as "DA"."""
-    return np.array(
-        [np.kron(_DA_KETS[oc], _DA_KETS[oa]) for oc, oa in outcomes]
-    ).conj()
-
-
-def _apply_bsm_elements(state: ModeState, theta2: float) -> ModeState:
-    """Analyzer waveplates and the interference beam splitter of the BSM.
-
-    Half-wave plate at theta2/2 on the control port, a fixed half-wave
-    plate at 0 on the ancilla port, then the polarizing beam splitter.
-    """
-    state = state.transform(
-        polarization_map("c", waveplate("half", theta2 / 2.0).matrix)
-    )
-    state = state.transform(polarization_map("a", waveplate("half", 0.0).matrix))
-    return pbs_transform(state, ("c", "a"))
-
-
-def _analyzer_probs(state: ModeState, theta2: float, ports, bras) -> np.ndarray:
-    """|<bra|psi>|^2 per bra after the analyzer at theta2.
+def _analyzer_probs(state: ModeState, elements, ports, bras) -> np.ndarray:
+    """|<bra|psi>|^2 per bra after the analyzer ``elements``.
 
     Summed over the output temporal configurations, which do not interfere;
     zeros when post-selection keeps nothing (e.g. bsm_scan at theta2 = pi/2).
     """
-    tensors = _port_amplitudes(_apply_bsm_elements(state, theta2), ports)
+    tensors = _port_amplitudes(_run(state, elements), ports)
     return sum((np.abs(bras @ t.reshape(-1)) ** 2 for t in tensors.values()),
                np.zeros(len(bras)))
-
-
-def _rotate_arms(state: ModeState) -> ModeState:
-    """The fixed polarization rotations of the control and ancilla arms."""
-    state = state.transform(
-        polarization_map("c", _circuit.control_arm_rotation().matrix)
-    )
-    return state.transform(
-        polarization_map("a", _circuit.ancilla_arm_rotation().matrix)
-    )
 
 
 def bsm_projector_physical(theta2: float) -> Projector:
@@ -438,9 +425,8 @@ def bsm_projector_physical(theta2: float) -> Projector:
     The cross outcomes DA and AD herald the "+" result; the matrix equals
     the circuit-level projector onto cos(theta2)|phi-> + sin(theta2)|psi+>.
     """
-    chain = functools.partial(_apply_bsm_elements, theta2=theta2)
-    (transfer,) = _transfer(chain, ("c", "a"), ("t0", "t0"))
-    rows = _analyzer_bras(("DA", "AD")) @ transfer
+    (transfer,) = _transfer(_analyzer(theta2), ("c", "a"), ("t0", "t0"))
+    rows = _CROSS_BRAS @ transfer
     return Projector(rows.conj().T @ rows)
 
 
@@ -457,20 +443,19 @@ def bsm_scan(theta2: float, overlap: OverlapModel, positions) -> BsmScanResult:
     no overlap all four rates coincide.
     """
     positions = _finite_positions(positions)
-    outcomes = ("DA", "AD", "DD", "AA")
-    bras = _analyzer_bras(outcomes)
+    analyzer = _analyzer(theta2)
     probs = []
     for t_c, t_a in (("t0", "t0"), ("t0", "t1")):
-        pair = _rotate_arms(ModeState.from_patterns([
+        pair = _run(ModeState.from_patterns([
             ((Mode("c", POL_H, t_c), Mode("a", POL_V, t_a)), 1.0 / _SQRT2),
             ((Mode("c", POL_V, t_c), Mode("a", POL_H, t_a)), 1.0 / _SQRT2),
-        ]))
-        probs.append(_analyzer_probs(pair, theta2, ("c", "a"), bras).tolist())
+        ]), _ARM_ROTATIONS)
+        probs.append(_analyzer_probs(pair, analyzer, ("c", "a"), _SCAN_BRAS).tolist())
     same, dist = probs
-    rates = {out: [] for out in outcomes}
+    rates = {out: [] for out in _SCAN_OUTCOMES}
     for x in positions:
         v = overlap.value(x)
-        for k, out in enumerate(outcomes):
+        for k, out in enumerate(_SCAN_OUTCOMES):
             rates[out].append(v * same[k] + (1.0 - v) * dist[k])
     return BsmScanResult(positions=positions,
                          rates={k: tuple(vals) for k, vals in rates.items()})
@@ -489,25 +474,20 @@ def physical_correlation(config: _circuit.ExperimentConfig, v: float) -> float:
     branches = _overlap_branches(v, ("t0", "t0", "t0"), ("t1", "t0", "t0"))
     c1, s1 = math.cos(config.theta1), math.sin(config.theta1)
     # rows (alice, bob cross outcome): (+, DA), (+, AD), (-, DA), (-, AD)
-    bras = np.kron(np.array([[c1, s1], [-s1, c1]]), _analyzer_bras(("DA", "AD")))
+    bras = np.kron(np.array([[c1, s1], [-s1, c1]]), _CROSS_BRAS)
+    phase = polarization_map("s", np.diag([1.0, np.exp(1j * config.phi)]))
+    chain = (_SOURCE_PLATE, phase, *_CH_CHAIN, *_ARM_ROTATIONS)
+    analyzers = [_analyzer(theta2) for theta2 in (config.theta2, config.theta2 + math.pi / 2)]
     rates = np.zeros((2, 2))  # [alice sign, bob sign]
-    chain = _gate_chain(with_w=True)
     for weight, (t_s, t_c, t_a) in branches:
-        state = ModeState.from_patterns([
+        state = _run(ModeState.from_patterns([
             ((Mode("s", POL_V, t_s), Mode("c", POL_H, t_c), Mode("a", POL_V, t_a)),
              1.0 / _SQRT2),
             ((Mode("s", POL_V, t_s), Mode("c", POL_V, t_c), Mode("a", POL_H, t_a)),
              np.exp(1j * config.delta) / _SQRT2),
-        ])
-        state = state.transform(
-            polarization_map("s", waveplate("half", math.pi / 8).matrix)
-        )
-        state = state.transform(
-            polarization_map("s", np.diag([1.0, np.exp(1j * config.phi)]))
-        )
-        state = _rotate_arms(chain(state))
-        for bob, theta2 in enumerate((config.theta2, config.theta2 + math.pi / 2)):
-            probs = _analyzer_probs(state, theta2, ("s", "c", "a"), bras)
+        ]), chain)
+        for bob, analyzer in enumerate(analyzers):
+            probs = _analyzer_probs(state, analyzer, ("s", "c", "a"), bras)
             rates[:, bob] += weight * probs.reshape(2, 2).sum(axis=1)
 
     total = rates.sum()

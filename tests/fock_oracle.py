@@ -10,16 +10,29 @@ amplitudes: the same patterns in the same order with ``==`` values.
 write each element as its own substitution closure, run through
 ``transform``.  The matrix-built elements of ``fock`` must give ``==``
 states.
+
+``gate_chain``, ``rotate_arms`` and ``apply_bsm_elements`` are the pipelines
+as functions that build their element maps on every call, and
+``physical_gate``, ``bsm_projector_physical``, ``bsm_scan`` and
+``physical_correlation`` run the public Fock pipelines through them.  The
+element-tuple pipelines of ``fock`` must give the same bytes.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections import defaultdict
 
 import numpy as np
 
+from qduality import circuit as _circuit
+from qduality import fock
 from qduality.fock import POL_H, POL_V, Mode, ModeState
+from qduality.qstate import Projector, w_gate, waveplate
+
+_SQRT2 = math.sqrt(2.0)
 
 
 def _pattern_norm_factor(pattern) -> float:
@@ -120,3 +133,128 @@ def attenuate(state, spatial, pol, transmission, loss_label):
         return [(mode, rt), (Mode(loss_label, pol, mode.temporal), rr)]
 
     return transform(state, mapper)
+
+
+def _require_ports(state, in_modes):
+    if not set(in_modes) & state.spatial_labels():
+        raise ValueError(f"spatial labels {in_modes} not present in the state")
+    return state
+
+
+def gate_chain(with_w):
+    """PPBS controlled-phase chain on ports ('s', 'c'), its element maps built per call."""
+    maps = [fock._ppbs_map(("s", "c"), 1.0, 1.0 / 3.0),
+            fock._attenuation_map("s", POL_H, 1.0 / 3.0, "loss_s"),
+            fock._attenuation_map("c", POL_H, 1.0 / 3.0, "loss_c"),
+            fock.polarization_map("c", -np.eye(2))]
+    if with_w:
+        w = w_gate().matrix
+        maps = [fock.polarization_map("s", w.conj().T), *maps, fock.polarization_map("s", w)]
+    return lambda state: functools.reduce(ModeState.transform, maps,
+                                          _require_ports(state, ("s", "c")))
+
+
+def apply_bsm_elements(state, theta2):
+    """Half-wave plates at theta2/2 on 'c' and at 0 on 'a', then the PBS."""
+    state = state.transform(
+        fock.polarization_map("c", waveplate("half", theta2 / 2.0).matrix)
+    )
+    state = state.transform(fock.polarization_map("a", waveplate("half", 0.0).matrix))
+    return fock.pbs_transform(state, ("c", "a"))
+
+
+def rotate_arms(state):
+    """The fixed polarization rotations of the control and ancilla arms."""
+    state = state.transform(
+        fock.polarization_map("c", _circuit.control_arm_rotation().matrix)
+    )
+    return state.transform(
+        fock.polarization_map("a", _circuit.ancilla_arm_rotation().matrix)
+    )
+
+
+def transfer(chain, ports, labels):
+    """Post-selected 4x4 maps of a two-photon chain, one per temporal configuration."""
+    maps = defaultdict(lambda: np.zeros((4, 4), dtype=complex))
+    for col, (pol0, pol1) in enumerate(itertools.product((POL_H, POL_V), repeat=2)):
+        start = ModeState.from_patterns(
+            [((Mode(ports[0], pol0, labels[0]), Mode(ports[1], pol1, labels[1])), 1.0)]
+        )
+        for key, tensor in fock._port_amplitudes(chain(start), ports).items():
+            maps[key][:, col] = tensor.reshape(4)
+    return [maps[key] for key in sorted(maps)]
+
+
+def physical_gate(v, with_w):
+    """``fock.physical_ch`` (``with_w``) or ``fock.physical_cz``."""
+    chain = gate_chain(with_w)
+    gate_map = fock.PostselectedMap(
+        math.sqrt(w) * kraus
+        for w, labels in fock._overlap_branches(v, ("t0", "t0"), ("t0", "t1")) if w > 1e-15
+        for kraus in transfer(chain, ("c", "s"), labels)
+    )
+    return gate_map, gate_map.success_probability()
+
+
+def analyzer_probs(state, theta2, ports, bras):
+    tensors = fock._port_amplitudes(apply_bsm_elements(state, theta2), ports)
+    return sum((np.abs(bras @ t.reshape(-1)) ** 2 for t in tensors.values()),
+               np.zeros(len(bras)))
+
+
+def bsm_projector_physical(theta2):
+    chain = functools.partial(apply_bsm_elements, theta2=theta2)
+    (matrix,) = transfer(chain, ("c", "a"), ("t0", "t0"))
+    rows = fock._analyzer_bras(("DA", "AD")) @ matrix
+    return Projector(rows.conj().T @ rows)
+
+
+def bsm_scan(theta2, overlap, positions):
+    positions = fock._finite_positions(positions)
+    outcomes = ("DA", "AD", "DD", "AA")
+    bras = fock._analyzer_bras(outcomes)
+    probs = []
+    for t_c, t_a in (("t0", "t0"), ("t0", "t1")):
+        pair = rotate_arms(ModeState.from_patterns([
+            ((Mode("c", POL_H, t_c), Mode("a", POL_V, t_a)), 1.0 / _SQRT2),
+            ((Mode("c", POL_V, t_c), Mode("a", POL_H, t_a)), 1.0 / _SQRT2),
+        ]))
+        probs.append(analyzer_probs(pair, theta2, ("c", "a"), bras).tolist())
+    same, dist = probs
+    rates = {out: [] for out in outcomes}
+    for x in positions:
+        v = overlap.value(x)
+        for k, out in enumerate(outcomes):
+            rates[out].append(v * same[k] + (1.0 - v) * dist[k])
+    return fock.BsmScanResult(positions=positions,
+                              rates={k: tuple(vals) for k, vals in rates.items()})
+
+
+def physical_correlation(config, v):
+    branches = fock._overlap_branches(v, ("t0", "t0", "t0"), ("t1", "t0", "t0"))
+    c1, s1 = math.cos(config.theta1), math.sin(config.theta1)
+    bras = np.kron(np.array([[c1, s1], [-s1, c1]]), fock._analyzer_bras(("DA", "AD")))
+    rates = np.zeros((2, 2))  # [alice sign, bob sign]
+    chain = gate_chain(with_w=True)
+    for weight, (t_s, t_c, t_a) in branches:
+        state = ModeState.from_patterns([
+            ((Mode("s", POL_V, t_s), Mode("c", POL_H, t_c), Mode("a", POL_V, t_a)),
+             1.0 / _SQRT2),
+            ((Mode("s", POL_V, t_s), Mode("c", POL_V, t_c), Mode("a", POL_H, t_a)),
+             np.exp(1j * config.delta) / _SQRT2),
+        ])
+        state = state.transform(
+            fock.polarization_map("s", waveplate("half", math.pi / 8).matrix)
+        )
+        state = state.transform(
+            fock.polarization_map("s", np.diag([1.0, np.exp(1j * config.phi)]))
+        )
+        state = rotate_arms(chain(state))
+        for bob, theta2 in enumerate((config.theta2, config.theta2 + math.pi / 2)):
+            probs = analyzer_probs(state, theta2, ("s", "c", "a"), bras)
+            rates[:, bob] += weight * probs.reshape(2, 2).sum(axis=1)
+
+    total = rates.sum()
+    if total <= 0.0:
+        raise ValueError("no post-selected events; correlation undefined")
+    return float((rates[0, 0] - rates[0, 1] - rates[1, 0] + rates[1, 1]) / total)

@@ -5,6 +5,10 @@ minimize c.x subject to A x = b, x >= 0, every entry a Fraction.  All
 pivoting is exact, so feasibility verdicts never hinge on floating-point
 rounding.  Dantzig's rule is used until an iteration cap, then Bland's
 rule takes over to guarantee termination.
+
+``standard_form`` writes the hidden-variable LP of ``hv.feasibility`` in
+standard form, and ``highs_optimum`` solves it with HiGHS (scipy, a test
+extra): the float reference the Kelley loop is checked against.
 """
 
 from __future__ import annotations
@@ -144,3 +148,40 @@ def solve(c, A, b) -> LpResult:
         if bi < n:
             x[bi] = tab[i][-1]
     return LpResult(status=OPTIMAL, x=x, objective=-obj[-1])
+
+
+def standard_form(flat_targets, wave_probs):
+    """min t s.t. A x = b, x >= 0, over the tags' per-setting marginals.
+
+    Columns: W (wave weight), t (residual), per setting x_j (wave weight on
+    '+'), m_j+ and m_j-, then one slack per "<=" row.  A setting's
+    total-variation distance is 1/2 sum_b max(|sigma_b - S_b|, |k omega_b -
+    D_b|) for Bob marginal sigma and wave weights omega; the best sigma_+ in
+    [x_j, x_j + 1 - W] leaves |sigma_+ - S_+| = max(0, x_j - S_+, W - x_j - S_-).
+    """
+    rows = [({0: 1}, 1)]  # ({column: coefficient}, rhs)
+    for j, ((q0p, q0m, q1p, q1m), (w0, w1)) in enumerate(zip(flat_targets, wave_probs)):
+        s_p, s_m, d_p, d_m = q0p + q1p, q0m + q1m, q0p - q1p, q0m - q1m
+        k = w0 - w1
+        x, m_p, m_m = 2 + 3 * j, 3 + 3 * j, 4 + 3 * j
+        rows += [({x: 1, 0: -1}, 0)]
+        for m in (m_p, m_m):
+            rows += [({x: 1, m: -1}, s_p), ({0: 1, x: -1, m: -1}, s_m)]
+        rows += [({x: k, m_p: -1}, d_p), ({x: -k, m_p: -1}, -d_p),
+                 ({0: k, x: -k, m_m: -1}, d_m), ({0: -k, x: k, m_m: -1}, -d_m),
+                 ({m_p: 0.5, m_m: 0.5, 1: -1}, 0)]
+    cols = 3 * len(flat_targets) + 2
+    a = [[coeffs.get(col, 0) for col in range(cols)] + [int(r == i) for r in range(len(rows))]
+         for i, (coeffs, _) in enumerate(rows)]
+    return [0, 1] + [0] * (len(a[0]) - 2), a, [rhs for _, rhs in rows]
+
+
+def highs_optimum(flat_targets, wave_probs):
+    """(W, residual, [x_j]) from HiGHS on the LP of ``standard_form``."""
+    from scipy.optimize import linprog
+
+    c, a, b = standard_form(flat_targets, wave_probs)
+    res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+    if not res.success:
+        raise RuntimeError(f"LP solver failed: {res.message}")
+    return res.x[0], res.fun, res.x[2:3 * len(flat_targets) + 2:3]

@@ -366,6 +366,24 @@ class TestCommands:
         assert "LOCAL_BOUND=2.0000" in out
         assert "QUANTUM_S=2.8284" in out
 
+    def test_hvcheck_bound_mode_needs_its_settings_file(self, capsys, tmp_path):
+        # chsh-bound used to print the bounds and exit 0 without reading --settings
+        missing = tmp_path / "nonexistent.csv"
+        code = cli.main(["hvcheck", "--settings", str(missing), "--mode", "chsh-bound"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert str(missing) in captured.err
+
+    def test_hvcheck_bound_mode_names_a_bad_line(self, capsys, tmp_path):
+        settings = tmp_path / "settings.csv"
+        settings.write_text(cli.SETTINGS_HEADER + "\n0.0,1.0\n0.1,nan\n")
+        code = cli.main(["hvcheck", "--settings", str(settings), "--mode", "chsh-bound"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {settings}:3: settings must be finite\n"
+
     def test_usage_error_exit_code(self, capsys):
         assert cli.main(["simulate", "--theta1", "0"]) == 1
         assert cli.main(["simulate", "--theta1", "bogus", "--theta2", "0",

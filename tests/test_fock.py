@@ -1,5 +1,11 @@
 import itertools
+import json
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import fock_oracle
 import numpy as np
@@ -11,6 +17,7 @@ from qduality import qstate as qs
 from qduality.fock import Mode, ModeState, OverlapModel
 
 SQRT2 = math.sqrt(2.0)
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def single_photons(*specs):
@@ -600,3 +607,112 @@ class TestElementOracle:
             fock.pbs_transform(state, ("a", "a"))
         with pytest.raises(ValueError, match="not distinct"):
             fock.attenuate(state, "a", "H", 0.5, "a")
+
+
+def same_bytes(got, want):
+    return pickle.dumps(got) == pickle.dumps(want)
+
+
+class TestPipelineOracle:
+    """The element-tuple pipelines against ``fock_oracle``'s per-call chains, byte for byte."""
+
+    @pytest.mark.parametrize("v", [0.0, 1.0, None])
+    def test_physical_correlation(self, v):
+        rng = np.random.default_rng(13)
+        for phi, theta1, theta2, delta in rng.uniform(-2 * math.pi, 2 * math.pi, (150, 4)):
+            cfg = ct.ExperimentConfig(phi=float(phi), theta1=float(theta1),
+                                      theta2=float(theta2), delta=float(delta))
+            overlap = float(rng.random()) if v is None else v
+            assert same_bytes(fock.physical_correlation(cfg, overlap),
+                              fock_oracle.physical_correlation(cfg, overlap))
+
+    @pytest.mark.parametrize("with_w", [False, True])
+    def test_gate_maps(self, with_w):
+        build = fock.physical_ch if with_w else fock.physical_cz
+        for v in (*np.linspace(0.0, 1.0, 21).tolist(), 1e-16, 1.0 - 1e-16):
+            gate_map, success = build(v)
+            want_map, want_success = fock_oracle.physical_gate(v, with_w)
+            assert same_bytes((gate_map.kraus, success), (want_map.kraus, want_success))
+
+    def test_analyzer(self):
+        overlap = OverlapModel(x0=14.42, sigma=0.3)
+        positions = np.linspace(13.0, 16.0, 7)
+        angles = (*np.linspace(-math.pi, math.pi, 50).tolist(), 0.0, math.pi / 2, -math.pi / 2)
+        for theta2 in angles:
+            assert same_bytes(fock.bsm_projector_physical(theta2).matrix,
+                              fock_oracle.bsm_projector_physical(theta2).matrix)
+            got = fock.bsm_scan(theta2, overlap, positions)
+            assert same_bytes(got, fock_oracle.bsm_scan(theta2, overlap, positions))
+        # post-selection keeps nothing at pi/2
+        assert set(fock.bsm_scan(math.pi / 2, overlap, positions).rates["DA"]) == {0.0}
+
+    def test_pinned_physical_value(self):
+        cfg = ct.ExperimentConfig(phi=2.0, theta1=0.3, theta2=-1.1, delta=0.9)
+        assert f"{fock.physical_correlation(cfg, 0.7):.12f}" == "0.081239967134"
+
+
+class TestFixedOptics:
+    """The fixed elements are built once, at import; a call builds only its own plates."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The (port, polarization) modes of every element map built from now on."""
+        modes = []
+        linear_map = fock._linear_map
+
+        def counted(mode_list, matrix):
+            modes.append(tuple(mode_list))
+            return linear_map(mode_list, matrix)
+
+        monkeypatch.setattr(fock, "_linear_map", counted)
+        return modes
+
+    def test_physical_correlation_builds_its_three_plates(self, built):
+        cfg = ct.ExperimentConfig(phi=2.0, theta1=0.3, theta2=-1.1, delta=0.9)
+        fock.physical_correlation(cfg, 0.7)
+        s_plate, c_plate = (("s", "H"), ("s", "V")), (("c", "H"), ("c", "V"))
+        assert built == [s_plate, c_plate, c_plate]
+
+    def test_gate_maps_build_nothing_and_the_analyzer_its_plate(self, built):
+        for v in (0.0, 0.5, 1.0):
+            fock.physical_cz(v)
+            fock.physical_ch(v)
+        assert built == []
+        fock.bsm_scan(0.3, OverlapModel(v=0.5), [0.0, 1.0])
+        fock.bsm_projector_physical(0.3)
+        assert built == [(("c", "H"), ("c", "V"))] * 2
+
+    def test_import_builds_each_fixed_element_once(self):
+        # a fresh interpreter, profiled while it imports the Fock layer
+        script = """
+import collections, json, os, sys
+from qduality import circuit, qstate
+calls = collections.Counter()
+def profile(frame, event, arg):
+    if event == "call":
+        calls[os.path.basename(frame.f_code.co_filename), frame.f_code.co_name] += 1
+sys.setprofile(profile)
+from qduality import fock
+sys.setprofile(None)
+print(json.dumps({f"{f}:{n}": c for (f, n), c in calls.items()}))
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        calls = json.loads(proc.stdout)
+        # the CZ chain (4), W and its inverse, the two arm rotations, the
+        # source plate, and the analyzer's plate on "a" and its PBS
+        assert calls["fock.py:_linear_map"] == 11
+        assert calls["fock.py:_ppbs_map"] == 1
+        assert calls["fock.py:_attenuation_map"] == 2
+        assert calls["fock.py:_pbs_map"] == 1
+        # unitarity: one GateOp check each for W, the two arm rotations and
+        # the two fixed waveplates
+        assert calls["qstate.py:w_gate"] == 1
+        assert calls["circuit.py:control_arm_rotation"] == 1
+        assert calls["circuit.py:ancilla_arm_rotation"] == 1
+        assert calls["qstate.py:waveplate"] == 2
+        assert calls["qstate.py:__post_init__"] == 5

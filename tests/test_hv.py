@@ -703,7 +703,7 @@ def highs(targets, settings):
     """HiGHS on the same LP: its residual and, when feasible, its witness."""
     flat = hv._validate_targets(targets, len(settings))
     wave = [hv.wave_stats(phi) for _, phi in settings.entries]
-    wave_weight, residual, wave_plus = hv._highs_optimum(flat, wave)
+    wave_weight, residual, wave_plus = lp.highs_optimum(flat, wave)
     residual = max(residual, 0.0)
     if residual > hv.FEASIBILITY_TOL:
         return residual, None
