@@ -34,9 +34,9 @@ EXIT_INFEASIBLE = 3
 # most points one command computes (surface grid cells, hom positions), so
 # memory stays bounded whatever the input
 MAX_POINTS = 1_000_000
-# most settings `hvcheck` reads: a feasible witness holds up to 2(n + 1)
-# strategies of n outcomes each, so a run at the cap peaks under 50 MB
-MAX_SETTINGS = 1024
+# most settings `hvcheck` reads: a feasible witness prints up to 2(n + 1)
+# lines of n outcomes each, about 34 MB at the cap, and peaks under 100 MB
+MAX_SETTINGS = 4096
 # phases per block of `surface` lines: the first block's reprs are made once
 # per command and the rest once per row, so few strings are held at a time
 _CSV_BLOCK = 4096
@@ -77,28 +77,24 @@ class CoincidenceRecord(collections.namedtuple(
 CorrelationResult = collections.namedtuple("CorrelationResult", "E sigma total")
 
 
+# a decimal as argparse takes it for a value: '3', '3.', '.5', '1e-3'
+_DECIMAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _ANGLE_RE = re.compile(
-    r"^(?P<sign>[+-]?)(?P<num>\d+(?:\.\d+)?)?(?P<pi>pi)?(?:/(?P<den>\d+(?:\.\d+)?))?$"
-)
+    rf"^(?P<sign>[+-]?)(?P<num>{_DECIMAL})?(?P<pi>pi)?(?:/(?P<den>{_DECIMAL}))?$")
 
 
 def parse_angle(text: str) -> float:
-    """Parse 'pi'-expression shorthand: '3pi/2', '-pi/4', '0.5', '1/3'."""
-    stripped = text.strip().replace(" ", "")
-    match = _ANGLE_RE.match(stripped)
+    """Parse 'pi'-expression shorthand: '3pi/2', '-pi/4', '0.5', '1e-3', '1/3'."""
+    match = _ANGLE_RE.match(text.strip().replace(" ", ""))
     if not match or (match.group("num") is None and match.group("pi") is None):
         raise ValueError(f"cannot parse angle {text!r}")
-    value = float(match.group("num")) if match.group("num") else 1.0
-    if match.group("pi"):
-        value *= math.pi
-    if match.group("den"):
-        den = float(match.group("den"))
-        if den == 0.0:
-            raise ValueError(f"cannot parse angle {text!r}: zero denominator")
-        value /= den
-    if match.group("sign") == "-":
-        value = -value
-    return value
+    num, den = float(match.group("num") or 1.0), float(match.group("den") or 1.0)
+    if den == 0.0:
+        raise ValueError(f"cannot parse angle {text!r}: zero denominator")
+    value = num * (math.pi if match.group("pi") else 1.0) / den
+    if not (math.isfinite(value) and math.isfinite(den)):
+        raise ValueError(f"cannot parse angle {text!r}: not finite")
+    return -value if match.group("sign") == "-" else value
 
 
 def _data_lines(path):
@@ -469,8 +465,7 @@ def _cmd_hvcheck(args) -> int:
     if result.feasible:
         print(f"FEASIBLE residual={float(result.residual):.3e}")
         for strategy, weight in zip(result.model.strategies, result.model.weights):
-            outcomes = "".join(strategy.bob_outcomes)
-            print(f"witness: {float(weight):.6f} {strategy.tag} {outcomes}")
+            print(f"witness: {float(weight):.6f} {strategy.tag} {strategy.bob_outcomes}")
         return EXIT_OK
     print(f"INFEASIBLE residual={float(result.residual):.6f}")
     return EXIT_INFEASIBLE

@@ -75,15 +75,14 @@ class HVStrategy:
     """One deterministic response: a wave/particle tag plus analyzer outcomes."""
 
     tag: str
-    bob_outcomes: tuple
+    bob_outcomes: str  # one '+' or '-' per setting
 
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise ValueError(f"tag must be one of {_TAGS}, got {self.tag!r}")
-        outcomes = tuple(self.bob_outcomes)
-        if not outcomes or any(o not in _OUTCOMES for o in outcomes):
-            raise ValueError(f"bob_outcomes must be '+'/'-' per setting, got {outcomes}")
-        object.__setattr__(self, "bob_outcomes", outcomes)
+        outcomes = self.bob_outcomes
+        if not (isinstance(outcomes, str) and outcomes and not outcomes.strip("+-")):
+            raise ValueError(f"bob_outcomes must be '+'/'-' per setting, got {outcomes!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,7 +138,7 @@ class SettingsList:
 def enumerate_strategies(num_settings: int) -> list:
     """All deterministic strategies, ordered by (tag, outcome bits)."""
     return [
-        HVStrategy(tag=tag, bob_outcomes=outcomes)
+        HVStrategy(tag=tag, bob_outcomes="".join(outcomes))
         for tag in _TAGS
         for outcomes in itertools.product(_OUTCOMES, repeat=num_settings)
     ]
@@ -468,18 +467,18 @@ def _witness(wave_weight, wave_plus, flat_targets, threshold) -> HVModel:
     piece between two cuts answers '+' at setting j iff it lies below cut j.
     """
     particle_plus = [q[0] + q[2] - xj for q, xj in zip(flat_targets, wave_plus)]
-    pieces = []
+    strategies, weights = [], []
     for tag, total, plus in ((TAG_PARTICLE, 1 - wave_weight, particle_plus),
                              (TAG_WAVE, wave_weight, wave_plus)):
         cuts = [min(max(p, 0), total) for p in plus]
         edges = sorted({0, total, *cuts})
         for lo, hi in zip(edges, edges[1:]):
-            outcomes = tuple("+" if hi <= cut else "-" for cut in cuts)
-            pieces.append((HVStrategy(tag=tag, bob_outcomes=outcomes), hi - lo))
-    kept = [(s, w) for s, w in pieces if w > threshold]
-    total = sum(w for _, w in kept)
-    return HVModel(strategies=tuple(s for s, _ in kept),
-                   weights=tuple(w / total for _, w in kept))
+            if hi - lo > threshold:
+                outcomes = "".join("+" if hi <= cut else "-" for cut in cuts)
+                strategies.append(HVStrategy(tag=tag, bob_outcomes=outcomes))
+                weights.append(hi - lo)
+    total = sum(weights)
+    return HVModel(strategies=strategies, weights=[w / total for w in weights])
 
 
 def feasibility(targets, settings: SettingsList, wave_probs=None) -> FeasibilityResult:

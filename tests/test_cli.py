@@ -39,11 +39,22 @@ class TestParseAngle:
         ("0.5", 0.5),
         ("1/3", 1.0 / 3.0),
         ("0", 0.0),
+        (".5", 0.5),
+        ("-.5", -0.5),
+        ("3.", 3.0),
+        ("1e-3", 1e-3),
+        ("-1E+2", -100.0),
+        ("2.5e-1pi/.5", math.pi / 2),
+        ("pi/4.", math.pi / 4),
+        ("1/2e1", 0.05),
     ])
     def test_accepted_forms(self, text, value):
         assert cli.parse_angle(text) == pytest.approx(value, abs=1e-15)
 
-    @pytest.mark.parametrize("text", ["", "pie", "pi/", "2x", "x/pi", "pi/0", "3/0.0"])
+    @pytest.mark.parametrize("text", ["", "pie", "pi/", "2x", "x/pi", "pi/0", "3/0.0", ".",
+                                      "1e", "e3", "nan", "inf", "-inf", "3pi/x", "1e400",
+                                      "-1e400", "pi/1e400", "1e308pi", "1e308/1e-308",
+                                      "pi/1e-400"])
     def test_rejected_forms(self, text):
         with pytest.raises(ValueError):
             cli.parse_angle(text)
@@ -390,7 +401,12 @@ class TestCommands:
                          "--phi", "0"]) == 1
         capsys.readouterr()
 
-    @pytest.mark.parametrize("angle", ["pi/0", "3pi/x"])
+    def test_decimal_angles_argparse_takes_as_values_are_parsed(self, capsys):
+        code = cli.main(["simulate", "--theta1", "-.5", "--theta2", "-1e-3", "--phi", "3."])
+        e = ct.correlation(ct.ExperimentConfig(phi=3.0, theta1=-0.5, theta2=-1e-3))
+        assert (code, capsys.readouterr().out) == (0, f"E={e:.4f}\n")
+
+    @pytest.mark.parametrize("angle", ["pi/0", "3pi/x", "1e400", "-1e400"])
     def test_bad_angle_is_usage_error(self, capsys, angle):
         code = cli.main(["simulate", "--theta1", angle, "--theta2", "0",
                          "--phi", "0"])

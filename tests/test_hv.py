@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -211,7 +212,7 @@ class TestPredictedJoint:
     def test_single_always_plus_particle(self):
         settings = SettingsList(entries=[(0.0, 1.0)])
         model = HVModel(
-            strategies=(HVStrategy(tag="particle", bob_outcomes=("+",)),),
+            strategies=(HVStrategy(tag="particle", bob_outcomes="+"),),
             weights=(1.0,),
         )
         (table,) = hv.predicted_joint(model, settings)
@@ -226,8 +227,8 @@ class TestPredictedJoint:
         settings = SettingsList(entries=[(0.3, 0.0)])
         model = HVModel(
             strategies=(
-                HVStrategy(tag="wave", bob_outcomes=("+",)),
-                HVStrategy(tag="particle", bob_outcomes=("-",)),
+                HVStrategy(tag="wave", bob_outcomes="+"),
+                HVStrategy(tag="particle", bob_outcomes="-"),
             ),
             weights=(0.5, 0.5),
         )
@@ -240,19 +241,24 @@ class TestPredictedJoint:
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValueError):
             HVModel(
-                strategies=(HVStrategy(tag="wave", bob_outcomes=("+",)),),
+                strategies=(HVStrategy(tag="wave", bob_outcomes="+"),),
                 weights=(0.7,),
             )
         with pytest.raises(ValueError):
             HVModel(
-                strategies=(HVStrategy(tag="wave", bob_outcomes=("+",)),),
+                strategies=(HVStrategy(tag="wave", bob_outcomes="+"),),
                 weights=(-0.2,),
             )
 
+    @pytest.mark.parametrize("outcomes", [("+",), "", "+x-"])
+    def test_outcomes_other_than_one_sign_string_rejected(self, outcomes):
+        with pytest.raises(ValueError, match=re.escape(repr(outcomes))):
+            HVStrategy(tag="wave", bob_outcomes=outcomes)
+
     @pytest.mark.parametrize("weights", [(float("nan"),), (0.5, float("nan"))])
     def test_non_finite_weights_rejected(self, weights):
-        strategies = (HVStrategy(tag="wave", bob_outcomes=("+",)),
-                      HVStrategy(tag="particle", bob_outcomes=("-",)))
+        strategies = (HVStrategy(tag="wave", bob_outcomes="+"),
+                      HVStrategy(tag="particle", bob_outcomes="-"))
         with pytest.raises(ValueError, match="finite"):
             HVModel(strategies=strategies[:len(weights)], weights=weights)
 
@@ -360,7 +366,7 @@ class TestFeasibility:
         quantum = hv.feasibility([hv.quantum_joint(t2, phi) for t2, phi in entries],
                                  settings)
         assert quantum.method == "float" and not quantum.feasible
-        model = random_model(rng, [HVStrategy(tag, tuple(rng.choice(["+", "-"], n)))
+        model = random_model(rng, [HVStrategy(tag, "".join(rng.choice(["+", "-"], n)))
                                    for tag in ("particle", "wave") for _ in range(3)])
         target = hv.predicted_joint(model, settings)
         result = hv.feasibility(target, settings)
@@ -556,7 +562,7 @@ class TestExactOptimum:
     def test_tagged_model_at_twelve_settings_reproduced_exactly(self):
         rng = np.random.default_rng(412)
         settings, wave = rational_settings([Fraction(int(c), 8) for c in rng.integers(-8, 9, 12)])
-        strategies = [HVStrategy(tag, tuple(rng.choice(["+", "-"], 12)))
+        strategies = [HVStrategy(tag, "".join(rng.choice(["+", "-"], 12)))
                       for tag in ("particle", "wave") for _ in range(4)]
         targets = hv.predicted_joint(random_model(rng, strategies, exact=True), settings,
                                      wave_probs=wave)
@@ -739,7 +745,8 @@ def random_settings(rng, n, phi=None):
 def admixed_targets(rng, settings):
     """A random tagged model's statistics, with no or up to 5% quantum admixture."""
     n = len(settings)
-    strategies = [HVStrategy(str(rng.choice(["particle", "wave"])), tuple(rng.choice(["+", "-"], n)))
+    strategies = [HVStrategy(str(rng.choice(["particle", "wave"])),
+                             "".join(rng.choice(["+", "-"], n)))
                   for _ in range(int(rng.integers(1, 6)))]
     model = random_model(rng, strategies)
     eps = float(rng.choice([0.0, rng.uniform(0, 0.05)]))
@@ -878,10 +885,13 @@ class TestFloatKernel:
 
     def test_memory_and_time_bounded_in_the_number_of_settings(self):
         # n = 200 comes first, so a build quadratic in n fails there, long
-        # before n = 2,000 could exhaust the machine's memory
-        for n in (200, 2000):
-            rng = np.random.default_rng(n)
-            settings = random_settings(rng, n)
+        # before n = 2,000 could exhaust the machine's memory.  The feasible
+        # family glues a witness of up to 2(n + 1) strategies of n outcomes.
+        feasible = SettingsList([(-math.pi / 4, phi)
+                                 for phi in np.linspace(0.1, 1.5, 2000).tolist()])
+        cases = [(random_settings(np.random.default_rng(n), n), False, 64) for n in (200, 2000)]
+        for settings, expected, mib in cases + [(feasible, True, 32)]:
+            n = len(settings)
             targets = [hv.quantum_joint(t2, phi) for t2, phi in settings.entries]
             tracemalloc.start()
             try:
@@ -891,9 +901,9 @@ class TestFloatKernel:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 64 * 2**20, f"n={n}: {peak / 2**20:.0f} MB"
+            assert peak < mib * 2**20, f"n={n}: {peak / 2**20:.1f} MB"
             assert elapsed < 5, f"n={n}: {elapsed:.1f} s"
-            assert not result.feasible and result.cuts < hv._FLOAT_CUTS
+            assert result.feasible == expected and result.cuts < hv._FLOAT_CUTS
 
 
 class TestLocalBound:
