@@ -141,6 +141,14 @@ def ancilla_arm_rotation() -> GateOp:
     return GateOp(mat, label="A:V->R,H->L")
 
 
+# The four gates of ``_final_states`` that depend on neither phi nor delta,
+# in the order it applies them: Hadamard on S, controlled-Hadamard (C, S) and
+# the arm rotations on C and A.  Built and checked once, by their validated
+# constructors; the matrices are read-only, so every call shares them.
+_FIXED_GATES = tuple(gate().matrix for gate in (
+    hadamard, controlled_hadamard, control_arm_rotation, ancilla_arm_rotation))
+
+
 def final_state(phi: float, delta: float = math.pi / 4) -> StateVector:
     """The output state of the full interferometer: one row of ``_final_states``.
 
@@ -187,6 +195,9 @@ def _bob_projectors(rows) -> np.ndarray:
     Bit for bit ``projector_onto(cos(t)|phi-> + sin(t)|psi+>)``: the norm's
     squares come in equal pairs, so summing them pairwise is exact, as in
     ``np.linalg.norm``.  The projector checks run once on the whole stack.
+    A theta2 so large that theta2 + pi/2 is not a quarter turn away in
+    floats raises a ValueError that names it: its two kets overlap by more
+    than the 1e-10 a distribution may miss 1 by.
     """
     angles = [*rows, *(t + math.pi / 2 for t in rows)]
     kets = (np.array([math.cos(t) for t in angles])[:, None] * bell_ket("phi-")
@@ -196,6 +207,12 @@ def _bob_projectors(rows) -> np.ndarray:
     if not np.all((norm >= 1e-12) & (norm < math.inf)):  # NaN fails too
         raise ValueError("cannot project onto a zero or non-finite vector")
     kets = kets / norm
+    plus, minus = kets.reshape(2, -1, 4)
+    overlap = np.abs(np.sum(plus.conj() * minus, axis=1))
+    if overlap.max() > 1e-10:
+        row = int(np.argmax(overlap))
+        raise ValueError(f"theta2 = {rows[row]!r} does not resolve theta2 + pi/2: Bob's "
+                         f"'+' and '-' analyzers overlap by {overlap[row]:.3g}")
     stack = kets[:, :, None] * kets.conj()[:, None, :]
     _check_projectors(stack)
     return stack.reshape(2, -1, 4, 4)
@@ -267,16 +284,19 @@ def _final_states(phi_grid: np.ndarray, delta: float) -> np.ndarray:
     """(P, 8) amplitudes of ``final_state(phi, delta)`` for each phi in the grid.
 
     The gates of ``final_state`` in the same order, each as one matmul over
-    the stack, so every row equals the per-point state bit for bit.
+    the stack, so every row equals the per-point state bit for bit.  Only
+    the phase shifter is built per call; the other four gates are the
+    module's ``_FIXED_GATES``, built once at import.
     """
-    amps = _apply_matrix(initial_state(delta).amplitudes, 3, hadamard().matrix, (0,))
+    h, ch, c_arm, a_arm = _FIXED_GATES
+    amps = _apply_matrix(initial_state(delta).amplitudes, 3, h, (0,))
     phases = np.zeros((phi_grid.size, 2, 2), dtype=complex)
     phases[:, 0, 0] = 1.0
     phases[:, 1, 1] = np.exp(1j * phi_grid)
     amps = _apply_matrix(amps, 3, phases, (0,))
-    amps = _apply_matrix(amps, 3, controlled_hadamard().matrix, (1, 0))
-    amps = _apply_matrix(amps, 3, control_arm_rotation().matrix, (1,))
-    return _apply_matrix(amps, 3, ancilla_arm_rotation().matrix, (2,))
+    amps = _apply_matrix(amps, 3, ch, (1, 0))
+    amps = _apply_matrix(amps, 3, c_arm, (1,))
+    return _apply_matrix(amps, 3, a_arm, (2,))
 
 
 def _born(states: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:

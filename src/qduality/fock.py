@@ -323,9 +323,10 @@ _CZ_CHAIN = (_ppbs_map(("s", "c"), 1.0, 1.0 / 3.0),
              polarization_map("c", -np.eye(2)))
 _W = w_gate().matrix
 _CH_CHAIN = (polarization_map("s", _W.conj().T), *_CZ_CHAIN, polarization_map("s", _W))
-# the fixed polarization rotations of the control and ancilla arms
-_ARM_ROTATIONS = (polarization_map("c", _circuit.control_arm_rotation().matrix),
-                  polarization_map("a", _circuit.ancilla_arm_rotation().matrix))
+# the fixed polarization rotations of the control and ancilla arms, the
+# last two of the circuit's fixed gates
+_ARM_ROTATIONS = tuple(polarization_map(port, matrix)
+                       for port, matrix in zip("ca", _circuit._FIXED_GATES[2:]))
 # the source's half-wave plate at pi/8 on the signal photon
 _SOURCE_PLATE = polarization_map("s", waveplate("half", math.pi / 8).matrix)
 # the analyzer after its theta2 plate: a half-wave plate at 0 on the ancilla

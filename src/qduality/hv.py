@@ -465,6 +465,9 @@ def _witness(wave_weight, wave_plus, flat_targets, threshold) -> HVModel:
 
     Each tag's weight interval is cut at its per-setting '+' masses; a
     piece between two cuts answers '+' at setting j iff it lies below cut j.
+    Walking the pieces upwards, setting j turns to '-' once, when the upper
+    edge passes cut j: one byte of the outcomes flips per cut, and each
+    kept piece decodes its string.
     """
     particle_plus = [q[0] + q[2] - xj for q, xj in zip(flat_targets, wave_plus)]
     strategies, weights = [], []
@@ -472,10 +475,14 @@ def _witness(wave_weight, wave_plus, flat_targets, threshold) -> HVModel:
                              (TAG_WAVE, wave_weight, wave_plus)):
         cuts = [min(max(p, 0), total) for p in plus]
         edges = sorted({0, total, *cuts})
+        rising = sorted(range(len(cuts)), key=cuts.__getitem__)
+        outcomes, passed = bytearray(b"+" * len(cuts)), 0
         for lo, hi in zip(edges, edges[1:]):
+            while passed < len(rising) and cuts[rising[passed]] < hi:
+                outcomes[rising[passed]] = ord("-")
+                passed += 1
             if hi - lo > threshold:
-                outcomes = "".join("+" if hi <= cut else "-" for cut in cuts)
-                strategies.append(HVStrategy(tag=tag, bob_outcomes=outcomes))
+                strategies.append(HVStrategy(tag=tag, bob_outcomes=outcomes.decode()))
                 weights.append(hi - lo)
     total = sum(weights)
     return HVModel(strategies=strategies, weights=[w / total for w in weights])

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -147,6 +148,35 @@ class TestFinalState:
             np.testing.assert_array_equal(
                 got.view(np.int64), oracle_final_state(phi, delta).amplitudes.view(np.int64))
 
+    def test_fixed_gates_are_the_validated_constructors_read_only(self):
+        gates = (qs.hadamard(), qs.controlled_hadamard(),
+                 ct.control_arm_rotation(), ct.ancilla_arm_rotation())
+        assert len(ct._FIXED_GATES) == len(gates)
+        for matrix, gate in zip(ct._FIXED_GATES, gates):
+            np.testing.assert_array_equal(matrix.view(np.int64), gate.matrix.view(np.int64))
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 0.0
+
+    def test_calls_build_no_gate(self, monkeypatch):
+        from qduality import hv
+
+        built = []
+        check = qs.GateOp.__post_init__
+
+        def counted(gate):
+            built.append(gate.label)
+            check(gate)
+
+        monkeypatch.setattr(qs.GateOp, "__post_init__", counted)
+        qs.hadamard()
+        assert built == ["H"]  # the count sees every GateOp
+        built.clear()
+        ct._final_states(np.linspace(0.0, 6.0, 7), 0.4)
+        ct.correlation(ct.ExperimentConfig(phi=1.1, theta1=0.2, theta2=-0.7))
+        hv.quantum_joint(0.3, 2.0)
+        assert built == []
+
     def test_state_owns_its_amplitudes(self):
         amps = ct.final_state(1.3, 0.4).amplitudes
         assert amps.flags.owndata and amps.base is None
@@ -232,6 +262,23 @@ class TestBobStack:
     def test_non_finite_angle_rejected(self, bad):
         with pytest.raises(ValueError):
             ct._bob_projectors([0.2, bad])
+
+    def test_large_angle_that_still_resolves(self):
+        self.assert_matches_oracle([0.2, 1e5, -1e5])
+        plus, minus = ct._bob_projectors([1e5])[:, 0]
+        assert np.max(np.abs(plus @ minus)) < 1e-10
+        config = ct.ExperimentConfig(phi=0.4, theta2=1e5)
+        assert ct.correlation(config) == per_point_correlation(config)
+
+    @pytest.mark.parametrize("bad", [1e8, -1e8, 2.0**54, 1e300])
+    def test_angle_whose_quarter_turn_does_not_resolve_named(self, bad):
+        message = re.escape(f"theta2 = {bad!r} does not resolve theta2 + pi/2")
+        with pytest.raises(ValueError, match=message):
+            ct._bob_projectors([0.2, bad, 0.3])
+        with pytest.raises(ValueError, match=message):
+            ct.correlation(ct.ExperimentConfig(phi=0.0, theta2=bad))
+        with pytest.raises(ValueError, match=message):
+            ct.correlation_surface(0.0, (0.1, bad), (0.0, 1.0))
 
     @pytest.mark.parametrize("message", ["Hermitian", "idempotent"])
     def test_a_corrupted_entry_fails_the_stack_check(self, monkeypatch, message):

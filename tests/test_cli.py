@@ -406,6 +406,25 @@ class TestCommands:
         e = ct.correlation(ct.ExperimentConfig(phi=3.0, theta1=-0.5, theta2=-1e-3))
         assert (code, capsys.readouterr().out) == (0, f"E={e:.4f}\n")
 
+    @pytest.mark.parametrize("theta2", ["1e8", "1e300"])
+    def test_unresolvable_theta2_is_usage_error(self, capsys, tmp_path, theta2):
+        message = f"theta2 = {float(theta2)!r} does not resolve theta2 + pi/2"
+        code = cli.main(["simulate", "--theta1", "0", "--theta2", theta2, "--phi", "0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert message in captured.err
+        settings = tmp_path / "settings.csv"
+        settings.write_text(cli.SETTINGS_HEADER + f"\n0.1,0.2\n{theta2},0.5\n")
+        code = cli.main(["hvcheck", "--settings", str(settings)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert message in captured.err
+
+    def test_large_theta2_that_resolves_runs(self, capsys):
+        code = cli.main(["simulate", "--theta1", "0", "--theta2", "1e5", "--phi", "0"])
+        e = ct.correlation(ct.ExperimentConfig(phi=0.0, theta2=1e5))
+        assert (code, capsys.readouterr().out) == (0, f"E={e:.4f}\n")
+
     @pytest.mark.parametrize("angle", ["pi/0", "3pi/x", "1e400", "-1e400"])
     def test_bad_angle_is_usage_error(self, capsys, angle):
         code = cli.main(["simulate", "--theta1", angle, "--theta2", "0",

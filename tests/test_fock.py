@@ -683,16 +683,17 @@ class TestFixedOptics:
         assert built == [(("c", "H"), ("c", "V"))] * 2
 
     def test_import_builds_each_fixed_element_once(self):
-        # a fresh interpreter, profiled while it imports the Fock layer
+        # a fresh interpreter, profiled while it imports the Fock layer and
+        # the circuit layer whose fixed gates it shares
         script = """
 import collections, json, os, sys
-from qduality import circuit, qstate
+from qduality import qstate
 calls = collections.Counter()
 def profile(frame, event, arg):
     if event == "call":
         calls[os.path.basename(frame.f_code.co_filename), frame.f_code.co_name] += 1
 sys.setprofile(profile)
-from qduality import fock
+from qduality import circuit, fock
 sys.setprofile(None)
 print(json.dumps({f"{f}:{n}": c for (f, n), c in calls.items()}))
 """
@@ -709,10 +710,13 @@ print(json.dumps({f"{f}:{n}": c for (f, n), c in calls.items()}))
         assert calls["fock.py:_ppbs_map"] == 1
         assert calls["fock.py:_attenuation_map"] == 2
         assert calls["fock.py:_pbs_map"] == 1
-        # unitarity: one GateOp check each for W, the two arm rotations and
-        # the two fixed waveplates
+        # unitarity: one GateOp check each for W and the two fixed
+        # waveplates, and for the circuit's four fixed gates, the two arm
+        # rotations among them, plus the Hadamard inside controlled-Hadamard
         assert calls["qstate.py:w_gate"] == 1
+        assert calls["qstate.py:waveplate"] == 2
+        assert calls["qstate.py:hadamard"] == 2
+        assert calls["qstate.py:controlled_hadamard"] == 1
         assert calls["circuit.py:control_arm_rotation"] == 1
         assert calls["circuit.py:ancilla_arm_rotation"] == 1
-        assert calls["qstate.py:waveplate"] == 2
-        assert calls["qstate.py:__post_init__"] == 5
+        assert calls["qstate.py:__post_init__"] == 8

@@ -181,6 +181,12 @@ class TestQuantumJoints:
         with pytest.raises(ValueError, match="finite"):
             hv.quantum_joints([(0.1, 0.2)] * 200 + [(0.3, bad)])
 
+    @pytest.mark.parametrize("bad", [1e8, 1e300])
+    def test_unresolvable_theta2_named(self, bad):
+        hv.quantum_joints([(1e5, 0.3)])
+        with pytest.raises(ValueError, match=re.escape(f"theta2 = {bad!r} does not resolve")):
+            hv.quantum_joints([(0.1, 0.2), (bad, 0.3)])
+
     def test_unknown_basis_rejected(self):
         with pytest.raises(ValueError, match="basis"):
             hv.quantum_joints([(0.3, 1.0)], basis="circular")
@@ -517,6 +523,81 @@ class TestAgainstEnumeratedStrategies:
             for tag in ("particle", "wave"):
                 assert sum(s.tag == tag for s in result.model.strategies) <= n + 1
             assert hv.predicted_joint(result.model, settings, wave_probs=wave) == targets
+
+
+def oracle_witness(wave_weight, wave_plus, flat_targets, threshold):
+    """The oracle: ``hv._witness`` with one Python comparison per setting per piece."""
+    particle_plus = [q[0] + q[2] - xj for q, xj in zip(flat_targets, wave_plus)]
+    strategies, weights = [], []
+    for tag, total, plus in (("particle", 1 - wave_weight, particle_plus),
+                             ("wave", wave_weight, wave_plus)):
+        cuts = [min(max(p, 0), total) for p in plus]
+        edges = sorted({0, total, *cuts})
+        for lo, hi in zip(edges, edges[1:]):
+            if hi - lo > threshold:
+                outcomes = "".join("+" if hi <= cut else "-" for cut in cuts)
+                strategies.append(HVStrategy(tag=tag, bob_outcomes=outcomes))
+                weights.append(hi - lo)
+    total = sum(weights)
+    return HVModel(strategies=strategies, weights=[w / total for w in weights])
+
+
+def witness_case(rng, n, exact):
+    """An optimum to glue, with its cuts drawn in eighths from below 0 to above the total.
+
+    So cuts fall on 0, on each tag's total and on one another.  Float cases
+    mix in uniform draws, some a rounding away from a grid point.
+    """
+    def value(low, high):
+        eighths = int(rng.integers(low, high + 1))
+        if exact:
+            return Fraction(eighths, 8)
+        near = eighths / 8 + float(rng.choice([0.0, 0.0, 1e-13, -1e-13, 1e-9]))
+        return float(rng.choice([near, rng.uniform(low / 8, high / 8)]))
+
+    wave_weight = value(0, 8)
+    if not exact:
+        wave_weight = min(max(wave_weight, 0.0), 1.0)
+    flat = [[value(0, 8), value(0, 8), value(0, 8), value(0, 8)] for _ in range(n)]
+    wave_plus = [value(-2, 10) for _ in range(n)]
+    return wave_weight, (wave_plus if exact else np.array(wave_plus)), flat
+
+
+class TestWitnessStrings:
+    """``hv._witness`` against the per-character join it replaced, with ``==``."""
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_matches_the_per_character_oracle(self, exact):
+        rng = np.random.default_rng(41 if exact else 43)
+        threshold = 0 if exact else 1e-12
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            case = witness_case(rng, n, exact)
+            got = hv._witness(*case, threshold)
+            want = oracle_witness(*case, threshold)
+            assert got.strategies == want.strategies
+            assert got.weights == want.weights
+
+    @pytest.mark.parametrize("wave_weight", [Fraction(0), Fraction(1, 3), Fraction(1)])
+    def test_cuts_on_zero_the_total_and_each_other(self, wave_weight):
+        total = wave_weight
+        flat = [[Fraction(1, 4)] * 4] * 6
+        wave_plus = [Fraction(0), total, -total - 1, total + 1, total / 2, total / 2]
+        got = hv._witness(wave_weight, wave_plus, flat, 0)
+        want = oracle_witness(wave_weight, wave_plus, flat, 0)
+        assert (got.strategies, got.weights) == (want.strategies, want.weights)
+
+    def test_matches_the_oracle_on_solved_optima(self):
+        rng = np.random.default_rng(47)
+        for n in (3, 8, 40):
+            settings = random_settings(rng, n)
+            flat = hv._validate_targets(admixed_targets(rng, settings), n)
+            wave = [hv.wave_stats(phi) for _, phi in settings.entries]
+            _, optimum = hv._kelley(hv._float_cut(flat, wave), 1.0, hv._FLOAT_TOL)
+            wave_weight, _, wave_plus = optimum
+            got = hv._witness(wave_weight, wave_plus, flat, 1e-12)
+            want = oracle_witness(wave_weight, wave_plus, flat, 1e-12)
+            assert (got.strategies, got.weights) == (want.strategies, want.weights)
 
 
 def rationalize(q):
