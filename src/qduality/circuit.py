@@ -24,9 +24,8 @@ from .qstate import (
     bell_ket,
     controlled_hadamard,
     hadamard,
-    projector_onto,
     _apply_matrix,
-    _check_projectors,
+    _unit_ket,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -164,58 +163,59 @@ def final_state(phi: float, delta: float = math.pi / 4) -> StateVector:
 
 
 def alice_projector(theta1: float, sign: str) -> Projector:
-    """Polarization analyzer for photon S.
-
-    "+" projects onto cos(theta1)|H> + sin(theta1)|V>; "-" onto the
-    orthogonal complement.
-    """
-    if sign == "+":
-        ket = [math.cos(theta1), math.sin(theta1)]
-    elif sign == "-":
-        ket = [-math.sin(theta1), math.cos(theta1)]
-    else:
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    return projector_onto(ket)
+    """Alice's "+" projector, onto cos(theta1)|H> + sin(theta1)|V>, or her orthogonal "-"."""
+    return _sign_projector(_alice_kets(theta1), sign)
 
 
 def bob_projector(theta2: float, sign: str) -> Projector:
-    """Tunable Bell-superposition analyzer for photons C and A: one row of ``_bob_projectors``.
+    """Bob's "+" projector, onto cos(theta2)|phi-> + sin(theta2)|psi+>, or "-": theta2 + pi/2."""
+    return _sign_projector(_bob_kets([theta2])[:, 0], sign)
 
-    The "-" outcome is defined as the "+" outcome at theta2 + pi/2, exactly
-    mirroring how the measurement is taken: one analyzer angle per run.
-    """
+
+def _sign_projector(kets: np.ndarray, sign: str) -> Projector:
+    """The validated projector onto the "+" or "-" ket of a (2, d) pair."""
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    return Projector(_bob_projectors([theta2])["+-".index(sign), 0])
+    ket = kets["+-".index(sign)]
+    return Projector(np.outer(ket, ket.conj()))
 
 
-def _bob_projectors(rows) -> np.ndarray:
-    """(2, R, 4, 4) stack of Bob's "+" and "-" (theta2 + pi/2) projectors per theta2 row.
+def _alice_kets(theta1: float) -> np.ndarray:
+    """Alice's "+" ket cos(theta1)|H> + sin(theta1)|V> and its orthogonal "-" one."""
+    c, s = math.cos(theta1), math.sin(theta1)
+    return np.array([_unit_ket([c, s]), _unit_ket([-s, c])])
 
-    Bit for bit ``projector_onto(cos(t)|phi-> + sin(t)|psi+>)``: the norm's
-    squares come in equal pairs, so summing them pairwise is exact, as in
-    ``np.linalg.norm``.  The projector checks run once on the whole stack.
-    A theta2 so large that theta2 + pi/2 is not a quarter turn away in
-    floats raises a ValueError that names it: its two kets overlap by more
-    than the 1e-10 a distribution may miss 1 by.
+
+def _bob_kets(rows, basis: str = "real") -> np.ndarray:
+    """(2, R, 4) kets of Bob's "+" and "-" outcomes per theta2 row.
+
+    "real": cos(t)|phi-> + sin(t)|psi+> at t = theta2 and theta2 + pi/2; a
+    theta2 whose quarter turn does not resolve in floats, so that its kets
+    overlap by more than 1e-10, is named.  "quadrature": cos(theta2)|phi->
+    +- i sin(theta2)|psi+>, a measurement only at theta2 = pi/4 + k pi/2.
+    Summing the norm's equal pairs of squares pairwise is ``np.linalg.norm``, bit for bit.
     """
-    angles = [*rows, *(t + math.pi / 2 for t in rows)]
-    kets = (np.array([math.cos(t) for t in angles])[:, None] * bell_ket("phi-")
-            + np.array([math.sin(t) for t in angles])[:, None] * bell_ket("psi+"))
-    squares = kets.real * kets.real
-    norm = np.sqrt((squares[:, :1] + squares[:, 1:2]) + (squares[:, 2:3] + squares[:, 3:]))
+    if basis == "real":
+        angles = [*rows, *(t + math.pi / 2 for t in rows)]
+        cos, sin = ([f(t) for t in angles] for f in (math.cos, math.sin))
+    elif any(abs(math.cos(2.0 * t)) > 1e-9 for t in rows):
+        raise ValueError("the +-i superposition pair is orthogonal only at theta2 = pi/4 + k pi/2")
+    else:
+        cos = [math.cos(t) for t in rows] * 2
+        sin = [phase * math.sin(t) for phase in (1.0j, -1.0j) for t in rows]
+    kets = np.array(cos)[:, None] * bell_ket("phi-") + np.array(sin)[:, None] * bell_ket("psi+")
+    norm = np.sqrt(sum((sq[:, :1] + sq[:, 1:2]) + (sq[:, 2:3] + sq[:, 3:])
+                       for sq in (kets.real * kets.real, kets.imag * kets.imag)))
     if not np.all((norm >= 1e-12) & (norm < math.inf)):  # NaN fails too
         raise ValueError("cannot project onto a zero or non-finite vector")
-    kets = kets / norm
-    plus, minus = kets.reshape(2, -1, 4)
-    overlap = np.abs(np.sum(plus.conj() * minus, axis=1))
-    if overlap.max() > 1e-10:
-        row = int(np.argmax(overlap))
-        raise ValueError(f"theta2 = {rows[row]!r} does not resolve theta2 + pi/2: Bob's "
-                         f"'+' and '-' analyzers overlap by {overlap[row]:.3g}")
-    stack = kets[:, :, None] * kets.conj()[:, None, :]
-    _check_projectors(stack)
-    return stack.reshape(2, -1, 4, 4)
+    kets = (kets / norm).reshape(2, -1, 4)
+    if basis == "real":
+        overlap = np.abs(np.sum(kets[0].conj() * kets[1], axis=1))
+        if overlap.max() > 1e-10:
+            row = int(np.argmax(overlap))
+            raise ValueError(f"theta2 = {rows[row]!r} does not resolve theta2 + pi/2: Bob's "
+                             f"'+' and '-' analyzers overlap by {overlap[row]:.3g}")
+    return kets
 
 
 def coincidence_probabilities(config: ExperimentConfig) -> OutcomeDistribution:
@@ -227,9 +227,8 @@ def coincidence_probabilities(config: ExperimentConfig) -> OutcomeDistribution:
     marginals stay fair.  The ideal part is the surface kernel's ``_born``
     on one state and one theta2 row.
     """
-    alice = np.array([alice_projector(config.theta1, a).matrix for a in "+-"])
     states = _final_states(np.array([config.phi]), config.delta)
-    ideal = _born(states, alice, _bob_projectors([config.theta2]))[:, 0, 0]
+    ideal = _born(states, _alice_kets(config.theta1), _bob_kets([config.theta2]))[:, 0, 0]
     scale = config.noise.correlation_scale
     return OutcomeDistribution(*np.clip(scale * ideal + (1.0 - scale) * 0.25, 0.0, 1.0))
 
@@ -302,20 +301,23 @@ def _final_states(phi_grid: np.ndarray, delta: float) -> np.ndarray:
 def _born(states: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     """(4, R, P) Born-rule probabilities, in the order ++ +- -+ --, clamped to [0, 1].
 
-    ``states`` is a (P, 8) stack, ``alice`` Alice's two 2x2 projectors and
-    ``bob`` Bob's (2, R) 4x4 projectors.  Each value is bit for bit
-    ``outcome_probability(state, kron(alice[a], bob[b, r]), (0, 1, 2))``.
+    ``states`` is a (P, 8) stack, ``alice`` Alice's two kets and ``bob``
+    Bob's (2, R) kets.  Each value is bit for bit
+    ``outcome_probability(state, kron(|a><a|, |b><b|), (0, 1, 2))``.
     States stacked as (R, 1, 8) pair up instead: state r meets only row r,
     and the result is (4, R, 1).
     """
+    alice = alice[:, :, None] * alice.conj()[:, None, :]
+    bob = bob[..., :, None] * bob.conj()[..., None, :]
     # np.kron(alice[a], bob[b, r]) for every row r at once, by the same
     # products: axes (a, b, r, i, k, j, l) -> (2a + b, r, 4i + k, 4j + l)
     products = (alice[:, None, None, :, None, :, None]
                 * bob[:, :, None, :, None, :]).reshape(4, -1, 8, 8)
-    kets = _apply_matrix(states, 3, products[:, :, None], (0, 1, 2))
+    # P psi on all three qubits: _apply_matrix's permutation is the identity
+    kets = products[:, :, None] @ states.reshape(states.shape + (1,))
     # <psi|P|psi> as conj(psi) @ (P psi): the BLAS dot np.vdot makes,
     # with the conjugation moved onto the (exactly negated) input
-    ideal = (states.conj()[..., None, :] @ kets[..., None])[..., 0, 0].real
+    ideal = (states.conj()[..., None, :] @ kets)[..., 0, 0].real
     outside = ~((ideal >= -ATOL) & (ideal <= 1.0 + ATOL))  # NaN too
     if outside.any():
         raise ValueError(f"probability {ideal[outside][0]} outside [0, 1]")
@@ -340,7 +342,7 @@ def correlation_surface(theta1: float,
         "theta2_grid", THETA2_GRID_9 if theta2_grid is None else theta2_grid)
     phi_grid = _finite_grid("phi_grid", PHI_GRID_9 if phi_grid is None else phi_grid)
     delta = ExperimentConfig.delta  # the default every per-point config gets
-    alice = np.array([alice_projector(theta1, a).matrix for a in "+-"])
+    alice = _alice_kets(theta1)
     scale = noise.correlation_scale
     table = np.empty((theta2_grid.size, phi_grid.size))
     for start in range(0, phi_grid.size, _PHI_BLOCK):
@@ -349,7 +351,7 @@ def correlation_surface(theta1: float,
         step = max(1, _BLOCK_POINTS // len(states))
         for first in range(0, theta2_grid.size, step):
             rows = theta2_grid[first:first + step].tolist()
-            noisy = scale * _born(states, alice, _bob_projectors(rows)) + (1.0 - scale) * 0.25
+            noisy = scale * _born(states, alice, _bob_kets(rows)) + (1.0 - scale) * 0.25
             noisy = np.clip(noisy, 0.0, 1.0)
             sums = noisy.sum(axis=0)
             bad = ~(np.abs(sums - 1.0) <= 1e-10)

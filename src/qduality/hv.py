@@ -23,8 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuit import _BLOCK_POINTS, _born, _bob_projectors, _final_states
-from .qstate import Projector, bell_ket, projector_onto
+from .circuit import _BLOCK_POINTS, _born, _bob_kets, _final_states, _sign_projector
+from .qstate import Projector
 
 FEASIBILITY_TOL = 1e-9
 _FLOAT_TOL = 1e-12  # a float Kelley loop stops when g is this close to its lower bound
@@ -35,8 +35,8 @@ TAG_PARTICLE = "particle"
 TAG_WAVE = "wave"
 _TAGS = (TAG_PARTICLE, TAG_WAVE)
 _OUTCOMES = ("+", "-")
-# Alice's H/V analyzer, s = 0 first: the cos^2(phi/2) branch is her |V> port
-_ALICE_HV = np.array([projector_onto(ket).matrix for ket in ([0.0, 1.0], [1.0, 0.0])])
+# Alice's H/V analyzer kets, s = 0 first: the cos^2(phi/2) branch is her |V> port
+_ALICE_HV = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def linprog(*args, **kwargs):
@@ -176,20 +176,8 @@ def predicted_joint(model: HVModel, settings: SettingsList, wave_probs=None):
 
 
 def quadrature_pair_projector(theta2: float, sign: str) -> Projector:
-    """Projector onto cos(theta2)|phi-> +- i sin(theta2)|psi+>.
-
-    The pair is orthogonal only at theta2 = pi/4 + k pi/2; elsewhere the
-    two kets do not form a measurement and a ValueError is raised.
-    """
-    if abs(math.cos(2.0 * theta2)) > 1e-9:
-        raise ValueError(
-            "the +-i superposition pair is orthogonal only at theta2 = pi/4 + k pi/2"
-        )
-    if sign not in _OUTCOMES:
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    phase = 1.0j if sign == "+" else -1.0j
-    ket = math.cos(theta2) * bell_ket("phi-") + phase * math.sin(theta2) * bell_ket("psi+")
-    return projector_onto(ket)
+    """Projector onto cos(theta2)|phi-> +- i sin(theta2)|psi+>, for theta2 = pi/4 + k pi/2 only."""
+    return _sign_projector(_bob_kets([theta2], "quadrature")[:, 0], sign)
 
 
 def quantum_joint(theta2: float, phi: float, basis: str = "real") -> np.ndarray:
@@ -206,7 +194,7 @@ def quantum_joints(settings, basis: str = "real") -> np.ndarray:
     theta2 + pi/2; ``basis="quadrature"`` uses the +-i superposition pair,
     which is a valid measurement only at theta2 = pi/4 + k pi/2.  Per block
     of settings, the circuit's ``_born`` pairs each state ``final_state(phi)``
-    with its own setting's projectors only.
+    with its own setting's kets only.
     """
     table = np.array(tuple(settings), dtype=float)
     if table.shape[1:] != (2,) or not len(table):
@@ -218,9 +206,8 @@ def quantum_joints(settings, basis: str = "real") -> np.ndarray:
     q = np.empty((len(table), 2, 2))
     for first in range(0, len(table), _BLOCK_POINTS):
         theta2, phi = table[first:first + _BLOCK_POINTS].T.tolist()
-        bob = (_bob_projectors(theta2) if basis == "real" else np.array(
-            [[quadrature_pair_projector(t2, b).matrix for t2 in theta2] for b in _OUTCOMES]))
-        ideal = _born(_final_states(np.array(phi), math.pi / 4)[:, None], _ALICE_HV, bob)
+        states = _final_states(np.array(phi), math.pi / 4)[:, None]
+        ideal = _born(states, _ALICE_HV, _bob_kets(theta2, basis))
         q[first:first + _BLOCK_POINTS] = ideal[..., 0].T.reshape(-1, 2, 2)
     return q
 
@@ -232,6 +219,13 @@ class FeasibilityResult:
     model: HVModel | None
     method: str  # "exact" or "float"
     cuts: int  # Kelley cuts made, in both loops when a float solve reaches the cap
+
+
+def _python_fraction(value):
+    """A Fraction or int as a Fraction of Python ints (numpy ones cannot hash); others as is."""
+    if isinstance(value, (Fraction, int)):
+        return Fraction(int(value.numerator), int(value.denominator))
+    return value
 
 
 def _sums_to_one(values) -> bool:
@@ -253,6 +247,7 @@ def _validate_targets(targets, n):
         entries = [rows[s][b] for s in (0, 1) for b in (0, 1)]
         exact = all(isinstance(e, (Fraction, int)) for e in entries)
         if exact:
+            entries = [_python_fraction(e) for e in entries]
             if any(e < 0 for e in entries):
                 raise ValueError("target probabilities must be nonnegative")
         else:
@@ -293,8 +288,8 @@ def _setting_pieces(q, wave):
     r / den), and its lines (slope, intercept) over dd = d * den.
     """
     values = (*q, wave[0] - wave[1])
-    d = math.lcm(*(int(v.denominator) for v in values))
-    *q, k = (int(v.numerator) * (d // int(v.denominator)) for v in values)
+    d = math.lcm(*(v.denominator for v in values))
+    *q, k = (v.numerator * (d // v.denominator) for v in values)
     plus, minus = _distance_pieces(q, k, d)
     candidates = {(0, 0, 1), (1, 0, 1)}
     for pieces in (plus, minus):
@@ -509,6 +504,7 @@ def feasibility(targets, settings: SettingsList, wave_probs=None) -> Feasibility
         wave_probs = [wave_stats(phi) for _, phi in settings.entries]
     if len(wave_probs) != n:
         raise ValueError("wave_probs must align with the settings list")
+    wave_probs = [tuple(map(_python_fraction, pair)) for pair in wave_probs]
     if not all(0 <= w <= 1 for pair in wave_probs for w in pair):
         raise ValueError("wave statistics must lie in [0, 1]")
     if not all(_sums_to_one(pair) for pair in wave_probs):

@@ -111,25 +111,25 @@ class Projector(_Operator):
 
     def __post_init__(self):
         mat = self._square(self.matrix, _SIZES)
-        _check_projectors(mat)
+        if not np.max(np.abs(mat - mat.conj().T)) <= ATOL:
+            raise ValueError("projector is not Hermitian")
+        if not np.max(np.abs(mat @ mat - mat)) <= ATOL:
+            raise ValueError("projector is not idempotent")
         object.__setattr__(self, "matrix", _frozen_array(mat))
 
 
-def _check_projectors(mats: np.ndarray) -> None:
-    """ValueError unless every matrix of the (..., d, d) stack is Hermitian and idempotent."""
-    if not np.max(np.abs(mats - mats.conj().swapaxes(-1, -2))) <= ATOL:
-        raise ValueError("projector is not Hermitian")
-    if not np.max(np.abs(mats @ mats - mats)) <= ATOL:
-        raise ValueError("projector is not idempotent")
-
-
-def projector_onto(ket) -> Projector:
-    """Rank-1 projector |k><k| onto a (normalized) ket."""
+def _unit_ket(ket) -> np.ndarray:
+    """``ket`` as a complex vector divided by its ``np.linalg.norm``."""
     vec = np.asarray(ket, dtype=complex).reshape(-1)
     norm = np.linalg.norm(vec)
     if not 1e-12 <= norm < math.inf:
         raise ValueError("cannot project onto a zero or non-finite vector")
-    vec = vec / norm
+    return vec / norm
+
+
+def projector_onto(ket) -> Projector:
+    """Rank-1 projector |k><k| onto a (normalized) ket."""
+    vec = _unit_ket(ket)
     return Projector(np.outer(vec, vec.conj()))
 
 

@@ -1,9 +1,17 @@
-"""Bob's analyzer one validated projector at a time: the oracle of the
-stacked ``circuit._bob_projectors``.
+"""The analyzers one validated projector at a time: the oracles of the
+analyzer kets ``circuit._alice_kets`` and ``circuit._bob_kets``.
 
-``bob_projector(theta2, sign)`` is the per-row body that the stack replaced:
-``projector_onto(cos(t)|phi-> + sin(t)|psi+>)`` with t = theta2 for "+" and
-theta2 + pi/2 for "-".  Every row of the stack must equal it bit for bit.
+Each function is the per-row body that the kets replaced, one
+``projector_onto`` call per outcome:
+
+- ``alice_projector(theta1, sign)``: cos(t)|H> + sin(t)|V> for "+" and its
+  orthogonal complement for "-";
+- ``bob_projector(theta2, sign)``: cos(t)|phi-> + sin(t)|psi+> with
+  t = theta2 for "+" and theta2 + pi/2 for "-";
+- ``quadrature_pair_projector(theta2, sign)``: cos(theta2)|phi-> +-
+  i sin(theta2)|psi+>, a measurement only at theta2 = pi/4 + k pi/2.
+
+The outer product of every ket must equal its oracle bit for bit.
 """
 
 from __future__ import annotations
@@ -13,10 +21,32 @@ import math
 from qduality import qstate as qs
 
 
+def alice_projector(theta1, sign):
+    if sign == "+":
+        ket = [math.cos(theta1), math.sin(theta1)]
+    elif sign == "-":
+        ket = [-math.sin(theta1), math.cos(theta1)]
+    else:
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    return qs.projector_onto(ket)
+
+
 def bob_projector(theta2, sign):
     if sign == "-":
         return bob_projector(theta2 + math.pi / 2, "+")
     if sign != "+":
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     ket = math.cos(theta2) * qs.bell_ket("phi-") + math.sin(theta2) * qs.bell_ket("psi+")
+    return qs.projector_onto(ket)
+
+
+def quadrature_pair_projector(theta2, sign):
+    if abs(math.cos(2.0 * theta2)) > 1e-9:
+        raise ValueError(
+            "the +-i superposition pair is orthogonal only at theta2 = pi/4 + k pi/2"
+        )
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    phase = 1.0j if sign == "+" else -1.0j
+    ket = math.cos(theta2) * qs.bell_ket("phi-") + phase * math.sin(theta2) * qs.bell_ket("psi+")
     return qs.projector_onto(ket)

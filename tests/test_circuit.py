@@ -48,7 +48,7 @@ def per_point_probabilities(config):
     state = oracle_final_state(config.phi, config.delta)
     ideal = np.array([
         qs.outcome_probability(state, qs.Projector(np.kron(
-            ct.alice_projector(config.theta1, a).matrix,
+            bob_oracle.alice_projector(config.theta1, a).matrix,
             bob_oracle.bob_projector(config.theta2, b).matrix)), (0, 1, 2))
         for a in "+-" for b in "+-"
     ])
@@ -159,28 +159,38 @@ class TestFinalState:
                 matrix[0, 0] = 0.0
 
     def test_calls_build_no_gate(self, monkeypatch):
+        # nor a Projector: the kernel paths validate no operator object
         from qduality import hv
 
         built = []
-        check = qs.GateOp.__post_init__
+        for cls in (qs.GateOp, qs.Projector):
+            def counted(op, check=cls.__post_init__):
+                built.append(type(op).__name__)
+                check(op)
 
-        def counted(gate):
-            built.append(gate.label)
-            check(gate)
-
-        monkeypatch.setattr(qs.GateOp, "__post_init__", counted)
-        qs.hadamard()
-        assert built == ["H"]  # the count sees every GateOp
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        qs.hadamard(), ct.alice_projector(0.3, "+")
+        assert built == ["GateOp", "Projector"]  # the count sees both kinds
         built.clear()
         ct._final_states(np.linspace(0.0, 6.0, 7), 0.4)
-        ct.correlation(ct.ExperimentConfig(phi=1.1, theta1=0.2, theta2=-0.7))
-        hv.quantum_joint(0.3, 2.0)
+        config = ct.ExperimentConfig(phi=1.1, theta1=0.2, theta2=-0.7)
+        ct.correlation(config)
+        ct.coincidence_probabilities(config)
+        ct.correlation_surface(0.4, np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 6.0, 3))
+        for basis in ("real", "quadrature"):
+            hv.quantum_joint(math.pi / 4, 2.0, basis)
+            hv.quantum_joints([(math.pi / 4, 0.3), (-math.pi / 4, 1.9)], basis)
         assert built == []
 
     def test_state_owns_its_amplitudes(self):
         amps = ct.final_state(1.3, 0.4).amplitudes
         assert amps.flags.owndata and amps.base is None
         assert not amps.flags.writeable
+
+
+def outer_products(kets):
+    """|k><k| for every ket of a (..., d) stack."""
+    return kets[..., :, None] * kets.conj()[..., None, :]
 
 
 class TestProjectors:
@@ -227,17 +237,32 @@ class TestProjectors:
         minus = ct.bob_projector(0.7, "-").matrix
         assert np.max(np.abs(plus @ minus)) < 1e-12
 
+    def test_alice_projector_is_one_validated_ket(self):
+        for theta1 in np.random.default_rng(18).uniform(-7.0, 7.0, 200).tolist() + [0.0, -0.0]:
+            kets = ct._alice_kets(theta1)
+            for a, sign in enumerate("+-"):
+                got = ct.alice_projector(theta1, sign)
+                assert isinstance(got, qs.Projector)
+                want = bob_oracle.alice_projector(theta1, sign).matrix.view(np.int64)
+                np.testing.assert_array_equal(got.matrix.view(np.int64), want)
+                np.testing.assert_array_equal(outer_products(kets[a]).view(np.int64), want)
+        with pytest.raises(ValueError, match="sign"):
+            ct.alice_projector(0.3, "x")
+
 
 class TestBobStack:
-    """``_bob_projectors`` against the one-projector-at-a-time oracle, bit for bit."""
+    """The outer products of ``_bob_kets`` against the per-projector oracle, bit for bit."""
 
     @staticmethod
-    def assert_matches_oracle(rows):
-        stack = ct._bob_projectors(rows)
-        assert stack.shape == (2, len(rows), 4, 4)
+    def assert_matches_oracle(rows, basis="real"):
+        kets = ct._bob_kets(rows, basis)
+        assert kets.shape == (2, len(rows), 4)
+        oracle = {"real": bob_oracle.bob_projector,
+                  "quadrature": bob_oracle.quadrature_pair_projector}[basis]
         for b, sign in enumerate("+-"):
-            want = np.array([bob_oracle.bob_projector(t2, sign).matrix for t2 in rows])
-            np.testing.assert_array_equal(stack[b].view(np.int64), want.view(np.int64))
+            want = np.array([oracle(t2, sign).matrix for t2 in rows])
+            np.testing.assert_array_equal(outer_products(kets[b]).view(np.int64),
+                                          want.view(np.int64))
 
     def test_dense_random_angles(self):
         self.assert_matches_oracle(np.random.default_rng(17).uniform(-10.0, 10.0, 20000).tolist())
@@ -246,6 +271,10 @@ class TestBobStack:
         quarter, half = math.pi / 4, math.pi / 2
         self.assert_matches_oracle([0.0, -0.0, quarter, -quarter, half, -half]
                                    + [k * math.pi / 8 for k in range(-40, 41)])
+
+    def test_quadrature_angles(self):
+        self.assert_matches_oracle([math.pi / 4 + k * math.pi / 2 for k in range(-40, 41)],
+                                   "quadrature")
 
     def test_bob_projector_is_one_validated_row(self):
         for theta2 in (0.0, -0.0, 0.7, -3.1, math.pi / 2, 9.5):
@@ -261,11 +290,11 @@ class TestBobStack:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_rejected(self, bad):
         with pytest.raises(ValueError):
-            ct._bob_projectors([0.2, bad])
+            ct._bob_kets([0.2, bad])
 
     def test_large_angle_that_still_resolves(self):
         self.assert_matches_oracle([0.2, 1e5, -1e5])
-        plus, minus = ct._bob_projectors([1e5])[:, 0]
+        plus, minus = outer_products(ct._bob_kets([1e5])[:, 0])
         assert np.max(np.abs(plus @ minus)) < 1e-10
         config = ct.ExperimentConfig(phi=0.4, theta2=1e5)
         assert ct.correlation(config) == per_point_correlation(config)
@@ -274,26 +303,42 @@ class TestBobStack:
     def test_angle_whose_quarter_turn_does_not_resolve_named(self, bad):
         message = re.escape(f"theta2 = {bad!r} does not resolve theta2 + pi/2")
         with pytest.raises(ValueError, match=message):
-            ct._bob_projectors([0.2, bad, 0.3])
+            ct._bob_kets([0.2, bad, 0.3])
         with pytest.raises(ValueError, match=message):
             ct.correlation(ct.ExperimentConfig(phi=0.0, theta2=bad))
         with pytest.raises(ValueError, match=message):
             ct.correlation_surface(0.0, (0.1, bad), (0.0, 1.0))
 
-    @pytest.mark.parametrize("message", ["Hermitian", "idempotent"])
-    def test_a_corrupted_entry_fails_the_stack_check(self, monkeypatch, message):
-        check = ct._check_projectors
 
-        def corrupt_then_check(stack):
-            if message == "Hermitian":
-                stack[7, 1, 2] += 1e-9  # one off-diagonal entry of one projector
-            else:
-                stack[12] *= 1.001  # still Hermitian, no longer idempotent
-            check(stack)
+class TestInvariants:
+    """Identities of the physics that hold for any correct kernel, in any order of arithmetic."""
 
-        monkeypatch.setattr(ct, "_check_projectors", corrupt_then_check)
-        with pytest.raises(ValueError, match=message):
-            ct._bob_projectors(np.linspace(-1.0, 1.0, 9).tolist())
+    def test_correlation_is_linear_in_cos_and_sin_of_twice_theta1(self):
+        # Alice's observable is cos(2 theta1) Z + sin(2 theta1) X
+        rng = np.random.default_rng(40)
+        for _ in range(20):
+            theta2_grid, phi_grid = rng.uniform(-4.0, 4.0, 30), rng.uniform(-8.0, 8.0, 30)
+            z, x = (ct.correlation_surface(t, theta2_grid, phi_grid) for t in (0.0, math.pi / 4))
+            theta1 = rng.uniform(-4.0, 4.0)
+            got = ct.correlation_surface(theta1, theta2_grid, phi_grid)
+            want = math.cos(2 * theta1) * z + math.sin(2 * theta1) * x
+            assert np.max(np.abs(got - want)) < 1e-13
+
+    def test_no_signalling(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            phi, delta = rng.uniform(-15.0, 15.0), rng.uniform(-10.0, 10.0)
+            theta1, theta1b, theta2, theta2b = rng.uniform(-7.0, 7.0, 4)
+
+            def joint(t1, t2):
+                return ct.coincidence_probabilities(ct.ExperimentConfig(
+                    phi=phi, theta1=t1, theta2=t2, delta=delta)).as_array().reshape(2, 2)
+
+            # Alice's marginal is blind to theta2, Bob's to theta1
+            assert np.max(np.abs(joint(theta1, theta2).sum(axis=1)
+                                 - joint(theta1, theta2b).sum(axis=1))) < 1e-13
+            assert np.max(np.abs(joint(theta1, theta2).sum(axis=0)
+                                 - joint(theta1b, theta2).sum(axis=0))) < 1e-13
 
 
 class TestCoincidences:
@@ -660,7 +705,7 @@ class TestSurfaceKernel:
             raise AssertionError("the kernel ran before the grids were checked")
 
         monkeypatch.setattr(ct, "_final_states", no_work)
-        monkeypatch.setattr(ct, "alice_projector", no_work)
+        monkeypatch.setattr(ct, "_alice_kets", no_work)
         with pytest.raises(ValueError):
             ct.correlation_surface(**kwargs)
 

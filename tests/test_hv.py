@@ -41,7 +41,8 @@ def random_model(rng, strategies, exact=False):
 def oracle_quantum_joint(theta2, phi, basis="real"):
     """The oracle: ``final_state``, one 8x8 ``np.kron`` projector per outcome pair."""
     state = final_state(phi)
-    pair = {"real": bob_oracle.bob_projector, "quadrature": hv.quadrature_pair_projector}[basis]
+    pair = {"real": bob_oracle.bob_projector,
+            "quadrature": bob_oracle.quadrature_pair_projector}[basis]
     q = np.zeros((2, 2))
     for s, ket in enumerate(([0.0, 1.0], [1.0, 0.0])):  # s = 0 is Alice's |V>
         alice = qs.projector_onto(ket)
@@ -111,6 +112,18 @@ class TestQuantumJoint:
         with pytest.raises(ValueError, match="sign"):
             hv.quadrature_pair_projector(math.pi / 4, "x")
 
+    def test_quadrature_projector_is_one_validated_row(self):
+        for k in range(-6, 7):
+            theta2 = math.pi / 4 + k * math.pi / 2
+            for sign in "+-":
+                got = hv.quadrature_pair_projector(theta2, sign)
+                assert isinstance(got, qs.Projector)
+                np.testing.assert_array_equal(
+                    got.matrix.view(np.int64),
+                    bob_oracle.quadrature_pair_projector(theta2, sign).matrix.view(np.int64))
+        with pytest.raises(ValueError, match="orthogonal only"):
+            hv.quadrature_pair_projector(0.3, "+")
+
     def test_matches_oracle_on_dense_random_settings(self):
         rng = np.random.default_rng(2024)
         for theta2, phi in rng.uniform(-10.0, 10.0, size=(2000, 2)).tolist():
@@ -156,6 +169,14 @@ class TestQuantumJoints:
         settings = np.random.default_rng(3000 + n).uniform(-10.0, 10.0, size=(n, 2)).tolist()
         np.testing.assert_array_equal(hv.quantum_joints(settings).view(np.int64),
                                       oracle_joints(settings).view(np.int64))
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 1024])
+    def test_matches_oracle_across_blocks_in_quadrature_basis(self, n):
+        rng = np.random.default_rng(4000 + n)
+        turns, phis = rng.integers(-40, 41, n).tolist(), rng.uniform(-10.0, 10.0, n).tolist()
+        settings = [(math.pi / 4 + k * math.pi / 2, phi) for k, phi in zip(turns, phis)]
+        np.testing.assert_array_equal(hv.quantum_joints(settings, "quadrature").view(np.int64),
+                                      oracle_joints(settings, "quadrature").view(np.int64))
 
     def test_matches_oracle_in_quadrature_basis(self):
         rng = np.random.default_rng(3001)
@@ -322,6 +343,28 @@ class TestFeasibility:
             reproduced = hv.predicted_joint(result.model, settings,
                                             wave_probs=wave_probs)
             assert reproduced == target
+
+    def test_fractions_of_numpy_integers_solve_as_python_ones(self):
+        # a Fraction with np.int64 parts cannot be hashed, as gluing a witness does
+        def numpy_parts(value):
+            return Fraction(np.int64(value.numerator), np.int64(value.denominator))
+
+        settings = SettingsList(entries=[(0.2, math.pi / 2), (0.8, math.pi / 3)])
+        wave_probs = [hv.wave_stats_from_cos(Fraction(0)),
+                      hv.wave_stats_from_cos(Fraction(1, 2))]
+        model = HVModel(strategies=(HVStrategy("particle", "+-"), HVStrategy("wave", "-+")),
+                        weights=(Fraction(1, 3), Fraction(2, 3)))
+        feasible = hv.predicted_joint(model, settings, wave_probs=wave_probs)
+        half = Fraction(1, 2)
+        infeasible = [[[Fraction(0), half], [half, Fraction(0)]], [[half, 0], [0, half]]]
+        for target, verdict in ((feasible, True), (infeasible, False)):
+            want = hv.feasibility(target, settings, wave_probs=wave_probs)
+            assert want.feasible is verdict
+            got = hv.feasibility([[[numpy_parts(v) for v in row] for row in table]
+                                  for table in target], settings,
+                                 wave_probs=[tuple(map(numpy_parts, pair)) for pair in wave_probs])
+            assert got == want
+            assert type(got.residual.numerator) is int
 
     def test_quantum_statistics_infeasible_at_reference_setting(self):
         # analytic argument: both tagged statistics are uniform at
