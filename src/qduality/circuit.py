@@ -24,11 +24,10 @@ from .qstate import (
     bell_ket,
     controlled_hadamard,
     hadamard,
+    _SQRT2,
     _apply_matrix,
     _unit_ket,
 )
-
-_SQRT2 = math.sqrt(2.0)
 
 # Default measurement grids: nine analyzer angles spanning [-pi/2, pi/2] and
 # nine interferometer phases spanning [0, 2*pi], endpoints included.
@@ -186,18 +185,35 @@ def _alice_kets(theta1: float) -> np.ndarray:
     return np.array([_unit_ket([c, s]), _unit_ket([-s, c])])
 
 
+def _bob_angles(rows) -> list:
+    """Bob's "+" analyzer angles theta2, then his "-" ones, theta2 + pi/2.
+
+    The two analyzers overlap by |cos| of the float difference of their
+    angles.  Where rounding leaves that above 1e-10, the quarter turn does
+    not resolve: the first theta2 with the largest overlap is named.  A
+    non-finite row (NaN overlap) is never named; the caller's checks catch it.
+    """
+    minus = [t + math.pi / 2 for t in rows]
+    overlap = [abs(math.cos(m - t)) for t, m in zip(rows, minus)]
+    worst = max(overlap)
+    if worst > 1e-10:
+        row = overlap.index(worst)
+        raise ValueError(f"theta2 = {rows[row]!r} does not resolve theta2 + pi/2: Bob's "
+                         f"'+' and '-' analyzers overlap by {worst:.3g}")
+    return [*rows, *minus]
+
+
 def _bob_kets(rows, basis: str = "real") -> np.ndarray:
     """(2, R, 4) kets of Bob's "+" and "-" outcomes per theta2 row.
 
-    "real": cos(t)|phi-> + sin(t)|psi+> at t = theta2 and theta2 + pi/2; a
-    theta2 whose quarter turn does not resolve in floats, so that its kets
-    overlap by more than 1e-10, is named.  "quadrature": cos(theta2)|phi->
-    +- i sin(theta2)|psi+>, a measurement only at theta2 = pi/4 + k pi/2.
-    Summing the norm's equal pairs of squares pairwise is ``np.linalg.norm``, bit for bit.
+    "real": cos(t)|phi-> + sin(t)|psi+> at the angles t of ``_bob_angles``,
+    which names a theta2 whose quarter turn does not resolve in floats.
+    "quadrature": cos(theta2)|phi-> +- i sin(theta2)|psi+>, a measurement
+    only at theta2 = pi/4 + k pi/2.  Summing the norm's equal pairs of
+    squares pairwise is ``np.linalg.norm``, bit for bit.
     """
     if basis == "real":
-        angles = [*rows, *(t + math.pi / 2 for t in rows)]
-        cos, sin = ([f(t) for t in angles] for f in (math.cos, math.sin))
+        cos, sin = ([f(t) for t in _bob_angles(rows)] for f in (math.cos, math.sin))
     elif any(abs(math.cos(2.0 * t)) > 1e-9 for t in rows):
         raise ValueError("the +-i superposition pair is orthogonal only at theta2 = pi/4 + k pi/2")
     else:
@@ -208,14 +224,7 @@ def _bob_kets(rows, basis: str = "real") -> np.ndarray:
                        for sq in (kets.real * kets.real, kets.imag * kets.imag)))
     if not np.all((norm >= 1e-12) & (norm < math.inf)):  # NaN fails too
         raise ValueError("cannot project onto a zero or non-finite vector")
-    kets = (kets / norm).reshape(2, -1, 4)
-    if basis == "real":
-        overlap = np.abs(np.sum(kets[0].conj() * kets[1], axis=1))
-        if overlap.max() > 1e-10:
-            row = int(np.argmax(overlap))
-            raise ValueError(f"theta2 = {rows[row]!r} does not resolve theta2 + pi/2: Bob's "
-                             f"'+' and '-' analyzers overlap by {overlap[row]:.3g}")
-    return kets
+    return (kets / norm).reshape(2, -1, 4)
 
 
 def coincidence_probabilities(config: ExperimentConfig) -> OutcomeDistribution:
@@ -248,11 +257,12 @@ def chsh(phi: float,
     the sign of sin(phi), so callers pick the pair order that matches their
     working point.
     """
-    t1, t1p = theta1_pair
-    t2, t2p = theta2_pair
+    phi_grid = _finite_grid("phi", (phi,))
+    t1, t1p = _finite_grid("theta1_pair", theta1_pair).tolist()
+    t2, t2p = _finite_grid("theta2_pair", theta2_pair).tolist()
     if math.isclose(t1, t1p) or math.isclose(t2, t2p):
         raise ValueError("setting pairs must contain two distinct angles")
-    (e, ep), (f, fp) = (correlation_surface(a, (t2, t2p), (phi,), noise)[:, 0].tolist()
+    (e, ep), (f, fp) = (correlation_surface(a, (t2, t2p), phi_grid, noise)[:, 0].tolist()
                         for a in (t1, t1p))
     return abs(e + ep - f + fp)
 
@@ -426,7 +436,7 @@ def fit_visibility(theta2_values, measured, theta1: float, phi: float) -> float:
     measured = _finite_grid("measured", measured, "values")
     if measured.size != theta2_values.size:
         raise ValueError("measured must hold one value per theta2_values angle")
-    ideal = correlation_surface(theta1, theta2_values, (phi,))[:, 0]
+    ideal = correlation_surface(theta1, theta2_values, _finite_grid("phi", (phi,)))[:, 0]
     denom = float(np.dot(ideal, ideal))
     if denom < 1e-12:
         raise ValueError("ideal curve is identically zero; visibility undefined")

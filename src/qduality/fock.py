@@ -24,9 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import circuit as _circuit
-from .qstate import KET_A, KET_D, Projector, w_gate, waveplate
-
-_SQRT2 = math.sqrt(2.0)
+from .qstate import KET_A, KET_D, Projector, _SQRT2, w_gate, waveplate
 
 POL_H = "H"
 POL_V = "V"
@@ -236,15 +234,6 @@ class HomScanResult:
     contrast: float
 
 
-def _finite_positions(positions) -> tuple:
-    positions = tuple(float(x) for x in positions)
-    if not positions:
-        raise ValueError("positions must be nonempty")
-    if not all(map(math.isfinite, positions)):
-        raise ValueError("positions must be finite")
-    return positions
-
-
 def hom_scan(transmission: float, overlap: OverlapModel, positions) -> HomScanResult:
     """Two-photon coincidence dip across a delay scan.
 
@@ -253,7 +242,7 @@ def hom_scan(transmission: float, overlap: OverlapModel, positions) -> HomScanRe
     """
     if not 0.0 <= transmission <= 1.0:
         raise ValueError(f"transmission {transmission} outside [0, 1]")
-    positions = _finite_positions(positions)
+    positions = tuple(_circuit._finite_grid("positions", positions, "values").tolist())
     t, r = transmission, 1.0 - transmission
     baseline = t * t + r * r
     curve = tuple(baseline - 2.0 * t * r * overlap.value(x) for x in positions)
@@ -443,7 +432,7 @@ def bsm_scan(theta2: float, overlap: OverlapModel, positions) -> BsmScanResult:
     At full overlap the cross outcomes DA/AD peak while DD/AA vanish; with
     no overlap all four rates coincide.
     """
-    positions = _finite_positions(positions)
+    positions = tuple(_circuit._finite_grid("positions", positions, "values").tolist())
     analyzer = _analyzer(theta2)
     probs = []
     for t_c, t_a in (("t0", "t0"), ("t0", "t1")):
@@ -465,12 +454,14 @@ def bsm_scan(theta2: float, overlap: OverlapModel, positions) -> BsmScanResult:
 def physical_correlation(config: _circuit.ExperimentConfig, v: float) -> float:
     """End-to-end correlation from the second-quantized pipeline.
 
-    v is the temporal overlap of photons S and C at the gate beam splitter;
-    the analyzer interference is taken as aligned.  The "-" analyzer
-    outcome is a separate run at theta2 + pi/2, as in the counting
-    procedure, and the four post-selected rates combine exactly like
-    coincidence counts.  Source, gate chain and arm rotations run once per
-    overlap branch; only the analyzer depends on theta2.
+    v is the temporal overlap of photons S and C at the gate beam splitter,
+    and the only imperfection modelled: ``config.noise`` is ignored.  The
+    analyzer interference is taken as aligned.  The "-" analyzer outcome is
+    a separate run at theta2 + pi/2, as in the counting procedure, with both
+    angles from ``circuit._bob_angles``, which names a theta2 whose quarter
+    turn does not resolve in floats; the four post-selected rates combine
+    exactly like coincidence counts.  Source, gate chain and arm rotations
+    run once per overlap branch; only the analyzer depends on theta2.
     """
     branches = _overlap_branches(v, ("t0", "t0", "t0"), ("t1", "t0", "t0"))
     c1, s1 = math.cos(config.theta1), math.sin(config.theta1)
@@ -478,7 +469,7 @@ def physical_correlation(config: _circuit.ExperimentConfig, v: float) -> float:
     bras = np.kron(np.array([[c1, s1], [-s1, c1]]), _CROSS_BRAS)
     phase = polarization_map("s", np.diag([1.0, np.exp(1j * config.phi)]))
     chain = (_SOURCE_PLATE, phase, *_CH_CHAIN, *_ARM_ROTATIONS)
-    analyzers = [_analyzer(theta2) for theta2 in (config.theta2, config.theta2 + math.pi / 2)]
+    analyzers = [_analyzer(theta2) for theta2 in _circuit._bob_angles([config.theta2])]
     rates = np.zeros((2, 2))  # [alice sign, bob sign]
     for weight, (t_s, t_c, t_a) in branches:
         state = _run(ModeState.from_patterns([

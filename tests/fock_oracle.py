@@ -15,7 +15,10 @@ states.
 as functions that build their element maps on every call, and
 ``physical_gate``, ``bsm_projector_physical``, ``bsm_scan`` and
 ``physical_correlation`` run the public Fock pipelines through them.  The
-element-tuple pipelines of ``fock`` must give the same bytes.
+element-tuple pipelines of ``fock`` must give the same bytes.  Here
+``physical_correlation`` forms theta2 + pi/2 itself, and ``bsm_scan``
+checks its positions with ``finite_positions``, the scans' own check before
+they took the circuit's grid check.
 """
 
 from __future__ import annotations
@@ -209,8 +212,17 @@ def bsm_projector_physical(theta2):
     return Projector(rows.conj().T @ rows)
 
 
+def finite_positions(positions):
+    positions = tuple(float(x) for x in positions)
+    if not positions:
+        raise ValueError("positions must be nonempty")
+    if not all(map(math.isfinite, positions)):
+        raise ValueError("positions must be finite")
+    return positions
+
+
 def bsm_scan(theta2, overlap, positions):
-    positions = fock._finite_positions(positions)
+    positions = finite_positions(positions)
     outcomes = ("DA", "AD", "DD", "AA")
     bras = fock._analyzer_bras(outcomes)
     probs = []

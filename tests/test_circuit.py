@@ -309,6 +309,70 @@ class TestBobStack:
         with pytest.raises(ValueError, match=message):
             ct.correlation_surface(0.0, (0.1, bad), (0.0, 1.0))
 
+    def test_kets_match_the_ket_rule_oracle(self):
+        for rows in (np.random.default_rng(17).uniform(-10.0, 10.0, 2000).tolist(),
+                     [0.0, -0.0, math.pi / 4, -math.pi / 2]
+                     + [k * math.pi / 8 for k in range(-40, 41)],
+                     [0.2, 1e5, -1e5]):
+            np.testing.assert_array_equal(ct._bob_kets(rows).view(np.int64),
+                                          bob_oracle.bob_kets(rows).view(np.int64))
+
+
+def quarter_turn_error(build, rows):
+    """The message of the ValueError that ``build(rows)`` raises, or None."""
+    try:
+        build(rows)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def large_angles(seed, size):
+    """+-10^u for u uniform in [5, 20], where the quarter turn starts to fail."""
+    rng = np.random.default_rng(seed)
+    return (rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(5.0, 20.0, size)).tolist()
+
+
+class TestQuarterTurnRule:
+    """``_bob_angles`` decides from angles what ``bob_oracle.bob_kets`` decides from kets."""
+
+    NAMED = re.compile(r"^theta2 = (\S+) does not resolve theta2 \+ pi/2: "
+                       r"Bob's '\+' and '-' analyzers overlap by (\S+)$")
+
+    def test_single_angles_accepted_and_rejected_alike(self):
+        edges = [5e7, 7e7, 9e7, 1e8, -1e8, 2.0**26, 2.0**27, 2.0**54, 1e300, 1e5, -1e5]
+        stack = ([0.0, -0.0, math.pi / 4, math.pi / 2]
+                 + [k * math.pi / 8 for k in range(-40, 41)]
+                 + np.random.default_rng(17).uniform(-10.0, 10.0, 200).tolist())
+        rejected = 0
+        for theta2 in large_angles(31, 20000) + edges + stack:
+            got = quarter_turn_error(ct._bob_angles, [theta2])
+            assert got == quarter_turn_error(bob_oracle.bob_kets, [theta2]), theta2
+            rejected += got is not None
+        assert 10000 < rejected < 20000  # both outcomes are well represented
+
+    @pytest.mark.parametrize("size", [2, 7, 128])
+    def test_several_bad_rows_name_the_largest_overlap(self, size):
+        # rows in one binade share their float quarter turn, so their
+        # overlaps tie exactly; the ket rule chose among them by rounding
+        # noise in the kets, the angle rule names the first
+        angles = large_angles(32, 128 * 40)
+        for first in range(0, len(angles), size):
+            rows = angles[first:first + size]
+            got = quarter_turn_error(ct._bob_angles, rows)
+            want = quarter_turn_error(bob_oracle.bob_kets, rows)
+            assert (got is None) == (want is None)
+            if got is None:
+                continue
+            (named, overlap), (oracle_named, oracle_overlap) = (
+                self.NAMED.match(text).groups() for text in (got, want))
+            assert overlap == oracle_overlap
+            quarter = [abs(math.cos((t + math.pi / 2) - t)) for t in rows]
+            tied = [repr(t) for t, o in zip(rows, quarter) if o == max(quarter)]
+            assert named == tied[0] and oracle_named in tied
+            if len(tied) == 1:
+                assert got == want
+
 
 class TestInvariants:
     """Identities of the physics that hold for any correct kernel, in any order of arithmetic."""
@@ -387,6 +451,16 @@ class TestCoincidences:
     def test_non_finite_probabilities_rejected(self, probs):
         with pytest.raises(ValueError):
             ct.OutcomeDistribution(*probs)
+
+    def test_probabilities_not_summing_to_one_rejected(self):
+        with pytest.raises(ValueError, match="probabilities sum to 1.5, expected 1"):
+            ct.OutcomeDistribution(0.5, 0.5, 0.25, 0.25)
+
+    @pytest.mark.parametrize("name", ["phi", "theta1", "theta2", "delta"])
+    def test_non_finite_config_angle_named(self, name):
+        kwargs = {"phi": 0.0, name: math.nan}
+        with pytest.raises(ValueError, match=f"^{name} must be a finite angle$"):
+            ct.ExperimentConfig(**kwargs)
 
     def test_bit_identical_to_the_per_point_oracle(self):
         rng = np.random.default_rng(23)
@@ -553,6 +627,19 @@ class TestChsh:
     ])
     def test_non_finite_angles_and_degenerate_pairs_rejected(self, kwargs):
         with pytest.raises(ValueError):
+            ct.chsh(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"phi": math.nan}, "phi"),
+        ({"phi": 1.0, "theta1_pair": (0.0, math.inf)}, "theta1_pair"),
+        ({"phi": 1.0, "theta2_pair": (math.nan, 0.3)}, "theta2_pair"),
+    ])
+    def test_non_finite_argument_named_before_any_work(self, monkeypatch, kwargs, name):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the surface ran before the arguments were checked")
+
+        monkeypatch.setattr(ct, "correlation_surface", no_work)
+        with pytest.raises(ValueError, match=f"^{name} must hold finite angles only$"):
             ct.chsh(**kwargs)
 
 
@@ -929,3 +1016,8 @@ class TestVisibilityFit:
         monkeypatch.setattr(ct, "correlation_surface", no_work)
         with pytest.raises(ValueError, match=message):
             ct.fit_visibility(theta2, measured, 0.0, 1.0)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf])
+    def test_non_finite_phi_named(self, phi):
+        with pytest.raises(ValueError, match="^phi must hold finite angles only$"):
+            ct.fit_visibility([0.1, 0.2], [0.5, 0.5], 0.0, phi)

@@ -533,6 +533,13 @@ class TestCommands:
         assert message in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("grid", ["0x9", "9x0", "-1x9", "9", "9x9x9", "ax9"])
+    def test_malformed_grid_is_usage_error(self, capsys, grid):
+        code = cli.main(["surface", "--theta1", "0", "--grid", grid])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert f"grid must look like '9x9', got {grid!r}" in captured.err
+
     def test_output_size_limit_is_inclusive(self):
         assert cli.MAX_POINTS == 1_000_000
         args = cli.build_parser().parse_args(
@@ -638,6 +645,30 @@ class TestInputFileErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {path}: expected exactly 4 records, got 1\n"
+
+    def test_chsh_records_without_two_angles_per_side_name_file(self, capsys, tmp_path,
+                                                                 table_a1_path):
+        path = tmp_path / "f.csv"
+        rows = table_a1_path.read_text().splitlines()
+        path.write_text("\n".join(rows[:-1] + ["0.5" + rows[-1][rows[-1].index(","):]]) + "\n")
+        code = cli.main(["chsh", "--from", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            f"error: {path}: records must cover two theta1 and two theta2 values\n")
+
+    @pytest.mark.parametrize("body, line, message", [
+        ("0.5,1.0\n0.1,abc\n", 3, "could not convert string to float: 'abc'"),
+        ("", 1, "settings file contains no settings"),
+        ("# a comment, and no settings\n\n", 1, "settings file contains no settings"),
+    ])
+    def test_bad_settings_file_names_its_line(self, capsys, tmp_path, body, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(cli.SETTINGS_HEADER + "\n" + body)
+        code = cli.main(["hvcheck", "--settings", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {path}:{line}: {message}\n"
 
     def test_chsh_duplicate_setting_names_file(self, capsys, tmp_path, table_a1_path):
         path = tmp_path / "f.csv"

@@ -131,6 +131,8 @@ class TestHomScan:
             OverlapModel(v=1.5)
         with pytest.raises(ValueError):
             OverlapModel(x0=1.0)
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            OverlapModel(x0=1.0, sigma=0.0)
 
     @pytest.mark.parametrize("x0,sigma", [(math.nan, 0.5), (math.inf, 0.5),
                                           (11.63, math.nan), (11.63, math.inf)])
@@ -141,10 +143,40 @@ class TestHomScan:
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_positions_rejected(self, x):
         overlap = OverlapModel(x0=11.63, sigma=0.5)
-        with pytest.raises(ValueError, match="positions must be finite"):
+        with pytest.raises(ValueError, match="^positions must hold finite values only$"):
             fock.hom_scan(1.0 / 3.0, overlap, [0.0, x])
-        with pytest.raises(ValueError, match="positions must be finite"):
+        with pytest.raises(ValueError, match="^positions must hold finite values only$"):
             fock.bsm_scan(0.0, overlap, [x])
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.zeros((2, 2)), "positions must be one-dimensional"),
+        ([[0.0], [1.0]], "positions must be one-dimensional"),
+        (np.array(0.5), "positions must be one-dimensional"),
+        (0.5, "positions must be a sequence of values"),
+        (None, "positions must be a sequence of values"),
+        (["a"], "positions must be a sequence of values"),
+        ([0.0, [1.0, 2.0]], "positions must be a sequence of values"),
+        ([], "positions must be nonempty"),
+    ])
+    def test_positions_that_are_not_a_grid_named(self, bad, message):
+        overlap = OverlapModel(x0=11.63, sigma=0.5)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            fock.hom_scan(1.0 / 3.0, overlap, bad)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            fock.bsm_scan(0.0, overlap, bad)
+
+    @pytest.mark.parametrize("positions", [
+        np.linspace(10.5, 12.8, 47), [1, 2, 3], (0.25, -0.0, 7),
+        np.float32([1.5, 2.1]), np.arange(4), range(3),
+    ])
+    def test_positions_as_the_scans_own_check_gave_them(self, positions):
+        overlap = OverlapModel(x0=1.63, sigma=0.5)
+        want = fock_oracle.finite_positions(positions)
+        for scan in (fock.hom_scan(1.0 / 3.0, overlap, positions),
+                     fock.bsm_scan(0.3, overlap, positions)):
+            assert same_bytes(scan.positions, want)
+        got = fock.hom_scan(1.0 / 3.0, overlap, iter(want))
+        assert same_bytes(got, fock.hom_scan(1.0 / 3.0, overlap, want))
 
     def test_extreme_profile_stays_finite(self):
         # far positions and a tiny width overflow the squared offset; the
@@ -199,6 +231,10 @@ class TestPhysicalCz:
     def test_invalid_overlap(self):
         with pytest.raises(ValueError):
             fock.physical_cz(-0.1)
+
+    def test_partial_overlap_has_no_coherent_operator(self):
+        with pytest.raises(ValueError, match="map is not coherent"):
+            fock.physical_cz(0.5)[0].coherent_operator
 
 
 class TestPhysicalCh:
@@ -649,6 +685,34 @@ class TestPipelineOracle:
     def test_pinned_physical_value(self):
         cfg = ct.ExperimentConfig(phi=2.0, theta1=0.3, theta2=-1.1, delta=0.9)
         assert f"{fock.physical_correlation(cfg, 0.7):.12f}" == "0.081239967134"
+
+
+def error_message(call):
+    """The message of the ValueError that ``call()`` raises, or None."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestQuarterTurn:
+    """The Fock pipeline takes Bob's two analyzer angles from the circuit's rule."""
+
+    ANGLES = ([sign * 10.0**k for k in range(6, 21) for sign in (1, -1)]
+              + [math.nextafter(1e8, 0.0), 1e8, math.nextafter(1e8, math.inf)]
+              + [0.0, -0.0, math.pi / 4, math.pi / 2] + [k * math.pi / 8 for k in range(-16, 17)]
+              + [0.2, 1e5, -1e5, -1e8, 2.0**54, 1e300])
+
+    @pytest.mark.parametrize("v", [0.0, 0.5, 1.0])
+    def test_raises_exactly_when_the_circuit_does(self, v):
+        rejected = 0
+        for theta2 in self.ANGLES:
+            cfg = ct.ExperimentConfig(phi=0.3, theta1=0.2, theta2=theta2)
+            want = error_message(lambda: ct.correlation(cfg))
+            assert error_message(lambda: fock.physical_correlation(cfg, v)) == want, theta2
+            rejected += want is not None
+        assert rejected > 20
 
 
 class TestFixedOptics:

@@ -22,6 +22,7 @@ from qduality.hv import HVModel, HVStrategy, SettingsList
 
 REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_DIR = os.path.join(REPO_DIR, "src")
+WAVE_PLUS = HVStrategy(tag="wave", bob_outcomes="+")
 
 
 def random_model(rng, strategies, exact=False):
@@ -289,6 +290,27 @@ class TestPredictedJoint:
         with pytest.raises(ValueError, match="finite"):
             HVModel(strategies=strategies[:len(weights)], weights=weights)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: HVStrategy(tag="photon", bob_outcomes="+"), "tag must be one of"),
+        (lambda: HVModel(strategies=(WAVE_PLUS,), weights=(0.5, 0.5)),
+         "strategies and weights must be equal-length, nonempty"),
+        (lambda: HVModel(strategies=(WAVE_PLUS,), weights=(Fraction(1, 2),)),
+         "weights sum to 1/2, expected exactly 1"),
+        (lambda: HVModel(strategies=(WAVE_PLUS, HVStrategy("particle", "+-")), weights=(0.5, 0.5)),
+         "all strategies must cover the same settings"),
+        (lambda: SettingsList([]), "settings list must be nonempty"),
+        (lambda: SettingsList([(0.1, 0.2), (0.3, 0.2), (0.1, 0.2)]), "settings must be distinct"),
+        (lambda: hv.predicted_joint(HVModel((WAVE_PLUS,), (1,)),
+                                    SettingsList([(0.0, 1.0), (0.5, 1.0)])),
+         "model strategies do not cover the settings list"),
+        (lambda: hv.predicted_joint(HVModel((WAVE_PLUS,), (1,)), SettingsList([(0.0, 1.0)]),
+                                    wave_probs=[(0.5, 0.5), (0.5, 0.5)]),
+         "wave_probs must align with the settings list"),
+    ])
+    def test_model_and_settings_that_do_not_fit_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            build()
+
     def test_distributions_valid_exactly_in_rational_arithmetic(self):
         rng = np.random.default_rng(9)
         settings = SettingsList(entries=[(0.1, 1.0), (0.4, 2.0), (0.9, 3.0)])
@@ -465,6 +487,18 @@ class TestFeasibility:
             hv.feasibility([[[-0.1, 0.6], [0.3, 0.2]]], settings)
         with pytest.raises(ValueError):
             hv.feasibility([np.eye(2) / 2, np.eye(2) / 2], settings)
+
+    @pytest.mark.parametrize("targets, wave_probs, message", [
+        ([[[0.5, 0.0], [0.5, 0.0]]], [], "wave_probs must align with the settings list"),
+        ([[[0.5, 0.0, 0.0], [0.5, 0.0]]], None, "each target must be a 2x2 joint distribution"),
+        ([[[0.5, 0.5]]], None, "each target must be a 2x2 joint distribution"),
+        ([[[Fraction(-1, 2), 1], [Fraction(1, 2), 0]]], None,
+         "target probabilities must be nonnegative"),
+    ])
+    def test_targets_that_do_not_fit_rejected(self, targets, wave_probs, message):
+        settings = SettingsList(entries=[(0.0, 1.0)])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            hv.feasibility(targets, settings, wave_probs)
 
 
 def enumerated_residual(targets, wave_probs, exact):

@@ -243,6 +243,11 @@ class TestSchmidt:
         with pytest.raises(ValueError):
             qs.schmidt_coefficients(state, (0, 1))
 
+    @pytest.mark.parametrize("qubit", [2, -1])
+    def test_qubit_out_of_range_rejected(self, qubit):
+        with pytest.raises(ValueError, match=f"^qubit {qubit} out of range$"):
+            qs.schmidt_coefficients(qs.bell_state("psi+"), (qubit,))
+
 
 class TestValidation:
     def test_non_normalized_state_rejected(self):
@@ -252,6 +257,10 @@ class TestValidation:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             qs.StateVector(np.array([1.0, 0.0, 0.0]))
+
+    def test_fidelity_across_register_sizes_rejected(self):
+        with pytest.raises(ValueError, match="fidelity requires equal register sizes"):
+            qs.product_state(qs.KET_H).fidelity(qs.bell_state("psi+"))
 
     def test_sizes_come_from_the_arrays(self):
         for n in range(1, 5):
