@@ -19,13 +19,15 @@ import numpy as np
 from .qstate import (
     ATOL,
     GateOp,
-    Projector,
     StateVector,
     bell_ket,
     controlled_hadamard,
     hadamard,
     _SQRT2,
     _apply_matrix,
+    _finite,
+    _finite_grid,
+    _unit_interval,
     _unit_ket,
 )
 
@@ -48,10 +50,8 @@ class NoiseParams:
     background: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
-        if not 0.0 <= self.background <= 1.0:
-            raise ValueError(f"background must be in [0, 1], got {self.background}")
+        _unit_interval("visibility", self.visibility)
+        _unit_interval("background", self.background)
 
     @property
     def correlation_scale(self) -> float:
@@ -73,8 +73,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("phi", "theta1", "theta2", "delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite angle")
+            _finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,7 +87,7 @@ class OutcomeDistribution:
 
     def __post_init__(self):
         for name in ("p_pp", "p_pm", "p_mp", "p_mm"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, float(_finite(name, getattr(self, name), "probability")))
         probs = self.as_array()
         if not np.all((probs >= -1e-10) & (probs <= 1.0 + 1e-10)):  # NaN fails too
             raise ValueError(f"probabilities outside [0, 1]: {probs}")
@@ -109,6 +108,7 @@ class OutcomeDistribution:
 
 def initial_state(delta: float) -> StateVector:
     """|V>_S (x) (|HV> + e^{i delta}|VH>)_CA / sqrt2, register order (S, C, A)."""
+    _finite("delta", delta)
     amps = np.zeros(8, dtype=complex)
     amps[0b101] = 1.0 / _SQRT2                  # |V H V>
     amps[0b110] = np.exp(1j * delta) / _SQRT2   # |V V H>
@@ -117,12 +117,12 @@ def initial_state(delta: float) -> StateVector:
 
 def particle_state(phi: float) -> StateVector:
     """(|H> - e^{i phi}|V>)/sqrt2: H/V statistics independent of phi."""
-    return StateVector([1.0 / _SQRT2, -np.exp(1j * phi) / _SQRT2])
+    return StateVector([1.0 / _SQRT2, -np.exp(1j * _finite("phi", phi)) / _SQRT2])
 
 
 def wave_state(phi: float) -> StateVector:
     """e^{i phi/2}(-i sin(phi/2)|H> + cos(phi/2)|V>): fringes in phi."""
-    half = phi / 2.0
+    half = _finite("phi", phi) / 2.0
     pref = np.exp(1j * half)
     return StateVector([pref * (-1j) * math.sin(half), pref * math.cos(half)])
 
@@ -153,30 +153,12 @@ def final_state(phi: float, delta: float = math.pi / 4) -> StateVector:
     Hadamard and phase shifter on S, controlled-Hadamard with control C and
     target S, then the fixed circular-basis rotations on C and A.  The
     result is (1/2)[|p>_S(|phi-> - i|psi+>) + e^{i delta}|w>_S(|phi-> + i|psi+>)]
-    with |p>/|w> the particle/wave states at phase phi.  Both angles are
-    checked here; the state owns a copy of its amplitudes.
+    with |p>/|w> the particle/wave states at phase phi.  ``phi`` is checked
+    here and ``delta`` by ``initial_state``; the state owns a copy of its
+    amplitudes.
     """
-    if not (math.isfinite(phi) and math.isfinite(delta)):
-        raise ValueError(f"phi and delta must be finite angles, got {phi} and {delta}")
+    _finite("phi", phi)
     return StateVector(_final_states(np.array([phi]), delta)[0])
-
-
-def alice_projector(theta1: float, sign: str) -> Projector:
-    """Alice's "+" projector, onto cos(theta1)|H> + sin(theta1)|V>, or her orthogonal "-"."""
-    return _sign_projector(_alice_kets(theta1), sign)
-
-
-def bob_projector(theta2: float, sign: str) -> Projector:
-    """Bob's "+" projector, onto cos(theta2)|phi-> + sin(theta2)|psi+>, or "-": theta2 + pi/2."""
-    return _sign_projector(_bob_kets([theta2])[:, 0], sign)
-
-
-def _sign_projector(kets: np.ndarray, sign: str) -> Projector:
-    """The validated projector onto the "+" or "-" ket of a (2, d) pair."""
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    ket = kets["+-".index(sign)]
-    return Projector(np.outer(ket, ket.conj()))
 
 
 def _alice_kets(theta1: float) -> np.ndarray:
@@ -257,9 +239,13 @@ def chsh(phi: float,
     the sign of sin(phi), so callers pick the pair order that matches their
     working point.
     """
-    phi_grid = _finite_grid("phi", (phi,))
-    t1, t1p = _finite_grid("theta1_pair", theta1_pair).tolist()
-    t2, t2p = _finite_grid("theta2_pair", theta2_pair).tolist()
+    phi_grid = np.array([_finite("phi", phi)], dtype=float)
+    pairs = []
+    for name, pair in (("theta1_pair", theta1_pair), ("theta2_pair", theta2_pair)):
+        pairs.append(_finite_grid(name, pair).tolist())
+        if len(pairs[-1]) != 2:
+            raise ValueError(f"{name} must hold two angles, got {len(pairs[-1])}")
+    (t1, t1p), (t2, t2p) = pairs
     if math.isclose(t1, t1p) or math.isclose(t2, t2p):
         raise ValueError("setting pairs must contain two distinct angles")
     (e, ep), (f, fp) = (correlation_surface(a, (t2, t2p), phi_grid, noise)[:, 0].tolist()
@@ -271,22 +257,6 @@ def chsh(phi: float,
 # so at about 1 KiB per point and 10 KiB per row the workspace stays under 2 MiB
 _PHI_BLOCK = 1024
 _BLOCK_POINTS = 128
-
-
-def _finite_grid(name: str, values, kind: str = "angles") -> np.ndarray:
-    """``values`` as a nonempty 1-D array of finite floats; ValueError names ``name``."""
-    try:
-        grid = np.asarray(values if isinstance(values, np.ndarray) else tuple(values),
-                          dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be a sequence of {kind}: {exc}") from None
-    if grid.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {grid.shape}")
-    if grid.size == 0:
-        raise ValueError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError(f"{name} must hold finite {kind} only")
-    return grid
 
 
 def _final_states(phi_grid: np.ndarray, delta: float) -> np.ndarray:
@@ -346,8 +316,7 @@ def correlation_surface(theta1: float,
     rows.  The grids are checked once, here; beyond the (T, P) result the
     workspace is bounded by the block size, whatever the shape of the grid.
     """
-    if not math.isfinite(theta1):
-        raise ValueError(f"theta1 must be a finite angle, got {theta1}")
+    _finite("theta1", theta1)
     theta2_grid = _finite_grid(
         "theta2_grid", THETA2_GRID_9 if theta2_grid is None else theta2_grid)
     phi_grid = _finite_grid("phi_grid", PHI_GRID_9 if phi_grid is None else phi_grid)
@@ -385,24 +354,21 @@ def rng_stream(seed) -> np.random.Generator:
 _SAMPLE_CHUNK = 1 << 16
 
 
-def sample_counts(distribution: OutcomeDistribution, total: int, seed,
-                  rng: np.random.Generator | None = None) -> np.ndarray:
+def sample_counts(distribution: OutcomeDistribution, total: int, seed) -> np.ndarray:
     """Multinomial draw of ``total`` events over the four outcomes.
 
     Sampled by sequential binomial conditioning, each binomial realized by
     counting uniforms below the conditional probability, so the counts are
     a pure function of the PCG64 stream for the given seed.  The uniforms
-    are drawn into one reused 512 KiB block, so the working set does not
-    grow with ``total``.  A caller's ``rng`` advances by exactly the draws
-    made: one uniform per remaining event at each binomial step.  ``total``
-    must be an integer (numpy integers included); anything else raises
-    ``TypeError``.
+    are drawn from ``rng_stream(seed)``, one per remaining event at each
+    binomial step, into one reused 512 KiB block, so the working set does
+    not grow with ``total``.  ``total`` must be an integer (numpy integers
+    included); anything else raises ``TypeError``.
     """
     total = operator.index(total)
     if total < 1:
         raise ValueError(f"total must be >= 1, got {total}")
-    if rng is None:
-        rng = rng_stream(seed)
+    rng = rng_stream(seed)
     probs = distribution.as_array()
     counts = np.zeros(4, dtype=np.int64)
     block = np.empty(min(_SAMPLE_CHUNK, total))
@@ -436,7 +402,7 @@ def fit_visibility(theta2_values, measured, theta1: float, phi: float) -> float:
     measured = _finite_grid("measured", measured, "values")
     if measured.size != theta2_values.size:
         raise ValueError("measured must hold one value per theta2_values angle")
-    ideal = correlation_surface(theta1, theta2_values, _finite_grid("phi", (phi,)))[:, 0]
+    ideal = correlation_surface(theta1, theta2_values, np.array([_finite("phi", phi)], dtype=float))[:, 0]
     denom = float(np.dot(ideal, ideal))
     if denom < 1e-12:
         raise ValueError("ideal curve is identically zero; visibility undefined")

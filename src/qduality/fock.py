@@ -24,7 +24,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import circuit as _circuit
-from .qstate import KET_A, KET_D, Projector, _SQRT2, w_gate, waveplate
+from .qstate import (
+    KET_A, KET_D, Projector, _SQRT2, _finite, _finite_grid, _unit_interval, w_gate, waveplate)
 
 POL_H = "H"
 POL_V = "V"
@@ -148,9 +149,8 @@ def polarization_map(spatial: str, jones: np.ndarray) -> Callable[[Mode], list]:
 
 def _ppbs_map(in_modes, t_h: float, t_v: float) -> Callable[[Mode], list]:
     """Mapper of the beam splitter of ``ppbs_transform``."""
-    for t in (t_h, t_v):
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"transmission {t} outside [0, 1]")
+    _unit_interval("t_h", t_h)
+    _unit_interval("t_v", t_v)
     th, tv = math.sqrt(t_h), math.sqrt(t_v)
     rh, rv = math.sqrt(1.0 - t_h), math.sqrt(1.0 - t_v)
     matrix = [[th, 0, rh, 0], [0, tv, 0, rv], [rh, 0, -th, 0], [0, rv, 0, -tv]]
@@ -184,8 +184,7 @@ def pbs_transform(state: ModeState, in_modes) -> ModeState:
 def _attenuation_map(spatial: str, pol: str, transmission: float,
                      loss_label: str) -> Callable[[Mode], list]:
     """Mapper of the loss port of ``attenuate``."""
-    if not 0.0 <= transmission <= 1.0:
-        raise ValueError(f"transmission {transmission} outside [0, 1]")
+    _unit_interval("transmission", transmission)
     rt, rr = math.sqrt(transmission), math.sqrt(1.0 - transmission)
     return _linear_map([(spatial, pol), (loss_label, pol)], [[rt, 0.0], [rr, 1.0]])
 
@@ -209,14 +208,12 @@ class OverlapModel:
     sigma: float | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.v <= 1.0:
-            raise ValueError(f"overlap must be in [0, 1], got {self.v}")
+        _unit_interval("v", self.v)
         if (self.x0 is None) != (self.sigma is None):
             raise ValueError("x0 and sigma must be given together")
         if self.x0 is not None:
-            if not (math.isfinite(self.x0) and math.isfinite(self.sigma)):
-                raise ValueError("x0 and sigma must be finite")
-            if self.sigma <= 0:
+            _finite("x0", self.x0, "position")
+            if _finite("sigma", self.sigma, "width") <= 0:
                 raise ValueError("sigma must be positive")
 
     def value(self, x: float) -> float:
@@ -240,9 +237,8 @@ def hom_scan(transmission: float, overlap: OverlapModel, positions) -> HomScanRe
     P(x) = T^2 + R^2 - 2 T R v(x); the reported contrast is
     (baseline - min P) / baseline with baseline = T^2 + R^2.
     """
-    if not 0.0 <= transmission <= 1.0:
-        raise ValueError(f"transmission {transmission} outside [0, 1]")
-    positions = tuple(_circuit._finite_grid("positions", positions, "values").tolist())
+    _unit_interval("transmission", transmission)
+    positions = tuple(_finite_grid("positions", positions, "values").tolist())
     t, r = transmission, 1.0 - transmission
     baseline = t * t + r * r
     curve = tuple(baseline - 2.0 * t * r * overlap.value(x) for x in positions)
@@ -269,10 +265,6 @@ class PostselectedMap:
         for k in self.kraus:
             out += k @ rho @ k.conj().T
         return out
-
-    def apply_to_ket(self, ket) -> np.ndarray:
-        ket = np.asarray(ket, dtype=complex).reshape(-1)
-        return self.apply(np.outer(ket, ket.conj()))
 
     def success_probability(self) -> float:
         """Heralding probability for a maximally mixed input."""
@@ -328,7 +320,8 @@ _SCAN_BRAS = _analyzer_bras(_SCAN_OUTCOMES)
 
 def _analyzer(theta2: float) -> tuple:
     """The BSM analyzer: a half-wave plate at theta2/2 on the control port, then the fixed optics."""
-    return (polarization_map("c", waveplate("half", theta2 / 2.0).matrix), *_ANALYZER_FIXED)
+    plate = waveplate("half", _finite("theta2", theta2) / 2.0)
+    return (polarization_map("c", plate.matrix), *_ANALYZER_FIXED)
 
 
 def _port_amplitudes(state: ModeState, ports) -> dict:
@@ -367,8 +360,7 @@ def _transfer(elements, ports, labels) -> list:
 
 def _overlap_branches(v: float, same, distinct) -> list:
     """Weight v on the shared temporal labels, 1 - v on the distinct ones."""
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"overlap must be in [0, 1], got {v}")
+    _unit_interval("v", v)
     return [(w, labels) for w, labels in ((v, same), (1.0 - v, distinct)) if w > 0.0]
 
 
@@ -432,7 +424,7 @@ def bsm_scan(theta2: float, overlap: OverlapModel, positions) -> BsmScanResult:
     At full overlap the cross outcomes DA/AD peak while DD/AA vanish; with
     no overlap all four rates coincide.
     """
-    positions = tuple(_circuit._finite_grid("positions", positions, "values").tolist())
+    positions = tuple(_finite_grid("positions", positions, "values").tolist())
     analyzer = _analyzer(theta2)
     probs = []
     for t_c, t_a in (("t0", "t0"), ("t0", "t1")):

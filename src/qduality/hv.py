@@ -23,8 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuit import _BLOCK_POINTS, _born, _bob_kets, _final_states, _sign_projector
-from .qstate import Projector
+from .circuit import _BLOCK_POINTS, _born, _bob_kets, _final_states
 
 FEASIBILITY_TOL = 1e-9
 _FLOAT_TOL = 1e-12  # a float Kelley loop stops when g is this close to its lower bound
@@ -122,7 +121,10 @@ class SettingsList:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple((float(t2), float(phi)) for t2, phi in self.entries)
+        try:
+            entries = tuple((float(t2), float(phi)) for t2, phi in self.entries)
+        except (TypeError, ValueError):
+            raise ValueError("settings must be (theta2, phi) pairs of numbers") from None
         if not entries:
             raise ValueError("settings list must be nonempty")
         if not all(math.isfinite(v) for entry in entries for v in entry):
@@ -173,11 +175,6 @@ def predicted_joint(model: HVModel, settings: SettingsList, wave_probs=None):
                 table[s][b] += weight * stats[s]
         joints.append(table)
     return joints
-
-
-def quadrature_pair_projector(theta2: float, sign: str) -> Projector:
-    """Projector onto cos(theta2)|phi-> +- i sin(theta2)|psi+>, for theta2 = pi/4 + k pi/2 only."""
-    return _sign_projector(_bob_kets([theta2], "quadrature")[:, 0], sign)
 
 
 def quantum_joint(theta2: float, phi: float, basis: str = "real") -> np.ndarray:

@@ -25,6 +25,48 @@ KET_R = np.array([1.0, -1.0j], dtype=complex) / _SQRT2
 KET_L = np.array([1.0, 1.0j], dtype=complex) / _SQRT2
 
 
+# complex numbers, numpy's included, which no input rule converts to float
+_COMPLEX = (complex, np.complexfloating)
+
+
+# The package's input rules: each scalar or grid argument is checked by one
+# of these three, which raise a ValueError that starts with its name.
+def _finite(name: str, value, kind: str = "angle"):
+    """``value`` if it is a finite real number; else a ValueError that names ``name``."""
+    try:  # math.isfinite rejects a str or None, and overflows on an int too large
+        if not isinstance(value, _COMPLEX) and math.isfinite(value):
+            return value
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a finite {kind}, got {value!r}")
+
+
+def _unit_interval(name: str, value):
+    """``value`` if it is a real number in [0, 1]; else a ValueError that names ``name``."""
+    try:
+        if not isinstance(value, _COMPLEX) and 0.0 <= value <= 1.0:
+            return value
+    except (TypeError, ValueError):  # a str or None; an array has no single truth value
+        pass
+    raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+
+
+def _finite_grid(name: str, values, kind: str = "angles") -> np.ndarray:
+    """``values`` as a nonempty 1-D array of finite floats; ValueError names ``name``."""
+    try:
+        grid = np.asarray(values if isinstance(values, np.ndarray) else tuple(values),
+                          dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a sequence of {kind}: {exc}") from None
+    if grid.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {grid.shape}")
+    if grid.size == 0:
+        raise ValueError(f"{name} must be nonempty")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(f"{name} must hold finite {kind} only")
+    return grid
+
+
 def _frozen_array(values, dtype=complex) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -180,8 +222,7 @@ def waveplate(kind: str, angle: float) -> GateOp:
     half(t)    = [[cos 2t, sin 2t], [sin 2t, -cos 2t]]
     quarter(0) = diag(1, i), rotated by conjugation for t != 0.
     """
-    if not math.isfinite(angle):
-        raise ValueError(f"waveplate angle must be finite, got {angle}")
+    _finite("angle", angle, "number")
     if kind == "half":
         c, s = math.cos(2 * angle), math.sin(2 * angle)
         mat = np.array([[c, s], [s, -c]], dtype=complex)
@@ -198,8 +239,7 @@ def waveplate(kind: str, angle: float) -> GateOp:
 
 def phase_shifter(phi: float) -> GateOp:
     """diag(1, e^{i phi}) on {|H>, |V>}."""
-    if not math.isfinite(phi):
-        raise ValueError(f"phase must be finite, got {phi}")
+    _finite("phi", phi)
     return GateOp(np.diag([1.0, np.exp(1j * phi)]), label=f"phase({phi:.6g})")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -169,7 +170,7 @@ class TestFinalState:
                 check(op)
 
             monkeypatch.setattr(cls, "__post_init__", counted)
-        qs.hadamard(), ct.alice_projector(0.3, "+")
+        qs.hadamard(), qs.projector_onto(qs.KET_H)
         assert built == ["GateOp", "Projector"]  # the count sees both kinds
         built.clear()
         ct._final_states(np.linspace(0.0, 6.0, 7), 0.4)
@@ -193,61 +194,60 @@ def outer_products(kets):
     return kets[..., :, None] * kets.conj()[..., None, :]
 
 
+def alice_projectors(theta1):
+    """Alice's "+" and "-" projectors, from the kernel's kets."""
+    return outer_products(ct._alice_kets(theta1))
+
+
+def bob_projectors(theta2):
+    """Bob's "+" and "-" projectors at one theta2, from the kernel's kets."""
+    return outer_products(ct._bob_kets([theta2])[:, 0])
+
+
 class TestProjectors:
     def test_alice_zero_is_h(self):
-        assert np.allclose(ct.alice_projector(0.0, "+").matrix,
-                           np.diag([1.0, 0.0]), atol=1e-12)
+        assert np.allclose(alice_projectors(0.0)[0], np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_alice_diag(self):
         expected = np.full((2, 2), 0.5)
-        assert np.allclose(ct.alice_projector(math.pi / 4, "+").matrix, expected,
-                           atol=1e-12)
+        assert np.allclose(alice_projectors(math.pi / 4)[0], expected, atol=1e-12)
 
     @pytest.mark.parametrize("theta1", np.linspace(-1.5, 1.5, 7))
     def test_alice_completeness(self, theta1):
-        total = ct.alice_projector(theta1, "+").matrix + \
-            ct.alice_projector(theta1, "-").matrix
+        total = alice_projectors(theta1).sum(axis=0)
         assert np.max(np.abs(total - np.eye(2))) < 1e-12
 
     def test_bob_zero_is_phi_minus(self):
         expected = qs.projector_onto(qs.bell_ket("phi-")).matrix
-        assert np.allclose(ct.bob_projector(0.0, "+").matrix, expected, atol=1e-12)
+        assert np.allclose(bob_projectors(0.0)[0], expected, atol=1e-12)
 
     def test_bob_right_angle_is_psi_plus(self):
         expected = qs.projector_onto(qs.bell_ket("psi+")).matrix
-        assert np.allclose(ct.bob_projector(math.pi / 2, "+").matrix, expected,
-                           atol=1e-12)
+        assert np.allclose(bob_projectors(math.pi / 2)[0], expected, atol=1e-12)
 
     def test_bob_quarter_in_local_basis(self):
         # algebraic expansion oracle: (|phi-> + |psi+>)/sqrt2 = (|HD> + |VA>)/sqrt2
         hd = np.kron(qs.KET_H, qs.KET_D)
         va = np.kron(qs.KET_V, qs.KET_A)
         expected = qs.projector_onto((hd + va) / SQRT2).matrix
-        assert np.allclose(ct.bob_projector(math.pi / 4, "+").matrix, expected,
-                           atol=1e-12)
+        assert np.allclose(bob_projectors(math.pi / 4)[0], expected, atol=1e-12)
 
     def test_bob_minus_is_plus_at_rotated_angle(self):
         for theta2 in np.linspace(-1.2, 1.2, 9):
-            minus = ct.bob_projector(theta2, "-").matrix
-            rotated = ct.bob_projector(theta2 + math.pi / 2, "+").matrix
+            minus = bob_projectors(theta2)[1]
+            rotated = bob_projectors(theta2 + math.pi / 2)[0]
             assert np.array_equal(minus, rotated)
 
     def test_bob_outcomes_orthogonal(self):
-        plus = ct.bob_projector(0.7, "+").matrix
-        minus = ct.bob_projector(0.7, "-").matrix
+        plus, minus = bob_projectors(0.7)
         assert np.max(np.abs(plus @ minus)) < 1e-12
 
-    def test_alice_projector_is_one_validated_ket(self):
+    def test_alice_kets_match_the_oracle(self):
         for theta1 in np.random.default_rng(18).uniform(-7.0, 7.0, 200).tolist() + [0.0, -0.0]:
-            kets = ct._alice_kets(theta1)
+            got = alice_projectors(theta1)
             for a, sign in enumerate("+-"):
-                got = ct.alice_projector(theta1, sign)
-                assert isinstance(got, qs.Projector)
-                want = bob_oracle.alice_projector(theta1, sign).matrix.view(np.int64)
-                np.testing.assert_array_equal(got.matrix.view(np.int64), want)
-                np.testing.assert_array_equal(outer_products(kets[a]).view(np.int64), want)
-        with pytest.raises(ValueError, match="sign"):
-            ct.alice_projector(0.3, "x")
+                want = bob_oracle.alice_projector(theta1, sign).matrix
+                np.testing.assert_array_equal(got[a].view(np.int64), want.view(np.int64))
 
 
 class TestBobStack:
@@ -275,17 +275,6 @@ class TestBobStack:
     def test_quadrature_angles(self):
         self.assert_matches_oracle([math.pi / 4 + k * math.pi / 2 for k in range(-40, 41)],
                                    "quadrature")
-
-    def test_bob_projector_is_one_validated_row(self):
-        for theta2 in (0.0, -0.0, 0.7, -3.1, math.pi / 2, 9.5):
-            for sign in "+-":
-                got = ct.bob_projector(theta2, sign)
-                assert isinstance(got, qs.Projector)
-                np.testing.assert_array_equal(
-                    got.matrix.view(np.int64),
-                    bob_oracle.bob_projector(theta2, sign).matrix.view(np.int64))
-        with pytest.raises(ValueError, match="sign"):
-            ct.bob_projector(0.3, "x")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_rejected(self, bad):
@@ -404,6 +393,21 @@ class TestInvariants:
             assert np.max(np.abs(joint(theta1, theta2).sum(axis=0)
                                  - joint(theta1b, theta2).sum(axis=0))) < 1e-13
 
+    def test_bob_quarter_turn_flips_the_correlation(self):
+        # Bob's "-" outcome at theta2 is his "+" at theta2 + pi/2, so
+        # E(theta1, theta2 + pi/2, phi) = -E(theta1, theta2, phi) under any noise
+        rng = np.random.default_rng(42)
+        for _ in range(2000):
+            config = random_setting(rng)
+            turned = dataclasses.replace(config, theta2=config.theta2 + math.pi / 2)
+            assert abs(ct.correlation(turned) + ct.correlation(config)) < 1e-13
+        theta2_grid = rng.uniform(-10.0, 10.0, 60)
+        noise = ct.NoiseParams(visibility=0.8, background=0.1)
+        table = ct.correlation_surface(rng.uniform(-7.0, 7.0),
+                                       np.concatenate([theta2_grid, theta2_grid + math.pi / 2]),
+                                       rng.uniform(-15.0, 15.0, 40), noise)
+        assert np.max(np.abs(table[60:] + table[:60])) < 1e-13
+
 
 class TestCoincidences:
     def test_perfectly_correlated_point(self):
@@ -459,7 +463,7 @@ class TestCoincidences:
     @pytest.mark.parametrize("name", ["phi", "theta1", "theta2", "delta"])
     def test_non_finite_config_angle_named(self, name):
         kwargs = {"phi": 0.0, name: math.nan}
-        with pytest.raises(ValueError, match=f"^{name} must be a finite angle$"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite angle, got nan$"):
             ct.ExperimentConfig(**kwargs)
 
     def test_bit_identical_to_the_per_point_oracle(self):
@@ -639,8 +643,16 @@ class TestChsh:
             raise AssertionError("the surface ran before the arguments were checked")
 
         monkeypatch.setattr(ct, "correlation_surface", no_work)
-        with pytest.raises(ValueError, match=f"^{name} must hold finite angles only$"):
+        message = ("phi must be a finite angle, got nan" if name == "phi"
+                   else f"{name} must hold finite angles only")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             ct.chsh(**kwargs)
+
+    @pytest.mark.parametrize("name", ["theta1_pair", "theta2_pair"])
+    @pytest.mark.parametrize("pair", [(0.3,), (0.0, 0.5, 1.0)])
+    def test_pair_of_the_wrong_length_named(self, name, pair):
+        with pytest.raises(ValueError, match=f"^{name} must hold two angles, got {len(pair)}$"):
+            ct.chsh(1.0, **{name: pair})
 
 
 class TestSurface:
@@ -814,10 +826,9 @@ class TestSurfaceKernel:
         assert peak - 8 * n_theta2 * n_phi < bound
 
 
-def one_shot_counts(distribution, total, seed, rng=None):
+def one_shot_counts(distribution, total, seed):
     """Reference sampler: each binomial step draws all its uniforms at once."""
-    if rng is None:
-        rng = ct.rng_stream(seed)
+    rng = ct.rng_stream(seed)
     probs = distribution.as_array()
     counts = np.zeros(4, dtype=np.int64)
     remaining = total
@@ -866,14 +877,6 @@ class TestSampling:
         dist = ct.coincidence_probabilities(ct.ExperimentConfig(
             phi=3 * math.pi / 2, theta1=0.0, theta2=math.pi / 8))
         assert ct.sample_counts(dist, total, seed=7).tolist() == expected
-
-    def test_caller_generator_advances_by_the_draws_made(self):
-        dist = ct.OutcomeDistribution(0.4, 0.1, 0.2, 0.3)
-        total = 3 * ct._SAMPLE_CHUNK + 5
-        g, oracle = ct.rng_stream(11), ct.rng_stream(11)
-        assert np.array_equal(ct.sample_counts(dist, total, seed=None, rng=g),
-                              one_shot_counts(dist, total, seed=None, rng=oracle))
-        assert g.random() == oracle.random()
 
     @pytest.mark.parametrize("total", [2.5, 3.0, "10", None])
     def test_non_integral_total_rejected(self, total):
@@ -1019,5 +1022,5 @@ class TestVisibilityFit:
 
     @pytest.mark.parametrize("phi", [math.nan, math.inf])
     def test_non_finite_phi_named(self, phi):
-        with pytest.raises(ValueError, match="^phi must hold finite angles only$"):
+        with pytest.raises(ValueError, match=f"^phi must be a finite angle, got {phi!r}$"):
             ct.fit_visibility([0.1, 0.2], [0.5, 0.5], 0.0, phi)

@@ -492,9 +492,9 @@ class TestCommands:
         capsys.readouterr()
 
     @pytest.mark.parametrize("extra,message", [
-        (["--sigma", "nan"], "x0 and sigma must be finite"),
-        (["--x0", "nan"], "x0 and sigma must be finite"),
-        (["--x0", "inf"], "x0 and sigma must be finite"),
+        (["--sigma", "nan"], "sigma must be a finite width, got nan"),
+        (["--x0", "nan"], "x0 must be a finite position, got nan"),
+        (["--x0", "inf"], "x0 must be a finite position, got inf"),
         (["--from", "nan"], "--from and --to must be finite"),
         (["--to", "inf"], "--from and --to must be finite"),
         (["--from", "-1e308", "--to", "1e308"], "--from and --to must be finite"),

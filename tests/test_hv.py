@@ -99,7 +99,7 @@ class TestQuantumJoint:
         assert minus == pytest.approx(hv.particle_stats(), abs=1e-10)
 
     def test_quadrature_basis_needs_orthogonal_angle(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="orthogonal only"):
             hv.quantum_joint(0.3, 1.0, basis="quadrature")
 
     @pytest.mark.parametrize("theta2, phi", [
@@ -108,22 +108,6 @@ class TestQuantumJoint:
     def test_non_finite_angles_rejected(self, theta2, phi):
         with pytest.raises(ValueError, match="finite"):
             hv.quantum_joint(theta2, phi)
-
-    def test_quadrature_projector_rejects_unknown_sign(self):
-        with pytest.raises(ValueError, match="sign"):
-            hv.quadrature_pair_projector(math.pi / 4, "x")
-
-    def test_quadrature_projector_is_one_validated_row(self):
-        for k in range(-6, 7):
-            theta2 = math.pi / 4 + k * math.pi / 2
-            for sign in "+-":
-                got = hv.quadrature_pair_projector(theta2, sign)
-                assert isinstance(got, qs.Projector)
-                np.testing.assert_array_equal(
-                    got.matrix.view(np.int64),
-                    bob_oracle.quadrature_pair_projector(theta2, sign).matrix.view(np.int64))
-        with pytest.raises(ValueError, match="orthogonal only"):
-            hv.quadrature_pair_projector(0.3, "+")
 
     def test_matches_oracle_on_dense_random_settings(self):
         rng = np.random.default_rng(2024)
@@ -300,6 +284,11 @@ class TestPredictedJoint:
          "all strategies must cover the same settings"),
         (lambda: SettingsList([]), "settings list must be nonempty"),
         (lambda: SettingsList([(0.1, 0.2), (0.3, 0.2), (0.1, 0.2)]), "settings must be distinct"),
+        (lambda: SettingsList([(None, 1.0)]), "settings must be (theta2, phi) pairs of numbers"),
+        (lambda: SettingsList([(0.0, "x")]), "settings must be (theta2, phi) pairs of numbers"),
+        (lambda: SettingsList([1.0]), "settings must be (theta2, phi) pairs of numbers"),
+        (lambda: SettingsList([(0.1, 0.2, 0.3)]), "settings must be (theta2, phi) pairs of numbers"),
+        (lambda: SettingsList([(0.1,)]), "settings must be (theta2, phi) pairs of numbers"),
         (lambda: hv.predicted_joint(HVModel((WAVE_PLUS,), (1,)),
                                     SettingsList([(0.0, 1.0), (0.5, 1.0)])),
          "model strategies do not cover the settings list"),
