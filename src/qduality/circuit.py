@@ -73,7 +73,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("phi", "theta1", "theta2", "delta"):
-            _finite(name, getattr(self, name))
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,7 +87,7 @@ class OutcomeDistribution:
 
     def __post_init__(self):
         for name in ("p_pp", "p_pm", "p_mp", "p_mm"):
-            object.__setattr__(self, name, float(_finite(name, getattr(self, name), "probability")))
+            object.__setattr__(self, name, _finite(name, getattr(self, name), "probability"))
         probs = self.as_array()
         if not np.all((probs >= -1e-10) & (probs <= 1.0 + 1e-10)):  # NaN fails too
             raise ValueError(f"probabilities outside [0, 1]: {probs}")
@@ -108,7 +108,7 @@ class OutcomeDistribution:
 
 def initial_state(delta: float) -> StateVector:
     """|V>_S (x) (|HV> + e^{i delta}|VH>)_CA / sqrt2, register order (S, C, A)."""
-    _finite("delta", delta)
+    delta = _finite("delta", delta)
     amps = np.zeros(8, dtype=complex)
     amps[0b101] = 1.0 / _SQRT2                  # |V H V>
     amps[0b110] = np.exp(1j * delta) / _SQRT2   # |V V H>
@@ -157,8 +157,7 @@ def final_state(phi: float, delta: float = math.pi / 4) -> StateVector:
     here and ``delta`` by ``initial_state``; the state owns a copy of its
     amplitudes.
     """
-    _finite("phi", phi)
-    return StateVector(_final_states(np.array([phi]), delta)[0])
+    return StateVector(_final_states(np.array([_finite("phi", phi)]), delta)[0])
 
 
 def _alice_kets(theta1: float) -> np.ndarray:

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import circuit as _circuit
 from .qstate import (
-    KET_A, KET_D, Projector, _SQRT2, _finite, _finite_grid, _unit_interval, w_gate, waveplate)
+    KET_A, KET_D, Projector, _SQRT2, _finite, _finite_grid, _frozen_array, _unit_interval, w_gate,
+    waveplate)
 
 POL_H = "H"
 POL_V = "V"
@@ -359,8 +360,8 @@ def _transfer(elements, ports, labels) -> list:
 
 
 def _overlap_branches(v: float, same, distinct) -> list:
-    """Weight v on the shared temporal labels, 1 - v on the distinct ones."""
-    _unit_interval("v", v)
+    """Weight v on the shared temporal labels, 1 - v on the distinct ones, as floats."""
+    v = float(_unit_interval("v", v))
     return [(w, labels) for w, labels in ((v, same), (1.0 - v, distinct)) if w > 0.0]
 
 
@@ -415,7 +416,7 @@ def bsm_projector_physical(theta2: float) -> Projector:
 @dataclass(frozen=True)
 class BsmScanResult:
     positions: tuple
-    rates: dict  # keys "DA", "AD", "DD", "AA" -> tuple of rates
+    rates: dict  # keys "DA", "AD", "DD", "AA" -> read-only float64 array, one rate per position
 
 
 def bsm_scan(theta2: float, overlap: OverlapModel, positions) -> BsmScanResult:
@@ -434,13 +435,11 @@ def bsm_scan(theta2: float, overlap: OverlapModel, positions) -> BsmScanResult:
         ]), _ARM_ROTATIONS)
         probs.append(_analyzer_probs(pair, analyzer, ("c", "a"), _SCAN_BRAS).tolist())
     same, dist = probs
-    rates = {out: [] for out in _SCAN_OUTCOMES}
-    for x in positions:
-        v = overlap.value(x)
-        for k, out in enumerate(_SCAN_OUTCOMES):
-            rates[out].append(v * same[k] + (1.0 - v) * dist[k])
-    return BsmScanResult(positions=positions,
-                         rates={k: tuple(vals) for k, vals in rates.items()})
+    v = np.array([overlap.value(x) for x in positions], dtype=float)
+    # per position the same two products and one sum as the scalar formula
+    rates = {out: _frozen_array(v * same[k] + (1.0 - v) * dist[k], float)
+             for k, out in enumerate(_SCAN_OUTCOMES)}
+    return BsmScanResult(positions=positions, rates=rates)
 
 
 def physical_correlation(config: _circuit.ExperimentConfig, v: float) -> float:
@@ -452,15 +451,16 @@ def physical_correlation(config: _circuit.ExperimentConfig, v: float) -> float:
     a separate run at theta2 + pi/2, as in the counting procedure, with both
     angles from ``circuit._bob_angles``, which names a theta2 whose quarter
     turn does not resolve in floats; the four post-selected rates combine
-    exactly like coincidence counts.  Source, gate chain and arm rotations
-    run once per overlap branch; only the analyzer depends on theta2.
+    exactly like coincidence counts.  Source and gate chain run once per
+    overlap branch, then post-selection on ports s, c and a, then the arm
+    rotations; only the analyzer depends on theta2.
     """
     branches = _overlap_branches(v, ("t0", "t0", "t0"), ("t1", "t0", "t0"))
     c1, s1 = math.cos(config.theta1), math.sin(config.theta1)
     # rows (alice, bob cross outcome): (+, DA), (+, AD), (-, DA), (-, AD)
     bras = np.kron(np.array([[c1, s1], [-s1, c1]]), _CROSS_BRAS)
     phase = polarization_map("s", np.diag([1.0, np.exp(1j * config.phi)]))
-    chain = (_SOURCE_PLATE, phase, *_CH_CHAIN, *_ARM_ROTATIONS)
+    gate = (_SOURCE_PLATE, phase, *_CH_CHAIN)
     analyzers = [_analyzer(theta2) for theta2 in _circuit._bob_angles([config.theta2])]
     rates = np.zeros((2, 2))  # [alice sign, bob sign]
     for weight, (t_s, t_c, t_a) in branches:
@@ -469,7 +469,17 @@ def physical_correlation(config: _circuit.ExperimentConfig, v: float) -> float:
              1.0 / _SQRT2),
             ((Mode("s", POL_V, t_s), Mode("c", POL_V, t_c), Mode("a", POL_H, t_a)),
              np.exp(1j * config.delta) / _SQRT2),
-        ]), chain)
+        ]), gate)
+        # Post-selecting here is exact.  Nothing after the gate touches port
+        # s or the loss ports (the arm rotations act within c and within a,
+        # the analyzer mixes only c with a), so their photon counts are
+        # final, and so is the total in c and a.  Photon A alone is in port
+        # a until the analyzer, so a pattern ends with one photon in each of
+        # s, c and a only if it has one in each now.  A dropped pattern feeds
+        # only patterns dropped later, so every kept amplitude is the same
+        # sum, in the same order, as without this step.
+        state, _ = state.postselect_one_per_port(("s", "c", "a"))
+        state = _run(state, _ARM_ROTATIONS)
         for bob, analyzer in enumerate(analyzers):
             probs = _analyzer_probs(state, analyzer, ("s", "c", "a"), bras)
             rates[:, bob] += weight * probs.reshape(2, 2).sum(axis=1)

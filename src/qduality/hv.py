@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circuit import _BLOCK_POINTS, _born, _bob_kets, _final_states
+from .qstate import _finite
 
 FEASIBILITY_TOL = 1e-9
 _FLOAT_TOL = 1e-12  # a float Kelley loop stops when g is this close to its lower bound
@@ -58,7 +59,7 @@ def particle_stats() -> tuple:
 
 def wave_stats(phi: float) -> tuple:
     """Fringe statistics (cos^2(phi/2), sin^2(phi/2)); sums to 1 exactly."""
-    p0 = math.cos(phi / 2.0) ** 2
+    p0 = math.cos(_finite("phi", phi) / 2.0) ** 2
     return (p0, 1.0 - p0)
 
 
@@ -114,6 +115,13 @@ class HVModel:
         object.__setattr__(self, "weights", weights)
 
 
+def _number(value) -> float:
+    """``float(value)``, with a TypeError for a str or bytes, which ``float`` would parse."""
+    if isinstance(value, (str, bytes)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True, slots=True)
 class SettingsList:
     """Measurement settings (theta2, phi) the hidden variable must answer."""
@@ -122,7 +130,7 @@ class SettingsList:
 
     def __post_init__(self):
         try:
-            entries = tuple((float(t2), float(phi)) for t2, phi in self.entries)
+            entries = tuple((_number(t2), _number(phi)) for t2, phi in self.entries)
         except (TypeError, ValueError):
             raise ValueError("settings must be (theta2, phi) pairs of numbers") from None
         if not entries:
@@ -179,7 +187,8 @@ def predicted_joint(model: HVModel, settings: SettingsList, wave_probs=None):
 
 def quantum_joint(theta2: float, phi: float, basis: str = "real") -> np.ndarray:
     """One setting's ``quantum_joints`` table, as a fresh 2x2 array that owns its data."""
-    return quantum_joints([(theta2, phi)], basis)[0].copy()
+    setting = (_finite("theta2", theta2), _finite("phi", phi))
+    return quantum_joints([setting], basis)[0].copy()
 
 
 def quantum_joints(settings, basis: str = "real") -> np.ndarray:

@@ -31,11 +31,11 @@ _COMPLEX = (complex, np.complexfloating)
 
 # The package's input rules: each scalar or grid argument is checked by one
 # of these three, which raise a ValueError that starts with its name.
-def _finite(name: str, value, kind: str = "angle"):
-    """``value`` if it is a finite real number; else a ValueError that names ``name``."""
+def _finite(name: str, value, kind: str = "angle") -> float:
+    """``float(value)`` if it is a finite real number; else a ValueError that names ``name``."""
     try:  # math.isfinite rejects a str or None, and overflows on an int too large
         if not isinstance(value, _COMPLEX) and math.isfinite(value):
-            return value
+            return float(value)
     except (TypeError, OverflowError):
         pass
     raise ValueError(f"{name} must be a finite {kind}, got {value!r}")
@@ -222,7 +222,7 @@ def waveplate(kind: str, angle: float) -> GateOp:
     half(t)    = [[cos 2t, sin 2t], [sin 2t, -cos 2t]]
     quarter(0) = diag(1, i), rotated by conjugation for t != 0.
     """
-    _finite("angle", angle, "number")
+    angle = _finite("angle", angle, "number")
     if kind == "half":
         c, s = math.cos(2 * angle), math.sin(2 * angle)
         mat = np.array([[c, s], [s, -c]], dtype=complex)
@@ -239,7 +239,7 @@ def waveplate(kind: str, angle: float) -> GateOp:
 
 def phase_shifter(phi: float) -> GateOp:
     """diag(1, e^{i phi}) on {|H>, |V>}."""
-    _finite("phi", phi)
+    phi = _finite("phi", phi)
     return GateOp(np.diag([1.0, np.exp(1j * phi)]), label=f"phase({phi:.6g})")
 
 

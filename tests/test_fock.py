@@ -577,7 +577,7 @@ class TestTransformOracle:
         monkeypatch.setattr(ModeState, "transform", fock_oracle.transform)
         want_maps, want_rates, want_projector = outputs()
         assert all(np.array_equal(a, b) for a, b in zip(maps, want_maps, strict=True))
-        assert rates == want_rates
+        assert_same_rates(rates, want_rates)
         assert np.array_equal(projector, want_projector)
 
 
@@ -650,6 +650,14 @@ def same_bytes(got, want):
     return pickle.dumps(got) == pickle.dumps(want)
 
 
+def assert_same_rates(got, want):
+    """``bsm_scan`` rates: read-only float64 curves with the bytes of ``want``'s."""
+    assert list(got) == list(want) == ["DA", "AD", "DD", "AA"]
+    for key, curve in got.items():
+        assert curve.dtype == np.float64 and not curve.flags.writeable
+        assert curve.tobytes() == np.array(want[key]).tobytes()
+
+
 class TestPipelineOracle:
     """The element-tuple pipelines against ``fock_oracle``'s per-call chains, byte for byte."""
 
@@ -679,13 +687,45 @@ class TestPipelineOracle:
             assert same_bytes(fock.bsm_projector_physical(theta2).matrix,
                               fock_oracle.bsm_projector_physical(theta2).matrix)
             got = fock.bsm_scan(theta2, overlap, positions)
-            assert same_bytes(got, fock_oracle.bsm_scan(theta2, overlap, positions))
+            want = fock_oracle.bsm_scan(theta2, overlap, positions)
+            assert same_bytes(got.positions, want.positions)
+            assert_same_rates(got.rates, want.rates)
         # post-selection keeps nothing at pi/2
         assert set(fock.bsm_scan(math.pi / 2, overlap, positions).rates["DA"]) == {0.0}
 
     def test_pinned_physical_value(self):
         cfg = ct.ExperimentConfig(phi=2.0, theta1=0.3, theta2=-1.1, delta=0.9)
         assert f"{fock.physical_correlation(cfg, 0.7):.12f}" == "0.081239967134"
+
+
+class TestEarlyPostselection:
+    """``physical_correlation`` post-selects ports s, c and a before Bob's optics."""
+
+    PORTS = ("s", "c", "a")
+
+    @pytest.mark.parametrize("labels", [("t0", "t0", "t0"), ("t1", "t0", "t0")],
+                             ids=["same", "distinct"])
+    def test_dropped_patterns_never_reach_postselection(self, labels):
+        rng = np.random.default_rng(19)
+        t_s, t_c, t_a = labels
+        for phi, theta2, delta in rng.uniform(-2 * math.pi, 2 * math.pi, (25, 3)):
+            phase = fock.polarization_map("s", np.diag([1.0, np.exp(1j * phi)]))
+            state = fock._run(ModeState.from_patterns([
+                ((Mode("s", "V", t_s), Mode("c", "H", t_c), Mode("a", "V", t_a)), 1.0 / SQRT2),
+                ((Mode("s", "V", t_s), Mode("c", "V", t_c), Mode("a", "H", t_a)),
+                 np.exp(1j * delta) / SQRT2),
+            ]), (fock._SOURCE_PLATE, phase, *fock._CH_CHAIN))
+            kept, _ = state.postselect_one_per_port(self.PORTS)
+            dropped = ModeState({p: a for p, a in state.amps.items() if p not in kept.amps})
+            assert kept.amps and len(dropped.amps) > 2 * len(kept.amps)
+            for angle in ct._bob_angles([float(theta2)]):
+                optics = (*fock._ARM_ROTATIONS, *fock._analyzer(angle))
+                assert not fock._port_amplitudes(fock._run(dropped, optics), self.PORTS)
+                # so the kept patterns alone give the same tensors, byte for byte
+                full = fock._port_amplitudes(fock._run(state, optics), self.PORTS)
+                early = fock._port_amplitudes(fock._run(kept, optics), self.PORTS)
+                assert list(early) == list(full)
+                assert all(early[k].tobytes() == full[k].tobytes() for k in full)
 
 
 def error_message(call):

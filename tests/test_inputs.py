@@ -15,6 +15,7 @@ import pytest
 
 from qduality import circuit as ct
 from qduality import fock
+from qduality import hv
 from qduality import qstate as qs
 from qduality.fock import Mode, ModeState, OverlapModel
 
@@ -56,6 +57,9 @@ ENTRY_POINTS = [
      lambda x: fock.physical_correlation(ct.ExperimentConfig(phi=0.3), x)),
     ("bsm_scan", "theta2", "finite", lambda x: fock.bsm_scan(x, OverlapModel(), [0.0])),
     ("bsm_projector_physical", "theta2", "finite", fock.bsm_projector_physical),
+    ("wave_stats", "phi", "finite", hv.wave_stats),
+    ("quantum_joint", "theta2", "finite", lambda x: hv.quantum_joint(x, 1.0)),
+    ("quantum_joint", "phi", "finite", lambda x: hv.quantum_joint(0.3, x)),
 ]
 
 NOT_NUMBERS = ["x", None, 1j, np.complex128(0.5), np.complex64(0.5), np.array([0.1, 0.2]),
@@ -85,16 +89,16 @@ def test_profile_needs_both_x0_and_sigma():
             OverlapModel(**kwargs)
 
 
-# values each entry point accepts: by default the ends of [0, 1], an int and
-# a numpy float
+# values each entry point accepts: by default the ends of [0, 1], an int, a
+# numpy float and a Fraction
 GOOD = {"OutcomeDistribution": (0.0, 0, np.float64(0.0)),
-        "sigma": (0.5, 1.0, 1, np.float64(0.5))}
+        "sigma": (0.5, 1.0, 1, np.float64(0.5), Fraction(1, 3))}
 
 
 @pytest.mark.parametrize("label, name, rule, call", ENTRY_POINTS,
                          ids=[f"{label}-{name}" for label, name, _, _ in ENTRY_POINTS])
 def test_good_scalar_accepted(label, name, rule, call):
-    default = (0.0, 1.0, 1, np.float64(0.5))
+    default = (0.0, 1.0, 1, np.float64(0.5), Fraction(1, 3))
     for value in GOOD.get(label, GOOD.get(name, default)):
         call(value)
 
@@ -105,6 +109,28 @@ def test_large_int_is_a_value_error():
 
 
 def test_rules_keep_the_value_as_given():
+    # the finite rule keeps the value as a Python float, for arrays and labels
     for value in (0.25, 1, np.float64(0.5), Fraction(1, 3)):
-        assert qs._finite("x", value) is value
+        finite = qs._finite("x", value)
+        assert type(finite) is float and finite == float(value)
         assert qs._unit_interval("x", value) is value
+
+
+def test_fractions_give_the_float_results():
+    third = Fraction(1, 3)
+    for kind in ("half", "quarter"):
+        got, want = qs.waveplate(kind, third), qs.waveplate(kind, 1 / 3)
+        assert np.array_equal(got.matrix, want.matrix) and got.label == want.label
+    assert qs.phase_shifter(third).label == "phase(0.333333)"
+    assert np.array_equal(ct.final_state(third, third).amplitudes,
+                          ct.final_state(1 / 3, 1 / 3).amplitudes)
+    config = ct.ExperimentConfig(phi=third, theta1=third, theta2=third, delta=third)
+    assert config == ct.ExperimentConfig(1 / 3, 1 / 3, 1 / 3, 1 / 3)
+    assert ct.correlation(config) == ct.correlation(ct.ExperimentConfig(1 / 3, 1 / 3, 1 / 3, 1 / 3))
+    assert fock.physical_correlation(config, third) == fock.physical_correlation(config, 1 / 3)
+
+
+@pytest.mark.parametrize("entry", [("0.1", 0.2), (0.1, "0.2"), (b"0.1", 0.2), "ab", (0.1,), None])
+def test_settings_that_are_not_pairs_of_numbers(entry):
+    with pytest.raises(ValueError, match=r"^settings must be \(theta2, phi\) pairs of numbers$"):
+        hv.SettingsList([(0.3, 0.4), entry])
