@@ -27,6 +27,7 @@ from .qstate import (
     _apply_matrix,
     _finite,
     _finite_grid,
+    _instance,
     _unit_interval,
     _unit_ket,
 )
@@ -74,6 +75,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("phi", "theta1", "theta2", "delta"):
             object.__setattr__(self, name, _finite(name, getattr(self, name)))
+        _instance("noise", self.noise, NoiseParams)
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,8 +192,7 @@ def _bob_kets(rows, basis: str = "real") -> np.ndarray:
     "real": cos(t)|phi-> + sin(t)|psi+> at the angles t of ``_bob_angles``,
     which names a theta2 whose quarter turn does not resolve in floats.
     "quadrature": cos(theta2)|phi-> +- i sin(theta2)|psi+>, a measurement
-    only at theta2 = pi/4 + k pi/2.  Summing the norm's equal pairs of
-    squares pairwise is ``np.linalg.norm``, bit for bit.
+    only at theta2 = pi/4 + k pi/2.  Each ket is divided by its norm.
     """
     if basis == "real":
         cos, sin = ([f(t) for t in _bob_angles(rows)] for f in (math.cos, math.sin))
@@ -261,10 +262,9 @@ _BLOCK_POINTS = 128
 def _final_states(phi_grid: np.ndarray, delta: float) -> np.ndarray:
     """(P, 8) amplitudes of ``final_state(phi, delta)`` for each phi in the grid.
 
-    The gates of ``final_state`` in the same order, each as one matmul over
-    the stack, so every row equals the per-point state bit for bit.  Only
-    the phase shifter is built per call; the other four gates are the
-    module's ``_FIXED_GATES``, built once at import.
+    The gates of ``final_state`` in order, each as one matmul over the
+    stack.  Only the phase shifter is built per call; the other four gates
+    are the module's ``_FIXED_GATES``, built once at import.
     """
     h, ch, c_arm, a_arm = _FIXED_GATES
     amps = _apply_matrix(initial_state(delta).amplitudes, 3, h, (0,))
@@ -281,10 +281,9 @@ def _born(states: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     """(4, R, P) Born-rule probabilities, in the order ++ +- -+ --, clamped to [0, 1].
 
     ``states`` is a (P, 8) stack, ``alice`` Alice's two kets and ``bob``
-    Bob's (2, R) kets.  Each value is bit for bit
-    ``outcome_probability(state, kron(|a><a|, |b><b|), (0, 1, 2))``.
-    States stacked as (R, 1, 8) pair up instead: state r meets only row r,
-    and the result is (4, R, 1).
+    Bob's (2, R) kets; each value is <psi|(|a><a| (x) |b><b|)|psi>.  States
+    stacked as (R, 1, 8) pair up instead: state r meets only row r, and the
+    result is (4, R, 1).
     """
     alice = alice[:, :, None] * alice.conj()[:, None, :]
     bob = bob[..., :, None] * bob.conj()[..., None, :]
@@ -316,6 +315,7 @@ def correlation_surface(theta1: float,
     workspace is bounded by the block size, whatever the shape of the grid.
     """
     _finite("theta1", theta1)
+    _instance("noise", noise, NoiseParams)
     theta2_grid = _finite_grid(
         "theta2_grid", THETA2_GRID_9 if theta2_grid is None else theta2_grid)
     phi_grid = _finite_grid("phi_grid", PHI_GRID_9 if phi_grid is None else phi_grid)

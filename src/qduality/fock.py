@@ -25,8 +25,8 @@ import numpy as np
 
 from . import circuit as _circuit
 from .qstate import (
-    KET_A, KET_D, Projector, _SQRT2, _finite, _finite_grid, _frozen_array, _unit_interval, w_gate,
-    waveplate)
+    KET_A, KET_D, Projector, _SQRT2, _finite, _finite_grid, _frozen_array, _instance,
+    _unit_interval, w_gate, waveplate)
 
 POL_H = "H"
 POL_V = "V"
@@ -90,8 +90,6 @@ class ModeState:
                     image = images[mode] = [(mode, 1.0)] if image is None else image
                 factors.append(image)
             scaled = amp / _pattern_norm_factor(pattern)
-            # coefficients multiply in mode order and sum in product order,
-            # so the amplitudes match a term-by-term expansion bit for bit
             for combo in itertools.product(*factors):
                 coef = scaled
                 for _, c in combo:
@@ -239,6 +237,7 @@ def hom_scan(transmission: float, overlap: OverlapModel, positions) -> HomScanRe
     (baseline - min P) / baseline with baseline = T^2 + R^2.
     """
     _unit_interval("transmission", transmission)
+    _instance("overlap", overlap, OverlapModel)
     positions = tuple(_finite_grid("positions", positions, "values").tolist())
     t, r = transmission, 1.0 - transmission
     baseline = t * t + r * r
@@ -425,6 +424,7 @@ def bsm_scan(theta2: float, overlap: OverlapModel, positions) -> BsmScanResult:
     At full overlap the cross outcomes DA/AD peak while DD/AA vanish; with
     no overlap all four rates coincide.
     """
+    _instance("overlap", overlap, OverlapModel)
     positions = tuple(_finite_grid("positions", positions, "values").tolist())
     analyzer = _analyzer(theta2)
     probs = []

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circuit import _BLOCK_POINTS, _born, _bob_kets, _final_states
-from .qstate import _finite
+from .qstate import _COMPLEX, _finite, _instance
 
 FEASIBILITY_TOL = 1e-9
 _FLOAT_TOL = 1e-12  # a float Kelley loop stops when g is this close to its lower bound
@@ -116,8 +116,9 @@ class HVModel:
 
 
 def _number(value) -> float:
-    """``float(value)``, with a TypeError for a str or bytes, which ``float`` would parse."""
-    if isinstance(value, (str, bytes)):
+    """``float(value)``, with a TypeError for a str or bytes, which ``float`` would parse,
+    and for a complex number, whose imaginary part ``float`` would drop for numpy's."""
+    if isinstance(value, (str, bytes, *_COMPLEX)):
         raise TypeError(f"not a number: {value!r}")
     return float(value)
 
@@ -166,8 +167,8 @@ def predicted_joint(model: HVModel, settings: SettingsList, wave_probs=None):
     setting's phi.  Returns a list of 2x2 nested lists indexed [s][b] with
     b = 0 for '+' and 1 for '-'.
     """
-    n = len(settings)
-    if len(model.strategies[0].bob_outcomes) != n:
+    n = len(_instance("settings", settings, SettingsList))
+    if len(_instance("model", model, HVModel).strategies[0].bob_outcomes) != n:
         raise ValueError("model strategies do not cover the settings list")
     if wave_probs is None:
         wave_probs = [wave_stats(phi) for _, phi in settings.entries]
@@ -202,7 +203,15 @@ def quantum_joints(settings, basis: str = "real") -> np.ndarray:
     of settings, the circuit's ``_born`` pairs each state ``final_state(phi)``
     with its own setting's kets only.
     """
-    table = np.array(tuple(settings), dtype=float)
+    try:
+        table = np.array(tuple(settings))
+        if table.dtype.kind not in "fiub":  # Fractions, say, are read one at a time
+            if table.dtype != object:  # str, bytes or complex
+                raise TypeError
+            table = np.array([_number(v) for v in table.flat]).reshape(table.shape)
+    except (TypeError, ValueError):  # also pairs of unequal length
+        raise ValueError("settings must be (theta2, phi) pairs of numbers") from None
+    table = table.astype(float, copy=False)
     if table.shape[1:] != (2,) or not len(table):
         raise ValueError(f"settings must be nonempty (theta2, phi) pairs, got {table.shape}")
     if not np.all(np.isfinite(table)):
@@ -504,7 +513,7 @@ def feasibility(targets, settings: SettingsList, wave_probs=None) -> Feasibility
     over on the exact loop, with the same floats read as Fractions, and its
     optimum gives the float residual and witness.  ``cuts`` counts both loops.
     """
-    n = len(settings)
+    n = len(_instance("settings", settings, SettingsList))
     flat_targets = _validate_targets(targets, n)
     if wave_probs is None:
         wave_probs = [wave_stats(phi) for _, phi in settings.entries]

@@ -8,6 +8,7 @@ operation returns a fresh object.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ KET_L = np.array([1.0, 1.0j], dtype=complex) / _SQRT2
 _COMPLEX = (complex, np.complexfloating)
 
 
-# The package's input rules: each scalar or grid argument is checked by one
-# of these three, which raise a ValueError that starts with its name.
+# The package's input rules: each scalar, grid or object argument is checked
+# by one of these four, which raise a ValueError that starts with its name.
 def _finite(name: str, value, kind: str = "angle") -> float:
     """``float(value)`` if it is a finite real number; else a ValueError that names ``name``."""
     try:  # math.isfinite rejects a str or None, and overflows on an int too large
@@ -65,6 +66,13 @@ def _finite_grid(name: str, values, kind: str = "angles") -> np.ndarray:
     if not np.all(np.isfinite(grid)):
         raise ValueError(f"{name} must hold finite {kind} only")
     return grid
+
+
+def _instance(name: str, value, cls):
+    """``value`` if it is a ``cls``; else a ValueError that names ``name``."""
+    if isinstance(value, cls):
+        return value
+    raise ValueError(f"{name} must be of type {cls.__name__}, got {reprlib.repr(value)}")
 
 
 def _frozen_array(values, dtype=complex) -> np.ndarray:

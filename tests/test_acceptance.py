@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import reference as ref
 from qduality import circuit as ct
 from qduality import cli
 from qduality import fock
@@ -27,24 +28,9 @@ def _report(num: int, description: str, ok: bool, detail: str = ""):
     assert ok, f"criterion {num} failed: {description}{suffix}"
 
 
-def closed_form_state(phi, delta=math.pi / 4):
-    p = ct.particle_state(phi).amplitudes
-    w = ct.wave_state(phi).amplitudes
-    minus_i = qs.bell_ket("phi-") - 1j * qs.bell_ket("psi+")
-    plus_i = qs.bell_ket("phi-") + 1j * qs.bell_ket("psi+")
-    return qs.StateVector(
-        0.5 * (np.kron(p, minus_i) + np.exp(1j * delta) * np.kron(w, plus_i)))
-
-
-def closed_form_correlation(theta1, theta2, phi):
-    sign = 1.0 if abs(theta1) < 1e-12 else -1.0
-    return (math.cos(2 * theta2 + math.pi / 4)
-            + sign * math.sin(phi) * math.cos(2 * theta2 - math.pi / 4)) / SQRT2
-
-
 def test_criterion_1_state_equivalence():
     worst = min(
-        ct.final_state(phi).fidelity(closed_form_state(phi))
+        ct.final_state(phi).fidelity(qs.StateVector(ref.final_state(phi)))
         for phi in np.linspace(0.0, 2 * math.pi, 32)
     )
     _report(1, "gate evolution reproduces the closed-form final state",
@@ -58,7 +44,7 @@ def test_criterion_2_correlation_surfaces():
         for i, theta2 in enumerate(ct.THETA2_GRID_9):
             for j, phi in enumerate(ct.PHI_GRID_9):
                 worst = max(worst, abs(
-                    table[i, j] - closed_form_correlation(theta1, theta2, phi)))
+                    table[i, j] - ref.printed_correlation(theta1, theta2, phi)))
     ideal = ct.correlation_surface(0.0)
     degraded = ct.correlation_surface(0.0, noise=ct.NoiseParams(visibility=0.86))
     ok = (

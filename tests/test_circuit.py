@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -6,59 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import bob_oracle
+import reference as ref
 from qduality import circuit as ct
 from qduality import qstate as qs
 
 SQRT2 = math.sqrt(2.0)
-
-
-def closed_form_final_state(phi, delta=math.pi / 4):
-    """Independent construction of the entangled final state.
-
-    Built directly from the particle/wave kets and the Bell basis via
-    explicit tensor products, never through gate application.
-    """
-    p = ct.particle_state(phi).amplitudes
-    w = ct.wave_state(phi).amplitudes
-    minus_i = qs.bell_ket("phi-") - 1j * qs.bell_ket("psi+")
-    plus_i = qs.bell_ket("phi-") + 1j * qs.bell_ket("psi+")
-    amps = 0.5 * (np.kron(p, minus_i) + np.exp(1j * delta) * np.kron(w, plus_i))
-    return qs.StateVector(amps)
-
-
-def closed_form_correlation(theta1, theta2, phi):
-    """Printed closed form, valid at theta1 = 0 and pi/4."""
-    sign = 1.0 if abs(theta1) < 1e-12 else -1.0
-    return (math.cos(2 * theta2 + math.pi / 4)
-            + sign * math.sin(phi) * math.cos(2 * theta2 - math.pi / 4)) / SQRT2
-
-
-def oracle_final_state(phi, delta=math.pi / 4):
-    """The oracle: the interferometer applied gate by gate, one StateVector per step."""
-    state = ct.initial_state(delta)
-    state = qs.apply_gate(state, qs.hadamard(), (0,))
-    state = qs.apply_gate(state, qs.phase_shifter(phi), (0,))
-    state = qs.apply_gate(state, qs.controlled_hadamard(), (1, 0))
-    state = qs.apply_gate(state, ct.control_arm_rotation(), (1,))
-    return qs.apply_gate(state, ct.ancilla_arm_rotation(), (2,))
-
-
-def per_point_probabilities(config):
-    """The oracle: the gate-by-gate state, one 8x8 ``np.kron`` projector per outcome pair."""
-    state = oracle_final_state(config.phi, config.delta)
-    ideal = np.array([
-        qs.outcome_probability(state, qs.Projector(np.kron(
-            bob_oracle.alice_projector(config.theta1, a).matrix,
-            bob_oracle.bob_projector(config.theta2, b).matrix)), (0, 1, 2))
-        for a in "+-" for b in "+-"
-    ])
-    scale = config.noise.correlation_scale
-    return ct.OutcomeDistribution(*np.clip(scale * ideal + (1.0 - scale) * 0.25, 0.0, 1.0))
-
-
-def per_point_correlation(config):
-    return per_point_probabilities(config).correlation
 
 
 def random_setting(rng):
@@ -112,12 +65,12 @@ class TestFinalState:
     @pytest.mark.parametrize("phi", [0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
     def test_matches_closed_form(self, phi):
         got = ct.final_state(phi, math.pi / 4)
-        assert got.fidelity(closed_form_final_state(phi)) >= 1 - 1e-12
+        assert got.fidelity(qs.StateVector(ref.final_state(phi))) >= 1 - 1e-12
 
     def test_closed_form_on_dense_grid(self):
         for phi in np.linspace(0, 2 * math.pi, 32):
             got = ct.final_state(phi)
-            assert got.fidelity(closed_form_final_state(phi)) >= 1 - 1e-12
+            assert got.fidelity(qs.StateVector(ref.final_state(phi))) >= 1 - 1e-12
 
     def test_maximally_entangled_at_quarter_phase(self):
         coeffs = qs.schmidt_coefficients(ct.final_state(math.pi / 2), (0,))
@@ -141,13 +94,11 @@ class TestFinalState:
         with pytest.raises(ValueError, match="finite"):
             ct.final_state(0.3, bad)
 
-    def test_bit_identical_to_the_gate_by_gate_oracle(self):
+    def test_matches_the_closed_form_at_random_phases(self):
         rng = np.random.default_rng(21)
-        for _ in range(2000):
-            phi, delta = rng.uniform(-15.0, 15.0), rng.uniform(-10.0, 10.0)
+        for phi, delta in rng.uniform(-15.0, 15.0, (2000, 2)).tolist():
             got = ct.final_state(phi, delta).amplitudes
-            np.testing.assert_array_equal(
-                got.view(np.int64), oracle_final_state(phi, delta).amplitudes.view(np.int64))
+            assert np.max(np.abs(got - ref.final_state(phi, delta))) < 1e-15
 
     def test_fixed_gates_are_the_validated_constructors_read_only(self):
         gates = (qs.hadamard(), qs.controlled_hadamard(),
@@ -243,38 +194,31 @@ class TestProjectors:
         assert np.max(np.abs(plus @ minus)) < 1e-12
 
     def test_alice_kets_match_the_oracle(self):
+        # the oracle: cos|H> + sin|V> and -sin|H> + cos|V>, in closed form
         for theta1 in np.random.default_rng(18).uniform(-7.0, 7.0, 200).tolist() + [0.0, -0.0]:
-            got = alice_projectors(theta1)
-            for a, sign in enumerate("+-"):
-                want = bob_oracle.alice_projector(theta1, sign).matrix
-                np.testing.assert_array_equal(got[a].view(np.int64), want.view(np.int64))
+            assert np.max(np.abs(ct._alice_kets(theta1) - ref.alice_kets(theta1))) < 1e-15
 
 
 class TestBobStack:
-    """The outer products of ``_bob_kets`` against the per-projector oracle, bit for bit."""
+    """The kets of ``_bob_kets`` against their closed form, to 1e-15."""
 
     @staticmethod
-    def assert_matches_oracle(rows, basis="real"):
+    def assert_matches_closed_form(rows, basis="real"):
         kets = ct._bob_kets(rows, basis)
         assert kets.shape == (2, len(rows), 4)
-        oracle = {"real": bob_oracle.bob_projector,
-                  "quadrature": bob_oracle.quadrature_pair_projector}[basis]
-        for b, sign in enumerate("+-"):
-            want = np.array([oracle(t2, sign).matrix for t2 in rows])
-            np.testing.assert_array_equal(outer_products(kets[b]).view(np.int64),
-                                          want.view(np.int64))
+        assert np.max(np.abs(kets - ref.bob_kets(rows, basis))) < 1e-15
 
     def test_dense_random_angles(self):
-        self.assert_matches_oracle(np.random.default_rng(17).uniform(-10.0, 10.0, 20000).tolist())
+        self.assert_matches_closed_form(np.random.default_rng(17).uniform(-10.0, 10.0, 20000).tolist())
 
     def test_exact_angles(self):
         quarter, half = math.pi / 4, math.pi / 2
-        self.assert_matches_oracle([0.0, -0.0, quarter, -quarter, half, -half]
-                                   + [k * math.pi / 8 for k in range(-40, 41)])
+        self.assert_matches_closed_form([0.0, -0.0, quarter, -quarter, half, -half]
+                                        + [k * math.pi / 8 for k in range(-40, 41)])
 
     def test_quadrature_angles(self):
-        self.assert_matches_oracle([math.pi / 4 + k * math.pi / 2 for k in range(-40, 41)],
-                                   "quadrature")
+        self.assert_matches_closed_form([math.pi / 4 + k * math.pi / 2 for k in range(-40, 41)],
+                                        "quadrature")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_rejected(self, bad):
@@ -282,11 +226,11 @@ class TestBobStack:
             ct._bob_kets([0.2, bad])
 
     def test_large_angle_that_still_resolves(self):
-        self.assert_matches_oracle([0.2, 1e5, -1e5])
+        self.assert_matches_closed_form([0.2, 1e5, -1e5])
         plus, minus = outer_products(ct._bob_kets([1e5])[:, 0])
         assert np.max(np.abs(plus @ minus)) < 1e-10
         config = ct.ExperimentConfig(phi=0.4, theta2=1e5)
-        assert ct.correlation(config) == per_point_correlation(config)
+        assert abs(ct.correlation(config) - ref.config_correlation(config)) < 1e-13
 
     @pytest.mark.parametrize("bad", [1e8, -1e8, 2.0**54, 1e300])
     def test_angle_whose_quarter_turn_does_not_resolve_named(self, bad):
@@ -299,12 +243,14 @@ class TestBobStack:
             ct.correlation_surface(0.0, (0.1, bad), (0.0, 1.0))
 
     def test_kets_match_the_ket_rule_oracle(self):
+        # the ket rule: each ket a unit vector, Bob's two outcomes orthogonal
         for rows in (np.random.default_rng(17).uniform(-10.0, 10.0, 2000).tolist(),
                      [0.0, -0.0, math.pi / 4, -math.pi / 2]
                      + [k * math.pi / 8 for k in range(-40, 41)],
                      [0.2, 1e5, -1e5]):
-            np.testing.assert_array_equal(ct._bob_kets(rows).view(np.int64),
-                                          bob_oracle.bob_kets(rows).view(np.int64))
+            plus, minus = ct._bob_kets(rows)
+            assert np.max(np.abs(np.linalg.norm(plus, axis=1) - 1.0)) < 1e-15
+            assert np.max(np.abs(np.sum(plus.conj() * minus, axis=1))) < 1e-10
 
 
 def quarter_turn_error(build, rows):
@@ -323,44 +269,48 @@ def large_angles(seed, size):
 
 
 class TestQuarterTurnRule:
-    """``_bob_angles`` decides from angles what ``bob_oracle.bob_kets`` decides from kets."""
+    """``_bob_angles`` rejects a theta2 whose two analyzer kets overlap by more than 1e-10."""
 
     NAMED = re.compile(r"^theta2 = (\S+) does not resolve theta2 \+ pi/2: "
                        r"Bob's '\+' and '-' analyzers overlap by (\S+)$")
+
+    @staticmethod
+    def overlaps(rows):
+        """|<+|->| of Bob's two kets per row, from their closed form."""
+        plus, minus = ref.bob_kets(rows)
+        return np.abs(np.sum(plus * minus, axis=1))
 
     def test_single_angles_accepted_and_rejected_alike(self):
         edges = [5e7, 7e7, 9e7, 1e8, -1e8, 2.0**26, 2.0**27, 2.0**54, 1e300, 1e5, -1e5]
         stack = ([0.0, -0.0, math.pi / 4, math.pi / 2]
                  + [k * math.pi / 8 for k in range(-40, 41)]
                  + np.random.default_rng(17).uniform(-10.0, 10.0, 200).tolist())
+        angles = large_angles(31, 20000) + edges + stack
         rejected = 0
-        for theta2 in large_angles(31, 20000) + edges + stack:
+        for theta2, overlap in zip(angles, self.overlaps(angles).tolist()):
             got = quarter_turn_error(ct._bob_angles, [theta2])
-            assert got == quarter_turn_error(bob_oracle.bob_kets, [theta2]), theta2
-            rejected += got is not None
+            assert (got is not None) == (overlap > 1e-10), theta2
+            if got is not None:
+                named, printed = self.NAMED.match(got).groups()
+                assert named == repr(theta2) and math.isclose(float(printed), overlap, rel_tol=1e-2)
+                rejected += 1
         assert 10000 < rejected < 20000  # both outcomes are well represented
 
     @pytest.mark.parametrize("size", [2, 7, 128])
     def test_several_bad_rows_name_the_largest_overlap(self, size):
         # rows in one binade share their float quarter turn, so their
-        # overlaps tie exactly; the ket rule chose among them by rounding
-        # noise in the kets, the angle rule names the first
+        # overlaps tie exactly: the first of the tied rows is named
         angles = large_angles(32, 128 * 40)
         for first in range(0, len(angles), size):
             rows = angles[first:first + size]
             got = quarter_turn_error(ct._bob_angles, rows)
-            want = quarter_turn_error(bob_oracle.bob_kets, rows)
-            assert (got is None) == (want is None)
+            assert (got is None) == (self.overlaps(rows).max() <= 1e-10)
             if got is None:
                 continue
-            (named, overlap), (oracle_named, oracle_overlap) = (
-                self.NAMED.match(text).groups() for text in (got, want))
-            assert overlap == oracle_overlap
             quarter = [abs(math.cos((t + math.pi / 2) - t)) for t in rows]
             tied = [repr(t) for t, o in zip(rows, quarter) if o == max(quarter)]
-            assert named == tied[0] and oracle_named in tied
-            if len(tied) == 1:
-                assert got == want
+            assert got == (f"theta2 = {tied[0]} does not resolve theta2 + pi/2: Bob's "
+                           f"'+' and '-' analyzers overlap by {max(quarter):.3g}")
 
 
 class TestInvariants:
@@ -466,14 +416,14 @@ class TestCoincidences:
         with pytest.raises(ValueError, match=f"^{name} must be a finite angle, got nan$"):
             ct.ExperimentConfig(**kwargs)
 
-    def test_bit_identical_to_the_per_point_oracle(self):
+    def test_matches_the_closed_form_at_random_settings(self):
         rng = np.random.default_rng(23)
-        for _ in range(1200):
-            config = random_setting(rng)
-            got, expected = ct.coincidence_probabilities(config), per_point_probabilities(config)
-            for name in ("p_pp", "p_pm", "p_mp", "p_mm"):
-                assert getattr(got, name).hex() == getattr(expected, name).hex()
-            assert ct.correlation(config).hex() == expected.correlation.hex()
+        configs = [random_setting(rng) for _ in range(3000)]
+        want = ref.coincidences(*np.array([
+            (c.theta1, c.theta2, c.phi, c.delta, c.noise.visibility, c.noise.background)
+            for c in configs]).T)
+        got = np.array([ct.coincidence_probabilities(c).as_array() for c in configs])
+        assert np.max(np.abs(got - want)) < 1e-13
 
     @pytest.mark.parametrize("theta1, n_theta2, n_phi, noise", [
         (0.0, 9, 9, ct.IDEAL),
@@ -481,12 +431,16 @@ class TestCoincidences:
         (math.pi / 4, 17, 33, ct.NoiseParams(visibility=0.9)),
     ])
     def test_bit_identical_on_the_command_line_grids(self, theta1, n_theta2, n_phi, noise):
-        for theta2 in np.linspace(-math.pi / 2, math.pi / 2, n_theta2):
-            for phi in np.linspace(0.0, 2 * math.pi, n_phi):
-                config = ct.ExperimentConfig(phi=phi, theta1=theta1, theta2=theta2, noise=noise)
-                got, expected = ct.coincidence_probabilities(config), per_point_probabilities(config)
-                assert got.as_array().tobytes() == expected.as_array().tobytes()
-                assert ct.correlation(config).hex() == expected.correlation.hex()
+        # the point kernel gives the surface's bits, and the closed form to 1e-13
+        theta2_grid = np.linspace(-math.pi / 2, math.pi / 2, n_theta2)
+        phi_grid = np.linspace(0.0, 2 * math.pi, n_phi)
+        table = ct.correlation_surface(theta1, theta2_grid, phi_grid, noise)
+        want = ref.coincidences(theta1, theta2_grid[:, None], phi_grid, math.pi / 4,
+                                noise.visibility, noise.background)
+        for (i, theta2), (j, phi) in itertools.product(enumerate(theta2_grid), enumerate(phi_grid)):
+            config = ct.ExperimentConfig(phi=phi, theta1=theta1, theta2=theta2, noise=noise)
+            assert np.max(np.abs(ct.coincidence_probabilities(config).as_array() - want[i, j])) < 1e-13
+            assert ct.correlation(config).hex() == table[i, j].hex()
 
     def test_fields_are_plain_floats_in_slots(self):
         dist = ct.coincidence_probabilities(ct.ExperimentConfig(phi=1.1, theta1=0.4,
@@ -515,7 +469,7 @@ class TestCorrelation:
                     got = ct.correlation(
                         ct.ExperimentConfig(phi=phi, theta1=theta1, theta2=theta2))
                     assert got == pytest.approx(
-                        closed_form_correlation(theta1, theta2, phi), abs=1e-10)
+                        ref.printed_correlation(theta1, theta2, phi), abs=1e-10)
 
     def test_antisymmetry_in_bob_angle(self):
         rng = np.random.default_rng(5)
@@ -558,19 +512,23 @@ class TestCorrelation:
                                                                      abs=1e-10)
 
 
-def per_point_chsh(phi, theta1_pair=(0.0, math.pi / 4),
-                   theta2_pair=(math.pi / 8, 3 * math.pi / 8), noise=ct.IDEAL):
-    """The oracle: CHSH from one per-point correlation per setting."""
-    t1, t1p = theta1_pair
-    t2, t2p = theta2_pair
-    if math.isclose(t1, t1p) or math.isclose(t2, t2p):
-        raise ValueError("setting pairs must contain two distinct angles")
+def chsh_of(correlation, phi, theta1_pair=(0.0, math.pi / 4),
+            theta2_pair=(math.pi / 8, 3 * math.pi / 8), noise=ct.IDEAL):
+    """|E(t1,t2) + E(t1,t2') - E(t1',t2) + E(t1',t2')| from ``correlation(config)``."""
+    (t1, t1p), (t2, t2p) = theta1_pair, theta2_pair
 
     def e(a, b):
-        return per_point_correlation(ct.ExperimentConfig(phi=phi, theta1=a, theta2=b,
-                                                         noise=noise))
+        return correlation(ct.ExperimentConfig(phi=phi, theta1=a, theta2=b, noise=noise))
 
     return abs(e(t1, t2) + e(t1, t2p) - e(t1p, t2) + e(t1p, t2p))
+
+
+def assert_chsh(phi, *pairs, noise=ct.IDEAL):
+    """``chsh`` has the bits of four point correlations, and the closed form's value."""
+    s = ct.chsh(phi, *pairs, noise=noise)
+    assert type(s) is float
+    assert s.hex() == chsh_of(ct.correlation, phi, *pairs, noise=noise).hex()
+    assert abs(s - chsh_of(ref.config_correlation, phi, *pairs, noise=noise)) < 1e-13
 
 
 def random_chsh_case(seed):
@@ -607,9 +565,7 @@ class TestChsh:
             phi, theta1_pair, theta2_pair, noise = random_chsh_case(seed)
             for pairs in ((theta1_pair, theta2_pair), (theta1_pair[::-1], theta2_pair),
                           (theta1_pair, theta2_pair[::-1])):
-                s = ct.chsh(phi, *pairs, noise=noise)
-                assert type(s) is float
-                assert s.hex() == per_point_chsh(phi, *pairs, noise=noise).hex()
+                assert_chsh(phi, *pairs, noise=noise)
 
     @pytest.mark.parametrize("phi", [0.0, math.pi / 2, math.pi, 3 * math.pi / 2,
                                      -3 * math.pi / 2, 11.0])
@@ -617,8 +573,7 @@ class TestChsh:
         for theta1_pair in ((0.0, math.pi / 4), (math.pi / 4, 0.0)):
             for noise in (ct.IDEAL, ct.NoiseParams(visibility=0.7718),
                           ct.NoiseParams(visibility=0.9, background=0.05)):
-                assert ct.chsh(phi, theta1_pair, noise=noise).hex() == \
-                    per_point_chsh(phi, theta1_pair, noise=noise).hex()
+                assert_chsh(phi, theta1_pair, noise=noise)
 
     @pytest.mark.parametrize("kwargs", [
         {"phi": math.nan}, {"phi": math.inf},
@@ -679,13 +634,15 @@ class TestSurface:
             ct.correlation_surface(0.0, theta2_grid=(), phi_grid=(1.0,))
 
 
-def per_point_surface(theta1, theta2_grid, phi_grid, noise):
-    """The oracle: one per-point correlation per grid point."""
-    return np.array([
-        [per_point_correlation(ct.ExperimentConfig(phi=phi, theta1=theta1, theta2=t2,
-                                                   noise=noise)) for phi in phi_grid]
-        for t2 in theta2_grid
-    ])
+def assert_surface(theta1, theta2_grid, phi_grid, noise):
+    """The surface has the bits of ``correlation`` per point, and the closed form's values."""
+    table = ct.correlation_surface(theta1, theta2_grid, phi_grid, noise)
+    points = np.array([[ct.correlation(ct.ExperimentConfig(
+        phi=phi, theta1=theta1, theta2=t2, noise=noise)) for phi in phi_grid] for t2 in theta2_grid])
+    np.testing.assert_array_equal(table.view(np.int64), points.view(np.int64))
+    want = ref.correlation(theta1, np.asarray(theta2_grid)[:, None], phi_grid, math.pi / 4,
+                           noise.visibility, noise.background)
+    assert np.max(np.abs(table - want)) < 1e-13
 
 
 def random_surface_case(seed, n_theta2, n_phi):
@@ -705,9 +662,7 @@ class TestSurfaceKernel:
     ])
     def test_bit_identical_to_per_point_correlation(self, seed, n_theta2, n_phi):
         theta1, theta2_grid, phi_grid, noise = random_surface_case(seed, n_theta2, n_phi)
-        table = ct.correlation_surface(theta1, theta2_grid, phi_grid, noise)
-        expected = per_point_surface(theta1, theta2_grid, phi_grid, noise)
-        np.testing.assert_array_equal(table.view(np.int64), expected.view(np.int64))
+        assert_surface(theta1, theta2_grid, phi_grid, noise)
 
     @pytest.mark.parametrize("theta1, n_theta2, n_phi, noise", [
         (0.0, 9, 9, ct.IDEAL),  # exact zeros: their signs must match too
@@ -718,24 +673,17 @@ class TestSurfaceKernel:
     def test_bit_identical_on_the_command_line_grids(self, theta1, n_theta2, n_phi, noise):
         theta2_grid = np.linspace(-math.pi / 2, math.pi / 2, n_theta2)
         phi_grid = np.linspace(0.0, 2 * math.pi, n_phi)
-        table = ct.correlation_surface(theta1, theta2_grid, phi_grid, noise)
-        expected = per_point_surface(theta1, theta2_grid, phi_grid, noise)
-        np.testing.assert_array_equal(table.view(np.int64), expected.view(np.int64))
+        assert_surface(theta1, theta2_grid, phi_grid, noise)
 
     def test_tall_grid_matches_correlation(self):
         # 300 rows at one phase cross two 128-row block boundaries
         theta1, theta2_grid, phi_grid, noise = random_surface_case(12, 300, 1)
-        table = ct.correlation_surface(theta1, theta2_grid, phi_grid, noise)
-        expected = np.array([[ct.correlation(ct.ExperimentConfig(
-            phi=phi_grid[0], theta1=theta1, theta2=t2, noise=noise))] for t2 in theta2_grid])
-        np.testing.assert_array_equal(table.view(np.int64), expected.view(np.int64))
+        assert_surface(theta1, theta2_grid, phi_grid, noise)
 
     def test_bit_identical_across_phase_blocks(self, monkeypatch):
         monkeypatch.setattr(ct, "_PHI_BLOCK", 4)
         theta1, theta2_grid, phi_grid, noise = random_surface_case(9, 3, 11)
-        table = ct.correlation_surface(theta1, theta2_grid, phi_grid, noise)
-        expected = per_point_surface(theta1, theta2_grid, phi_grid, noise)
-        np.testing.assert_array_equal(table.view(np.int64), expected.view(np.int64))
+        assert_surface(theta1, theta2_grid, phi_grid, noise)
 
     @pytest.mark.parametrize("factor, message", [
         (2.0, r"^probability \S+ outside \[0, 1\]$"), (0.9, "not summing to 1"),
@@ -752,8 +700,9 @@ class TestSurfaceKernel:
         phi_grid = np.random.default_rng(10).uniform(-15.0, 15.0, 25)
         states = ct._final_states(phi_grid, 0.7)
         for phi, amps in zip(phi_grid, states):
-            expected = oracle_final_state(phi, 0.7).amplitudes
-            np.testing.assert_array_equal(amps.view(np.int64), expected.view(np.int64))
+            np.testing.assert_array_equal(amps.view(np.int64),
+                                          ct.final_state(phi, 0.7).amplitudes.view(np.int64))
+            assert np.max(np.abs(amps - ref.final_state(phi, 0.7))) < 1e-15
 
     def test_arrays_and_generators_are_grids(self):
         theta2_grid, phi_grid = (0.1, -0.4, 2.0), (0.0, 1.5)
@@ -922,21 +871,6 @@ class TestSampling:
         assert abs(values.mean() - expected) < 3 * stderr
 
 
-def per_point_fit_visibility(theta2_values, measured, theta1, phi):
-    """The oracle: the least-squares visibility from one per-point correlation per angle."""
-    theta2_values = np.asarray(theta2_values, dtype=float)
-    measured = np.asarray(measured, dtype=float)
-    if theta2_values.shape != measured.shape or theta2_values.size == 0:
-        raise ValueError("theta2_values and measured must be equal-length, nonempty")
-    ideal = np.array([per_point_correlation(ct.ExperimentConfig(phi=phi, theta1=theta1,
-                                                                theta2=t2))
-                      for t2 in theta2_values])
-    denom = float(np.dot(ideal, ideal))
-    if denom < 1e-12:
-        raise ValueError("ideal curve is identically zero; visibility undefined")
-    return float(np.dot(ideal, measured) / denom)
-
-
 class TestVisibilityFit:
     def test_recovers_known_visibility(self):
         theta2 = np.linspace(-math.pi / 2, math.pi / 2, 17)
@@ -966,7 +900,7 @@ class TestVisibilityFit:
                                    phi=math.pi / 2)
         assert fitted == pytest.approx(0.77, abs=0.02)
 
-    def test_bit_identical_to_per_point_fit(self):
+    def test_matches_the_fit_to_the_closed_form(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
             theta1, phi = rng.uniform(-7.0, 7.0), rng.uniform(-15.0, 15.0)
@@ -974,7 +908,9 @@ class TestVisibilityFit:
             measured = rng.uniform(-1.0, 1.0, theta2.size)
             fitted = ct.fit_visibility(tuple(theta2), list(measured), theta1, phi)
             assert type(fitted) is float
-            assert fitted.hex() == per_point_fit_visibility(theta2, measured, theta1, phi).hex()
+            ideal = ref.correlation(theta1, theta2, phi)
+            want = ideal @ measured / (ideal @ ideal)
+            assert abs(fitted - want) < 1e-13 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("theta2, measured, theta1, phi", [
         ([0.1, math.nan], [0.5, 0.5], 0.0, 1.0),

@@ -1,17 +1,16 @@
+import dataclasses
 import itertools
 import json
 import math
 import os
-import pickle
 import subprocess
 import sys
 from pathlib import Path
 
-import bob_oracle
-import fock_oracle
 import numpy as np
 import pytest
 
+import reference as ref
 from qduality import circuit as ct
 from qduality import fock
 from qduality import qstate as qs
@@ -172,12 +171,12 @@ class TestHomScan:
     ])
     def test_positions_as_the_scans_own_check_gave_them(self, positions):
         overlap = OverlapModel(x0=1.63, sigma=0.5)
-        want = fock_oracle.finite_positions(positions)
+        want = tuple(float(x) for x in positions)
         for scan in (fock.hom_scan(1.0 / 3.0, overlap, positions),
                      fock.bsm_scan(0.3, overlap, positions)):
-            assert same_bytes(scan.positions, want)
-        got = fock.hom_scan(1.0 / 3.0, overlap, iter(want))
-        assert same_bytes(got, fock.hom_scan(1.0 / 3.0, overlap, want))
+            assert type(scan.positions) is tuple and all(type(x) is float for x in scan.positions)
+            assert list(map(float.hex, scan.positions)) == list(map(float.hex, want))
+        assert fock.hom_scan(1.0 / 3.0, overlap, iter(want)) == fock.hom_scan(1.0 / 3.0, overlap, want)
 
     def test_extreme_profile_stays_finite(self):
         # far positions and a tiny width overflow the squared offset; the
@@ -279,18 +278,22 @@ class TestPhysicalCh:
         assert np.max(np.abs(got - np.outer(ideal, ideal.conj()))) > 0.05
 
 
+def bob_plus_projector(theta2):
+    """|b><b| for Bob's "+" ket cos(theta2)|phi-> + sin(theta2)|psi+>."""
+    ket = ref.bob_kets([theta2])[0, 0]
+    return np.outer(ket, ket.conj())
+
+
 class TestBsmProjector:
     @pytest.mark.parametrize("theta2", [0.0, math.pi / 2, math.pi / 4])
     def test_named_angles(self, theta2):
         got = fock.bsm_projector_physical(theta2).matrix
-        want = bob_oracle.bob_projector(theta2, "+").matrix
-        assert np.max(np.abs(got - want)) < 1e-10
+        assert np.max(np.abs(got - bob_plus_projector(theta2))) < 1e-13
 
     def test_matches_circuit_projector_on_grid(self):
-        for theta2 in np.linspace(-math.pi / 2, math.pi / 2, 8):
+        for theta2 in np.linspace(-math.pi, math.pi, 50):
             got = fock.bsm_projector_physical(theta2).matrix
-            want = bob_oracle.bob_projector(theta2, "+").matrix
-            assert np.max(np.abs(got - want)) < 1e-10
+            assert np.max(np.abs(got - bob_plus_projector(theta2))) < 1e-13
 
 
 class TestBsmScan:
@@ -453,15 +456,9 @@ class TestModeState:
             assert out.photon_numbers() == {2}
 
 
-def assert_same_amplitudes(got, want):
-    """The same patterns in the same order, with == complex amplitudes."""
-    assert list(got.amps) == list(want.amps)
-    assert list(got.amps.values()) == list(want.amps.values())
-
-
 @pytest.fixture
-def oracle_checked(monkeypatch):
-    """Check every ModeState.transform against the term-list oracle.
+def permanent_checked(monkeypatch):
+    """Check every ModeState.transform against the permanent reference.
 
     Returns the list of input states seen, one per transform call.
     """
@@ -470,7 +467,7 @@ def oracle_checked(monkeypatch):
 
     def checked(self, mode_map):
         got = transform(self, mode_map)
-        assert_same_amplitudes(got, fock_oracle.transform(self, mode_map))
+        ref.assert_same_state(got, ref.permanent_transform(self, mode_map))
         seen.append(self)
         return got
 
@@ -478,8 +475,8 @@ def oracle_checked(monkeypatch):
     return seen
 
 
-def random_unitary(rng):
-    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+def random_unitary(rng, n=2):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
@@ -497,7 +494,7 @@ def random_state(rng, ports):
 
 
 class TestTransformOracle:
-    """``ModeState.transform`` against the term-list expansion it replaced."""
+    """``ModeState.transform`` against the permanents of its mode map."""
 
     def elements(self, rng, state):
         """Every element builder on ports "a" and "b", random parameters."""
@@ -514,30 +511,40 @@ class TestTransformOracle:
         ]
 
     @pytest.mark.parametrize("ports", [("a", "b"), ("a", "b", "c")])
-    def test_random_states_through_every_element(self, oracle_checked, ports):
+    def test_random_states_through_every_element(self, permanent_checked, ports):
         rng = np.random.default_rng(len(ports))
         states = [random_state(rng, ports) for _ in range(60)]
         outputs = [out for state in states for out in self.elements(rng, state)]
-        assert len(oracle_checked) == len(outputs) == 8 * len(states)
+        assert len(permanent_checked) == len(outputs) == 8 * len(states)
         # bunched inputs (a repeated mode) and outputs both occur
         assert any(len(set(p)) < len(p) for s in states for p in s.amps)
         assert any(len(set(p)) < len(p) for s in outputs for p in s.amps)
 
-    def test_fully_bunched_patterns(self, oracle_checked):
+    def test_fully_bunched_patterns(self, permanent_checked):
         rng = np.random.default_rng(5)
         h0, v1 = Mode("a", "H", "t0"), Mode("b", "V", "t1")
         state = ModeState.from_patterns(
             [((h0, h0, h0), 0.6), ((h0, h0, v1), 0.48j), ((v1, v1), -0.64)])
         self.elements(rng, state)
-        assert len(oracle_checked) == 8
+        assert len(permanent_checked) == 8
 
-    def test_hong_ou_mandel_cancellation(self, oracle_checked):
+    def test_hong_ou_mandel_cancellation(self, permanent_checked):
         for pol in ("H", "V"):
             state = single_photons(("a", pol, "t0"), ("b", pol, "t0"))
             out = fock.ppbs_transform(state, ("a", "b"), t_h=0.5, t_v=0.5)
             assert (Mode("a", pol, "t0"), Mode("b", pol, "t0")) not in out.amps
             assert len(out.amps) == 2
-        assert len(oracle_checked) == 2
+        assert len(permanent_checked) == 2
+
+    def test_random_six_mode_unitaries(self):
+        # 1-3 photons, bunched ones among them, under unitaries that mix all
+        # six (port, polarization) modes of ports a, b and c
+        rng = np.random.default_rng(8)
+        modes = [(port, pol) for port in "abc" for pol in "HV"]
+        for _ in range(300):
+            state, unitary = random_state(rng, ("a", "b", "c")), random_unitary(rng, 6)
+            want = ref.permanent_transform(state, ref.linear_images(modes, unitary.tolist()))
+            ref.assert_same_state(state.transform(fock._linear_map(modes, unitary)), want, 1e-15)
 
     def test_each_distinct_mode_mapped_once(self):
         rng = np.random.default_rng(6)
@@ -551,60 +558,52 @@ class TestTransformOracle:
         assert len(calls) < sum(len(p) for p in state.amps)
 
     @pytest.mark.parametrize("v", [0.0, 0.5, 1.0])
-    def test_physical_correlation_states(self, oracle_checked, monkeypatch, v):
+    def test_physical_correlation_states(self, permanent_checked, v):
         rng = np.random.default_rng(7)
-        configs = [ct.ExperimentConfig(phi=float(phi), theta1=float(t1),
-                                       theta2=float(t2))
-                   for phi, t1, t2 in rng.uniform(-math.pi, math.pi, (4, 3))]
-        got = [fock.physical_correlation(cfg, v) for cfg in configs]
+        for phi, t1, t2 in rng.uniform(-math.pi, math.pi, (4, 3)).tolist():
+            fock.physical_correlation(ct.ExperimentConfig(phi=phi, theta1=t1, theta2=t2), v)
         # per overlap branch: 10 transforms to the analyzer, 3 per analyzer angle
-        assert len(oracle_checked) == 4 * (32 if 0.0 < v < 1.0 else 16)
-        monkeypatch.setattr(ModeState, "transform", fock_oracle.transform)
-        assert got == [fock.physical_correlation(cfg, v) for cfg in configs]
+        assert len(permanent_checked) == 4 * (32 if 0.0 < v < 1.0 else 16)
 
-    def test_gate_maps_and_analyzer(self, oracle_checked, monkeypatch):
-        positions = np.linspace(13.0, 16.0, 5)
-        overlap = OverlapModel(x0=14.42, sigma=0.5)
-
-        def outputs():
-            maps = [build(v)[0].apply(np.eye(4) / 4.0)
-                    for build in (fock.physical_cz, fock.physical_ch)
-                    for v in (0.0, 0.3, 1.0)]
-            return (maps, fock.bsm_scan(0.3, overlap, positions).rates,
-                    fock.bsm_projector_physical(0.3).matrix)
-
-        maps, rates, projector = outputs()
-        monkeypatch.setattr(ModeState, "transform", fock_oracle.transform)
-        want_maps, want_rates, want_projector = outputs()
-        assert all(np.array_equal(a, b) for a, b in zip(maps, want_maps, strict=True))
-        assert_same_rates(rates, want_rates)
-        assert np.array_equal(projector, want_projector)
+    def test_gate_maps_and_analyzer(self, permanent_checked):
+        for build in (fock.physical_cz, fock.physical_ch):
+            for v in (0.0, 0.3, 1.0):
+                build(v)
+        fock.bsm_scan(0.3, OverlapModel(x0=14.42, sigma=0.5), np.linspace(13.0, 16.0, 5))
+        fock.bsm_projector_physical(0.3)
+        assert len(permanent_checked) > 100
 
 
 class TestElementOracle:
-    """The matrix-built elements against the closures in ``fock_oracle``, with ``==``."""
+    """Each element against the permanents of the matrix its docstring gives."""
 
     TRANSMISSIONS = (0.0, 1.0 / 3.0, 1.0)
 
     @classmethod
     def pairs(cls, rng, state, ports):
-        """(element output, oracle output) for every element on ``ports``."""
+        """(element output, reference amplitudes) for every element on ``ports``."""
         a, b = ports
+        both = [(port, pol) for port in ports for pol in "HV"]
         zero_column = np.array([[0.6, 0.0], [0.8j, 0.0]])
         out = []
         for jones in (random_unitary(rng), zero_column, zero_column.T):
             out.append((state.transform(fock.polarization_map(a, jones)),
-                        fock_oracle.transform(state, fock_oracle.polarization_map(a, jones))))
+                        ref.linear_images([(a, "H"), (a, "V")], jones.tolist())))
         for t_h, t_v in itertools.product((*cls.TRANSMISSIONS, rng.random()), repeat=2):
             if a in state.spatial_labels() or b in state.spatial_labels():
+                # a -> sqrt(T) a + sqrt(1 - T) b and b -> sqrt(1 - T) a - sqrt(T) b
+                th, tv, rh, rv = map(math.sqrt, (t_h, t_v, 1.0 - t_h, 1.0 - t_v))
                 out.append((fock.ppbs_transform(state, ports, t_h=t_h, t_v=t_v),
-                            fock_oracle.ppbs_transform(state, ports, t_h, t_v)))
-        out.append((fock.pbs_transform(state, ports), fock_oracle.pbs_transform(state, ports)))
+                            ref.linear_images(both, [[th, 0, rh, 0], [0, tv, 0, rv],
+                                                     [rh, 0, -th, 0], [0, rv, 0, -tv]])))
+        # H transmits, V swaps ports
+        out.append((fock.pbs_transform(state, ports), ref.linear_images(
+            both, [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]])))
         for t in (*cls.TRANSMISSIONS, rng.random()):
             for port, pol in ((a, "H"), (b, "V")):
-                out.append((fock.attenuate(state, port, pol, t, "loss"),
-                            fock_oracle.attenuate(state, port, pol, t, "loss")))
-        return out
+                out.append((fock.attenuate(state, port, pol, t, "loss"), ref.linear_images(
+                    [(port, pol), ("loss", pol)], [[math.sqrt(t), 0], [math.sqrt(1 - t), 1]])))
+        return [(got, ref.permanent_transform(state, images)) for got, images in out]
 
     @pytest.mark.parametrize("ports", [("a", "b"), ("b", "a"), ("a", "x"), ("x", "y")])
     def test_random_states(self, ports):
@@ -613,7 +612,7 @@ class TestElementOracle:
         assert any(len(set(p)) < len(p) for s in states for p in s.amps)  # bunched
         for state in states:
             for got, want in self.pairs(rng, state, ports):
-                assert got == want
+                ref.assert_same_state(got, want)
 
     def test_fully_bunched_patterns(self):
         rng = np.random.default_rng(12)
@@ -621,7 +620,7 @@ class TestElementOracle:
         state = ModeState.from_patterns(
             [((h0, h0, h0), 0.6), ((h0, h0, v1), 0.48j), ((v1, v1), -0.64)])
         for got, want in self.pairs(rng, state, ("a", "b")):
-            assert got == want
+            ref.assert_same_state(got, want)
 
     def test_mapper_images(self):
         # column k of the matrix, zeros dropped, the temporal label kept
@@ -646,50 +645,64 @@ class TestElementOracle:
             fock.attenuate(state, "a", "H", 0.5, "a")
 
 
-def same_bytes(got, want):
-    return pickle.dumps(got) == pickle.dumps(want)
-
-
-def assert_same_rates(got, want):
-    """``bsm_scan`` rates: read-only float64 curves with the bytes of ``want``'s."""
-    assert list(got) == list(want) == ["DA", "AD", "DD", "AA"]
-    for key, curve in got.items():
-        assert curve.dtype == np.float64 and not curve.flags.writeable
-        assert curve.tobytes() == np.array(want[key]).tobytes()
-
-
 class TestPipelineOracle:
-    """The element-tuple pipelines against ``fock_oracle``'s per-call chains, byte for byte."""
+    """The Fock pipelines against the circuit, their closed forms and their invariants."""
 
     @pytest.mark.parametrize("v", [0.0, 1.0, None])
     def test_physical_correlation(self, v):
+        # at v = 1 the circuit's correlation; at any v, Bob's quarter turn
+        # flips E, and E is linear in cos 2 theta1 and sin 2 theta1
         rng = np.random.default_rng(13)
-        for phi, theta1, theta2, delta in rng.uniform(-2 * math.pi, 2 * math.pi, (150, 4)):
-            cfg = ct.ExperimentConfig(phi=float(phi), theta1=float(theta1),
-                                      theta2=float(theta2), delta=float(delta))
-            overlap = float(rng.random()) if v is None else v
-            assert same_bytes(fock.physical_correlation(cfg, overlap),
-                              fock_oracle.physical_correlation(cfg, overlap))
+        settings = rng.uniform(-2 * math.pi, 2 * math.pi, (400 if v == 1.0 else 60, 4))
+        for phi, theta1, theta2, delta in settings.tolist():
+            cfg = ct.ExperimentConfig(phi=phi, theta1=theta1, theta2=theta2, delta=delta)
+            if v == 1.0:
+                assert abs(fock.physical_correlation(cfg, 1.0) - ct.correlation(cfg)) < 1e-13
+                continue
+            overlap = rng.random() if v is None else v
+
+            def e(**change):
+                return fock.physical_correlation(dataclasses.replace(cfg, **change), overlap)
+
+            z, x = e(theta1=0.0), e(theta1=math.pi / 4)
+            assert abs(e() - (math.cos(2 * theta1) * z + math.sin(2 * theta1) * x)) < 1e-13
+            assert abs(e(theta2=theta2 + math.pi / 2) + e()) < 1e-13
 
     @pytest.mark.parametrize("with_w", [False, True])
     def test_gate_maps(self, with_w):
+        # at v = 1 the one Kraus operator CZ/3; at v = 0 the pass-through I/3
+        # and the swap -(2/3)|VV><VV|, both conjugated by I (x) W for CH; in
+        # between, weights v and 1 - v on the two
         build = fock.physical_ch if with_w else fock.physical_cz
+        iw = np.kron(np.eye(2), qs.w_gate().matrix) if with_w else np.eye(4)
+        coherent = [iw @ qs.cz_gate().matrix @ iw.conj().T / 3.0]
+        distinct = [iw @ k @ iw.conj().T for k in (np.eye(4) / 3.0, np.diag([0, 0, 0, -2.0 / 3.0]))]
+        ket = np.random.default_rng(14).normal(size=(4, 2)) @ [1.0, 1.0j]
+        rho = np.outer(ket, ket.conj()) / (ket.conj() @ ket)
+
+        def mixed(v, rho):
+            return sum(w * k @ rho @ k.conj().T for w, kraus in ((v, coherent), (1 - v, distinct))
+                       for k in kraus)
+
         for v in (*np.linspace(0.0, 1.0, 21).tolist(), 1e-16, 1.0 - 1e-16):
             gate_map, success = build(v)
-            want_map, want_success = fock_oracle.physical_gate(v, with_w)
-            assert same_bytes((gate_map.kraus, success), (want_map.kraus, want_success))
+            assert np.max(np.abs(gate_map.apply(rho) - mixed(v, rho))) < 1e-15
+            assert abs(success - np.trace(mixed(v, np.eye(4) / 4.0)).real) < 1e-15
 
     def test_analyzer(self):
+        # DA = AD = cos^2(theta2) (1 + v) / 4 and DD = AA = cos^2(theta2) (1 - v) / 4,
+        # with v the Gaussian overlap at each position
         overlap = OverlapModel(x0=14.42, sigma=0.3)
         positions = np.linspace(13.0, 16.0, 7)
+        v = np.exp(-0.5 * ((positions - 14.42) / 0.3) ** 2)
         angles = (*np.linspace(-math.pi, math.pi, 50).tolist(), 0.0, math.pi / 2, -math.pi / 2)
         for theta2 in angles:
-            assert same_bytes(fock.bsm_projector_physical(theta2).matrix,
-                              fock_oracle.bsm_projector_physical(theta2).matrix)
-            got = fock.bsm_scan(theta2, overlap, positions)
-            want = fock_oracle.bsm_scan(theta2, overlap, positions)
-            assert same_bytes(got.positions, want.positions)
-            assert_same_rates(got.rates, want.rates)
+            rates = fock.bsm_scan(theta2, overlap, positions).rates
+            assert list(rates) == ["DA", "AD", "DD", "AA"]
+            for key, sign in (("DA", 1), ("AD", 1), ("DD", -1), ("AA", -1)):
+                curve = rates[key]
+                assert curve.dtype == np.float64 and not curve.flags.writeable
+                assert np.max(np.abs(curve - math.cos(theta2) ** 2 * (1 + sign * v) / 4)) < 1e-13
         # post-selection keeps nothing at pi/2
         assert set(fock.bsm_scan(math.pi / 2, overlap, positions).rates["DA"]) == {0.0}
 

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -12,12 +13,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import bob_oracle
-import fraction_cut
 import lp
+import reference as ref
 from qduality import cli, hv
-from qduality import qstate as qs
-from qduality.circuit import final_state
 from qduality.hv import HVModel, HVStrategy, SettingsList
 
 REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -37,20 +35,6 @@ def random_model(rng, strategies, exact=False):
         weights = tuple(float(w) for w in raw / raw.sum())
     return HVModel(strategies=tuple(strategies[i] for i in pick),
                    weights=weights)
-
-
-def oracle_quantum_joint(theta2, phi, basis="real"):
-    """The oracle: ``final_state``, one 8x8 ``np.kron`` projector per outcome pair."""
-    state = final_state(phi)
-    pair = {"real": bob_oracle.bob_projector,
-            "quadrature": bob_oracle.quadrature_pair_projector}[basis]
-    q = np.zeros((2, 2))
-    for s, ket in enumerate(([0.0, 1.0], [1.0, 0.0])):  # s = 0 is Alice's |V>
-        alice = qs.projector_onto(ket)
-        for bi, b in enumerate("+-"):
-            combined = qs.Projector(np.kron(alice.matrix, pair(theta2, b).matrix))
-            q[s, bi] = qs.outcome_probability(state, combined, (0, 1, 2))
-    return q
 
 
 class TestStats:
@@ -110,20 +94,19 @@ class TestQuantumJoint:
             hv.quantum_joint(theta2, phi)
 
     def test_matches_oracle_on_dense_random_settings(self):
-        rng = np.random.default_rng(2024)
-        for theta2, phi in rng.uniform(-10.0, 10.0, size=(2000, 2)).tolist():
-            np.testing.assert_array_equal(
-                hv.quantum_joint(theta2, phi).view(np.int64),
-                oracle_quantum_joint(theta2, phi).view(np.int64))
+        # the oracle: the joint in closed form, and quantum_joints' bits
+        settings = np.random.default_rng(2024).uniform(-10.0, 10.0, size=(2000, 2))
+        got = np.array([hv.quantum_joint(theta2, phi) for theta2, phi in settings.tolist()])
+        assert np.max(np.abs(got - ref.quantum_joints(settings))) < 1e-13
+        assert got.tobytes() == hv.quantum_joints(settings).tobytes()
 
     def test_matches_oracle_in_quadrature_basis(self):
         rng = np.random.default_rng(2025)
-        for k in range(-8, 9):
-            theta2 = math.pi / 4 + k * math.pi / 2
-            for phi in rng.uniform(-10.0, 10.0, size=12).tolist():
-                np.testing.assert_array_equal(
-                    hv.quantum_joint(theta2, phi, "quadrature").view(np.int64),
-                    oracle_quantum_joint(theta2, phi, "quadrature").view(np.int64))
+        settings = [(math.pi / 4 + k * math.pi / 2, phi)
+                    for k in range(-8, 9) for phi in rng.uniform(-10.0, 10.0, size=12).tolist()]
+        got = np.array([hv.quantum_joint(*setting, "quadrature") for setting in settings])
+        assert np.max(np.abs(got - ref.quantum_joints(settings, "quadrature"))) < 1e-13
+        assert got.tobytes() == hv.quantum_joints(settings, "quadrature").tobytes()
 
     def test_returns_an_owned_float_table(self):
         # a view would keep the kernel's whole (4, 1, 1) block alive
@@ -144,32 +127,34 @@ class TestQuantumJoint:
                 assert q[:, 1].sum() == pytest.approx(0.5, abs=1e-10)
 
 
-def oracle_joints(settings, basis="real"):
-    return np.array([oracle_quantum_joint(t2, phi, basis) for t2, phi in settings])
-
-
 class TestQuantumJoints:
-    @pytest.mark.parametrize("n", [1, 127, 128, 129, 1024])
-    def test_matches_oracle_across_blocks(self, n):
-        settings = np.random.default_rng(3000 + n).uniform(-10.0, 10.0, size=(n, 2)).tolist()
-        np.testing.assert_array_equal(hv.quantum_joints(settings).view(np.int64),
-                                      oracle_joints(settings).view(np.int64))
+    """``hv.quantum_joints``; the oracle is the closed form ``reference.quantum_joints``."""
 
-    @pytest.mark.parametrize("n", [1, 127, 128, 129, 1024])
+    SIZES = [1, 127, 128, 129, 1024, cli.MAX_SETTINGS]  # blocks of 128 settings, and the cap
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_oracle_across_blocks(self, n):
+        settings = np.random.default_rng(3000 + n).uniform(-10.0, 10.0, size=(n, 2))
+        got = hv.quantum_joints(settings.tolist())
+        assert np.max(np.abs(got - ref.quantum_joints(settings))) < 1e-13
+
+    @pytest.mark.parametrize("n", SIZES)
     def test_matches_oracle_across_blocks_in_quadrature_basis(self, n):
         rng = np.random.default_rng(4000 + n)
         turns, phis = rng.integers(-40, 41, n).tolist(), rng.uniform(-10.0, 10.0, n).tolist()
         settings = [(math.pi / 4 + k * math.pi / 2, phi) for k, phi in zip(turns, phis)]
-        np.testing.assert_array_equal(hv.quantum_joints(settings, "quadrature").view(np.int64),
-                                      oracle_joints(settings, "quadrature").view(np.int64))
+        got = hv.quantum_joints(settings, "quadrature")
+        assert np.max(np.abs(got - ref.quantum_joints(settings, "quadrature"))) < 1e-13
 
     def test_matches_oracle_in_quadrature_basis(self):
+        # every setting alone gives its row's bits
         rng = np.random.default_rng(3001)
         settings = [(math.pi / 4 + k * math.pi / 2, phi)
                     for k in range(-8, 9) for phi in rng.uniform(-10.0, 10.0, size=12).tolist()]
-        np.testing.assert_array_equal(
-            hv.quantum_joints(settings, "quadrature").view(np.int64),
-            oracle_joints(settings, "quadrature").view(np.int64))
+        got = hv.quantum_joints(settings, "quadrature")
+        assert np.max(np.abs(got - ref.quantum_joints(settings, "quadrature"))) < 1e-13
+        for setting, row in zip(settings, got):
+            assert hv.quantum_joints([setting], "quadrature")[0].tobytes() == row.tobytes()
 
     def test_returns_an_owned_float_stack(self):
         q = hv.quantum_joints(SettingsList(entries=[(0.3, 1.2), (-0.4, 2.0), (1.0, 0.0)]).entries)
@@ -213,11 +198,18 @@ class TestQuantumJoints:
         path = tmp_path / "settings.csv"
         path.write_text(cli.SETTINGS_HEADER + "\n"
                         + "".join(f"{t2!r},{phi!r}\n" for t2, phi in entries))
-        args = ["hvcheck", "--settings", str(path)]
-        code, out = cli.main(args), capsys.readouterr().out
-        assert code == expected
-        monkeypatch.setattr(hv, "quantum_joints", oracle_joints)
-        assert (cli.main(args), capsys.readouterr().out) == (code, out)
+        targets, joints = [], hv.quantum_joints
+
+        def recorded(*args):
+            targets.append(joints(*args))
+            return targets[-1]
+
+        monkeypatch.setattr(hv, "quantum_joints", recorded)
+        assert cli.main(["hvcheck", "--settings", str(path)]) == expected
+        assert len(targets) == 1 and targets[0].shape == (cli.MAX_SETTINGS, 2, 2)
+        assert np.max(np.abs(targets[0] - ref.quantum_joints(entries))) < 1e-13
+        if expected == cli.EXIT_OK:
+            assert capsys.readouterr().out.startswith("FEASIBLE residual=0.000e+00\n")
 
 
 class TestPredictedJoint:
@@ -535,7 +527,7 @@ def rational_joint(rng):
     return [flat[:2], flat[2:]]
 
 
-def oracle_cases(rng, n, exact):
+def solver_cases(rng, n, exact):
     """(targets, wave_probs, settings) drawn from quantum, random and tagged-model targets."""
     cosines = [Fraction(int(c)) if c in (-1, 0, 1) else Fraction(int(c), 5)
                for c in rng.choice([-1, 0, 1, -4, -2, 3], size=n)]
@@ -564,7 +556,7 @@ class TestAgainstEnumeratedStrategies:
     def test_float_residuals_match(self, n):
         rng = np.random.default_rng(100 + n)
         for _ in range(4):
-            for targets, wave, settings in oracle_cases(rng, n, exact=False):
+            for targets, wave, settings in solver_cases(rng, n, exact=False):
                 result = hv.feasibility(targets, settings, wave_probs=wave)
                 assert result.method == "float"
                 want = enumerated_residual(targets, wave, exact=False)
@@ -574,7 +566,7 @@ class TestAgainstEnumeratedStrategies:
     def test_exact_residuals_equal(self, n):
         rng = np.random.default_rng(200 + n)
         for _ in range(3 if n < 3 else 1):
-            for targets, wave, settings in oracle_cases(rng, n, exact=True):
+            for targets, wave, settings in solver_cases(rng, n, exact=True):
                 result = hv.feasibility(targets, settings, wave_probs=wave)
                 assert result.method == "exact"
                 assert result.residual == enumerated_residual(targets, wave, exact=True)
@@ -583,7 +575,7 @@ class TestAgainstEnumeratedStrategies:
     def test_witness_reproduces_exact_targets(self, n):
         rng = np.random.default_rng(300 + n)
         for _ in range(3):
-            targets, wave, settings = oracle_cases(rng, n, exact=True)[2]
+            targets, wave, settings = solver_cases(rng, n, exact=True)[2]
             result = hv.feasibility(targets, settings, wave_probs=wave)
             assert result.feasible and result.residual == 0
             for tag in ("particle", "wave"):
@@ -591,21 +583,26 @@ class TestAgainstEnumeratedStrategies:
             assert hv.predicted_joint(result.model, settings, wave_probs=wave) == targets
 
 
-def oracle_witness(wave_weight, wave_plus, flat_targets, threshold):
-    """The oracle: ``hv._witness`` with one Python comparison per setting per piece."""
-    particle_plus = [q[0] + q[2] - xj for q, xj in zip(flat_targets, wave_plus)]
-    strategies, weights = [], []
+def assert_glues(wave_weight, wave_plus, flat_targets, threshold):
+    """``hv._witness`` gives each tag its weight and, at each setting, its clipped '+' mass.
+
+    Exactly for Fractions, to 1e-12 for floats, with at most n + 1 strategies per tag.
+    """
+    model = hv._witness(wave_weight, wave_plus, flat_targets, threshold)
+    n = len(flat_targets)
+    particle_plus = [q[0] + q[2] - x for q, x in zip(flat_targets, wave_plus)]
     for tag, total, plus in (("particle", 1 - wave_weight, particle_plus),
                              ("wave", wave_weight, wave_plus)):
-        cuts = [min(max(p, 0), total) for p in plus]
-        edges = sorted({0, total, *cuts})
-        for lo, hi in zip(edges, edges[1:]):
-            if hi - lo > threshold:
-                outcomes = "".join("+" if hi <= cut else "-" for cut in cuts)
-                strategies.append(HVStrategy(tag=tag, bob_outcomes=outcomes))
-                weights.append(hi - lo)
-    total = sum(weights)
-    return HVModel(strategies=strategies, weights=[w / total for w in weights])
+        glued = [(s.bob_outcomes, w) for s, w in zip(model.strategies, model.weights) if s.tag == tag]
+        assert len(glued) <= n + 1
+        got = [sum(w for outcomes, w in glued if outcomes[j] == "+") for j in range(n)]
+        want = [min(max(p, 0), total) for p in plus]
+        got.append(sum(w for _, w in glued))
+        want.append(total)
+        if threshold == 0:
+            assert got == want
+        else:
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
 
 
 def witness_case(rng, n, exact):
@@ -630,40 +627,29 @@ def witness_case(rng, n, exact):
 
 
 class TestWitnessStrings:
-    """``hv._witness`` against the per-character join it replaced, with ``==``."""
+    """``hv._witness`` glues the marginals it is given, whatever the order of its cuts."""
 
     @pytest.mark.parametrize("exact", [True, False])
-    def test_matches_the_per_character_oracle(self, exact):
+    def test_reproduces_the_marginals_it_glues(self, exact):
         rng = np.random.default_rng(41 if exact else 43)
-        threshold = 0 if exact else 1e-12
         for _ in range(300):
-            n = int(rng.integers(1, 30))
-            case = witness_case(rng, n, exact)
-            got = hv._witness(*case, threshold)
-            want = oracle_witness(*case, threshold)
-            assert got.strategies == want.strategies
-            assert got.weights == want.weights
+            assert_glues(*witness_case(rng, int(rng.integers(1, 30)), exact), 0 if exact else 1e-12)
 
     @pytest.mark.parametrize("wave_weight", [Fraction(0), Fraction(1, 3), Fraction(1)])
     def test_cuts_on_zero_the_total_and_each_other(self, wave_weight):
         total = wave_weight
-        flat = [[Fraction(1, 4)] * 4] * 6
         wave_plus = [Fraction(0), total, -total - 1, total + 1, total / 2, total / 2]
-        got = hv._witness(wave_weight, wave_plus, flat, 0)
-        want = oracle_witness(wave_weight, wave_plus, flat, 0)
-        assert (got.strategies, got.weights) == (want.strategies, want.weights)
+        assert_glues(wave_weight, wave_plus, [[Fraction(1, 4)] * 4] * 6, 0)
 
-    def test_matches_the_oracle_on_solved_optima(self):
+    def test_reproduces_the_marginals_of_solved_optima(self):
         rng = np.random.default_rng(47)
         for n in (3, 8, 40):
             settings = random_settings(rng, n)
             flat = hv._validate_targets(admixed_targets(rng, settings), n)
             wave = [hv.wave_stats(phi) for _, phi in settings.entries]
-            _, optimum = hv._kelley(hv._float_cut(flat, wave), 1.0, hv._FLOAT_TOL)
-            wave_weight, _, wave_plus = optimum
-            got = hv._witness(wave_weight, wave_plus, flat, 1e-12)
-            want = oracle_witness(wave_weight, wave_plus, flat, 1e-12)
-            assert (got.strategies, got.weights) == (want.strategies, want.weights)
+            _, (wave_weight, _, wave_plus) = hv._kelley(hv._float_cut(flat, wave), 1.0,
+                                                        hv._FLOAT_TOL)
+            assert_glues(wave_weight, wave_plus, flat, 1e-12)
 
 
 def rationalize(q):
@@ -781,7 +767,7 @@ def test_left_cut_taken_at_w_one_only(monkeypatch, name, exact):
     monkeypatch.setattr(hv, name, recorded(getattr(hv, name), log))
     rng = np.random.default_rng(900)
     for n in (1, 2, 3, 5, 8):
-        for targets, wave, settings in oracle_cases(rng, n, exact):
+        for targets, wave, settings in solver_cases(rng, n, exact):
             hv.feasibility(targets, settings, wave_probs=wave)
     assert any(side == 1 and 0 < w < 1 for w, side, _ in log)
     assert any(side == -1 for _, side, _ in log)
@@ -802,28 +788,40 @@ def load_exact_reference_cases():
 
 
 class TestIntegerCut:
-    """``hv._exact_cut`` against the Fraction cut it replaced, ``fraction_cut``."""
+    """``hv._exact_cut`` through ``feasibility``, against the identities of the exact optimum.
+
+    At a fixed residual level, each setting's wave weights form an interval,
+    and intervals on a line share a point if every two of them do (Helly).
+    So the residual of n settings is the largest over pairs of settings, and
+    adding a setting never lowers it.  Both hold with ``==`` on Fractions.
+    """
 
     @staticmethod
-    def assert_matches_oracle(monkeypatch, targets, settings, wave):
-        runs = []
-        for make_cut in (hv._exact_cut, fraction_cut._exact_cut):
-            log = []
-            with monkeypatch.context() as m:
-                m.setattr(hv, "_exact_cut", recorded(make_cut, log))
-                runs.append((hv.feasibility(targets, settings, wave_probs=wave), log))
-        (got, got_log), (want, want_log) = runs
-        # the same cuts in the same order, each with the same line and x_j
-        assert got_log == want_log
-        assert all(type(v) is Fraction for *_, (line, xs) in got_log for v in (*line, *xs))
-        assert type(got.residual) is Fraction and got.residual == want.residual
-        assert (got.feasible, got.cuts, got.model) == (want.feasible, want.cuts, want.model)
-        return got
+    def assert_identities(targets, settings, wave):
+        def solve(rows):
+            rows = list(rows)
+            result = hv.feasibility([targets[j] for j in rows],
+                                    SettingsList([settings.entries[j] for j in rows]),
+                                    wave_probs=[wave[j] for j in rows])
+            assert result.method == "exact" and type(result.residual) is Fraction
+            return result
+
+        n = len(settings)
+        result = solve(range(n))
+        chain = [solve(range(k)).residual for k in range(1, n)] + [result.residual]
+        assert chain == sorted(chain)
+        if n > 1:
+            pairs = itertools.combinations(range(n), 2)
+            assert result.residual == max(solve(pair).residual for pair in pairs)
+        if result.feasible:
+            assert hv.predicted_joint(result.model, settings, wave_probs=wave) == targets
+        return result
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_targets_at_degenerate_phases(self, monkeypatch, seed):
+    def test_random_targets_at_degenerate_phases(self, seed):
         # cos phi in {0, +-1, +-k/9} makes pieces parallel or equal, and
-        # targets with zero entries put candidates on the ends of [0, W]
+        # targets with zero entries put candidates on the ends of [0, W];
+        # a model's own predictions give residual 0
         rng = np.random.default_rng(700 + seed)
         for i in range(100):
             n = int(rng.integers(1, 7))
@@ -834,22 +832,21 @@ class TestIntegerCut:
             else:
                 model = random_model(rng, hv.enumerate_strategies(n), exact=True)
                 targets = hv.predicted_joint(model, settings, wave_probs=wave)
-            result = self.assert_matches_oracle(monkeypatch, targets, settings, wave)
-            assert result.feasible or i % 2
+            result = self.assert_identities(targets, settings, wave)
+            assert result.residual == 0 or i % 2
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 12, 16, 24, 32, 48])
-    def test_rationalized_quantum_targets(self, monkeypatch, n):
+    def test_rationalized_quantum_targets(self, n):
         rng = np.random.default_rng(800 + n)
         settings, wave = rational_settings([Fraction(int(c), 9) for c in rng.integers(-9, 10, n)])
         targets = [rationalize(hv.quantum_joint(t2, phi)) for t2, phi in settings.entries]
-        assert not self.assert_matches_oracle(monkeypatch, targets, settings, wave).feasible
+        assert not self.assert_identities(targets, settings, wave).feasible
 
-    def test_perfbench_exact_reference_cases(self, monkeypatch):
+    def test_perfbench_exact_reference_cases(self):
         cases = list(load_exact_reference_cases())
         assert len(cases) == 64
         for targets, settings, wave, residual in cases:
-            result = self.assert_matches_oracle(monkeypatch, targets, settings, wave)
-            assert result.residual == residual
+            assert self.assert_identities(targets, settings, wave).residual == residual
 
 
 def highs(targets, settings):
@@ -1062,8 +1059,6 @@ class TestLocalBound:
         assert abs(a1 * b1 + a1 * b2 - a2 * b1 + a2 * b2) == 2
 
     def test_every_deterministic_strategy_bounded(self):
-        import itertools
-
         for a1, a2, b1, b2 in itertools.product((-1, 1), repeat=4):
             assert abs(a1 * b1 + a1 * b2 - a2 * b1 + a2 * b2) <= 2
 

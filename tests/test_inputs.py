@@ -1,9 +1,10 @@
-"""The input rules of ``qstate``, at every entry point that takes a scalar.
+"""The input rules of ``qstate``, at every entry point that takes a scalar or an object.
 
 Each scalar argument is checked by ``qstate._finite`` (a finite real
-number) or ``qstate._unit_interval`` (a real number in [0, 1]).  A bad value
-raises a ValueError whose message starts with the argument's name, never a
-TypeError from the arithmetic behind the check.
+number) or ``qstate._unit_interval`` (a real number in [0, 1]), and each
+object argument by ``qstate._instance``.  A bad value raises a ValueError
+whose message starts with the argument's name, never a TypeError or an
+AttributeError from the code behind the check.
 """
 
 import math
@@ -130,7 +131,43 @@ def test_fractions_give_the_float_results():
     assert fock.physical_correlation(config, third) == fock.physical_correlation(config, 1 / 3)
 
 
-@pytest.mark.parametrize("entry", [("0.1", 0.2), (0.1, "0.2"), (b"0.1", 0.2), "ab", (0.1,), None])
+@pytest.mark.parametrize("entry", [("0.1", 0.2), (0.1, "0.2"), (b"0.1", 0.2), "ab", (0.1,), None,
+                                   ("0.1", "0.2"), (0.1, 0.2j), (0.1, np.complex128(0.2)),
+                                   (Fraction(1, 3), np.complex64(0.2)), (None, 0.2)])
 def test_settings_that_are_not_pairs_of_numbers(entry):
-    with pytest.raises(ValueError, match=r"^settings must be \(theta2, phi\) pairs of numbers$"):
-        hv.SettingsList([(0.3, 0.4), entry])
+    # the settings list, and the joints, which take their settings as plain pairs
+    for call in (hv.SettingsList, hv.quantum_joints):
+        with pytest.raises(ValueError, match=r"^settings must be \(theta2, phi\) pairs of numbers$"):
+            call([(0.3, 0.4), entry])
+
+
+def test_joints_take_fractions_and_numpy_reals_as_the_equal_floats():
+    want = hv.quantum_joints([(1 / 3, 0.5), (0.25, 2.0)])
+    for settings in ([(Fraction(1, 3), Fraction(1, 2)), (0.25, 2)],
+                     [(np.float64(1 / 3), np.float32(0.5)), (np.float16(0.25), np.int64(2))],
+                     np.array([(1 / 3, 0.5), (0.25, 2.0)])):
+        assert hv.quantum_joints(settings).tobytes() == want.tobytes()
+
+
+# (entry point, argument name, call with the argument set to x): each object
+# argument must be an instance of its class, checked where it enters
+OBJECT_ARGUMENTS = [
+    ("ExperimentConfig", "noise", lambda x: ct.ExperimentConfig(phi=0.1, noise=x)),
+    ("correlation_surface", "noise", lambda x: ct.correlation_surface(0.0, noise=x)),
+    ("chsh", "noise", lambda x: ct.chsh(0.3, noise=x)),
+    ("feasibility", "settings", lambda x: hv.feasibility([[[0.5, 0.0], [0.5, 0.0]]], x)),
+    ("predicted_joint", "model", lambda x: hv.predicted_joint(x, hv.SettingsList([(0.1, 0.2)]))),
+    ("predicted_joint", "settings", lambda x: hv.predicted_joint(
+        hv.HVModel((hv.HVStrategy("wave", "+"),), (1,)), x)),
+    ("hom_scan", "overlap", lambda x: fock.hom_scan(0.5, x, [0.1])),
+    ("bsm_scan", "overlap", lambda x: fock.bsm_scan(0.3, x, [0.1])),
+]
+
+
+@pytest.mark.parametrize("label, name, call", OBJECT_ARGUMENTS,
+                         ids=[f"{label}-{name}" for label, name, _ in OBJECT_ARGUMENTS])
+@pytest.mark.parametrize("value", ["x", None, [(0.1, 0.2)], 0.5])
+def test_object_of_another_type_is_a_value_error_that_names_it(label, name, call, value):
+    with pytest.raises(ValueError, match=f"^{name} must be of type [A-Za-z]+, got ") as info:
+        call(value)
+    assert repr(value) in str(info.value)
