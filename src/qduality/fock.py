@@ -39,10 +39,7 @@ class Mode(NamedTuple):
     temporal: str
 
 
-Pattern = tuple  # sorted tuple of Mode
-
-
-def _pattern_norm_factor(pattern: Pattern) -> float:
+def _pattern_norm_factor(pattern: tuple) -> float:
     """sqrt(prod n_m!) over the occupation multiplicities of a pattern."""
     distinct = set(pattern)
     if len(distinct) == len(pattern):
@@ -63,15 +60,6 @@ class ModeState:
             key = tuple(sorted(modes))
             amps[key] = amps.get(key, 0.0) + complex(amp)
         return cls(amps)
-
-    def norm_sq(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amps.values()))
-
-    def photon_numbers(self) -> set:
-        return {len(p) for p in self.amps}
-
-    def spatial_labels(self) -> set:
-        return {m.spatial for p in self.amps for m in p}
 
     def transform(self, mode_map: Callable[[Mode], list]) -> "ModeState":
         """Substitute a_m -> sum_k c_k a_k per the map, expanding products.
@@ -147,7 +135,12 @@ def polarization_map(spatial: str, jones: np.ndarray) -> Callable[[Mode], list]:
 
 
 def _ppbs_map(in_modes, t_h: float, t_v: float) -> Callable[[Mode], list]:
-    """Mapper of the beam splitter of ``ppbs_transform``."""
+    """Partial polarizing beam splitter on a pair of spatial ports.
+
+    Per polarization p with transmission T_p: a -> sqrt(T) a + sqrt(1-T) b,
+    b -> sqrt(1-T) a - sqrt(T) b (real symmetric convention).  T_h = T_v = 1/2
+    degenerates to a balanced beam splitter.
+    """
     _unit_interval("t_h", t_h)
     _unit_interval("t_v", t_v)
     th, tv = math.sqrt(t_h), math.sqrt(t_v)
@@ -156,46 +149,22 @@ def _ppbs_map(in_modes, t_h: float, t_v: float) -> Callable[[Mode], list]:
     return _linear_map([(port, pol) for port in in_modes for pol in _POLS], matrix)
 
 
-def ppbs_transform(state: ModeState, in_modes, t_h: float, t_v: float) -> ModeState:
-    """Partial polarizing beam splitter on a pair of spatial ports.
-
-    Per polarization p with transmission T_p: a -> sqrt(T) a + sqrt(1-T) b,
-    b -> sqrt(1-T) a - sqrt(T) b (real symmetric convention).  T_h = T_v = 1/2
-    degenerates to a balanced beam splitter.
-    """
-    mapper = _ppbs_map(in_modes, t_h, t_v)
-    if not set(in_modes) & state.spatial_labels():
-        raise ValueError(f"spatial labels {in_modes} not present in the state")
-    return state.transform(mapper)
-
-
 def _pbs_map(in_modes) -> Callable[[Mode], list]:
-    """Mapper of the beam splitter of ``pbs_transform``."""
+    """Polarizing beam splitter: H transmits, V swaps ports (real convention)."""
     matrix = [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]
     return _linear_map([(port, pol) for port in in_modes for pol in _POLS], matrix)
 
 
-def pbs_transform(state: ModeState, in_modes) -> ModeState:
-    """Polarizing beam splitter: H transmits, V swaps ports (real convention)."""
-    return state.transform(_pbs_map(in_modes))
-
-
 def _attenuation_map(spatial: str, pol: str, transmission: float,
                      loss_label: str) -> Callable[[Mode], list]:
-    """Mapper of the loss port of ``attenuate``."""
-    _unit_interval("transmission", transmission)
-    rt, rr = math.sqrt(transmission), math.sqrt(1.0 - transmission)
-    return _linear_map([(spatial, pol), (loss_label, pol)], [[rt, 0.0], [rr, 1.0]])
-
-
-def attenuate(state: ModeState, spatial: str, pol: str, transmission: float,
-              loss_label: str) -> ModeState:
     """Route 1-T of one port's polarization into a dedicated loss port.
 
     Photon number is conserved globally; the loss port simply never
     satisfies the post-selection condition.
     """
-    return state.transform(_attenuation_map(spatial, pol, transmission, loss_label))
+    _unit_interval("transmission", transmission)
+    rt, rr = math.sqrt(transmission), math.sqrt(1.0 - transmission)
+    return _linear_map([(spatial, pol), (loss_label, pol)], [[rt, 0.0], [rr, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -285,14 +254,6 @@ def _run(state: ModeState, elements) -> ModeState:
     return state
 
 
-_DA_KETS = {"D": KET_D, "A": KET_A}
-
-
-def _analyzer_bras(outcomes) -> np.ndarray:
-    """Rows <oc| (x) <oa| on (control, ancilla) for outcomes such as "DA"."""
-    return np.array([np.kron(_DA_KETS[oc], _DA_KETS[oa]) for oc, oa in outcomes]).conj()
-
-
 # The fixed optics, built and checked once.  Controlled phase on ports ("s",
 # "c"): PPBS with T_h = 1, T_v = 1/3, 1/3-transmission balancing of each
 # output's horizontal component, then a path phase of pi on the control port
@@ -313,15 +274,12 @@ _SOURCE_PLATE = polarization_map("s", waveplate("half", math.pi / 8).matrix)
 # the analyzer after its theta2 plate: a half-wave plate at 0 on the ancilla
 # port, then the interference beam splitter
 _ANALYZER_FIXED = (polarization_map("a", waveplate("half", 0.0).matrix), _pbs_map(("c", "a")))
-_CROSS_BRAS = _analyzer_bras(("DA", "AD"))
+_DA_KETS = {"D": KET_D, "A": KET_A}
+# Bob's diagonal-basis outcomes as rows <oc| (x) <oa| on (c, a); the cross
+# outcomes DA and AD come first
 _SCAN_OUTCOMES = ("DA", "AD", "DD", "AA")
-_SCAN_BRAS = _analyzer_bras(_SCAN_OUTCOMES)
-
-
-def _analyzer(theta2: float) -> tuple:
-    """The BSM analyzer: a half-wave plate at theta2/2 on the control port, then the fixed optics."""
-    plate = waveplate("half", _finite("theta2", theta2) / 2.0)
-    return (polarization_map("c", plate.matrix), *_ANALYZER_FIXED)
+_SCAN_BRAS = np.array([np.kron(_DA_KETS[oc], _DA_KETS[oa]) for oc, oa in _SCAN_OUTCOMES]).conj()
+_CROSS_BRAS = _SCAN_BRAS[:2]
 
 
 def _port_amplitudes(state: ModeState, ports) -> dict:
@@ -358,6 +316,23 @@ def _transfer(elements, ports, labels) -> list:
     return [maps[key] for key in sorted(maps)]
 
 
+# the analyzer's fixed optics as post-selected Kraus terms on (c, a), one
+# stack per pair of input temporal labels (l_c, l_a) that a pipeline feeds it
+_ANALYZER_KRAUS = {labels: np.array(_transfer(_ANALYZER_FIXED, ("c", "a"), labels))
+                   for labels in (("t0", "t0"), ("t0", "t1"), ("t1", "t0"))}
+
+
+def _analyzer(theta2: float) -> dict:
+    """Bob's analyzer at theta2: its (k, 4, 4) Kraus terms on (c, a) per input labels (l_c, l_a).
+
+    The half-wave plate at theta2/2 acts on port c alone, before the fixed
+    optics, and keeps every temporal label, so it is one right factor of
+    each fixed map.
+    """
+    right = np.kron(waveplate("half", _finite("theta2", theta2) / 2.0).matrix, np.eye(2))
+    return {labels: kraus @ right for labels, kraus in _ANALYZER_KRAUS.items()}
+
+
 def _overlap_branches(v: float, same, distinct) -> list:
     """Weight v on the shared temporal labels, 1 - v on the distinct ones, as floats."""
     v = float(_unit_interval("v", v))
@@ -390,24 +365,13 @@ def physical_ch(v: float) -> tuple[PostselectedMap, float]:
     return _physical_gate(v, _CH_CHAIN)
 
 
-def _analyzer_probs(state: ModeState, elements, ports, bras) -> np.ndarray:
-    """|<bra|psi>|^2 per bra after the analyzer ``elements``.
-
-    Summed over the output temporal configurations, which do not interfere;
-    zeros when post-selection keeps nothing (e.g. bsm_scan at theta2 = pi/2).
-    """
-    tensors = _port_amplitudes(_run(state, elements), ports)
-    return sum((np.abs(bras @ t.reshape(-1)) ** 2 for t in tensors.values()),
-               np.zeros(len(bras)))
-
-
 def bsm_projector_physical(theta2: float) -> Projector:
     """Effective two-photon projector realized by the analyzer chain.
 
     The cross outcomes DA and AD herald the "+" result; the matrix equals
     the circuit-level projector onto cos(theta2)|phi-> + sin(theta2)|psi+>.
     """
-    (transfer,) = _transfer(_analyzer(theta2), ("c", "a"), ("t0", "t0"))
+    (transfer,) = _analyzer(theta2)["t0", "t0"]
     rows = _CROSS_BRAS @ transfer
     return Projector(rows.conj().T @ rows)
 
@@ -433,7 +397,9 @@ def bsm_scan(theta2: float, overlap: OverlapModel, positions) -> BsmScanResult:
             ((Mode("c", POL_H, t_c), Mode("a", POL_V, t_a)), 1.0 / _SQRT2),
             ((Mode("c", POL_V, t_c), Mode("a", POL_H, t_a)), 1.0 / _SQRT2),
         ]), _ARM_ROTATIONS)
-        probs.append(_analyzer_probs(pair, analyzer, ("c", "a"), _SCAN_BRAS).tolist())
+        (ket,) = _port_amplitudes(pair, ("c", "a")).values()
+        amps = _SCAN_BRAS @ analyzer[t_c, t_a] @ ket.reshape(4)  # (Kraus term, outcome)
+        probs.append((np.abs(amps) ** 2).sum(axis=0).tolist())
     same, dist = probs
     v = np.array([overlap.value(x) for x in positions], dtype=float)
     # per position the same two products and one sum as the scalar formula
@@ -453,12 +419,11 @@ def physical_correlation(config: _circuit.ExperimentConfig, v: float) -> float:
     turn does not resolve in floats; the four post-selected rates combine
     exactly like coincidence counts.  Source and gate chain run once per
     overlap branch, then post-selection on ports s, c and a, then the arm
-    rotations; only the analyzer depends on theta2.
+    rotations; only the analyzer's maps depend on theta2.
     """
     branches = _overlap_branches(v, ("t0", "t0", "t0"), ("t1", "t0", "t0"))
     c1, s1 = math.cos(config.theta1), math.sin(config.theta1)
-    # rows (alice, bob cross outcome): (+, DA), (+, AD), (-, DA), (-, AD)
-    bras = np.kron(np.array([[c1, s1], [-s1, c1]]), _CROSS_BRAS)
+    alice = np.array([[c1, s1], [-s1, c1]])  # her "+" and "-" bras on photon S
     phase = polarization_map("s", np.diag([1.0, np.exp(1j * config.phi)]))
     gate = (_SOURCE_PLATE, phase, *_CH_CHAIN)
     analyzers = [_analyzer(theta2) for theta2 in _circuit._bob_angles([config.theta2])]
@@ -480,9 +445,13 @@ def physical_correlation(config: _circuit.ExperimentConfig, v: float) -> float:
         # sum, in the same order, as without this step.
         state, _ = state.postselect_one_per_port(("s", "c", "a"))
         state = _run(state, _ARM_ROTATIONS)
-        for bob, analyzer in enumerate(analyzers):
-            probs = _analyzer_probs(state, analyzer, ("s", "c", "a"), bras)
-            rates[:, bob] += weight * probs.reshape(2, 2).sum(axis=1)
+        # The analyzer keeps port s and its label, so tensors with distinct
+        # keys stay orthogonal, and so do its Kraus terms.
+        for (_, t_c, t_a), tensor in _port_amplitudes(state, ("s", "c", "a")).items():
+            rows = alice @ tensor.reshape(2, 4)  # (Alice's outcome, c-a polarizations)
+            for bob, analyzer in enumerate(analyzers):
+                amps = _CROSS_BRAS @ analyzer[t_c, t_a] @ rows.T  # (term, cross outcome, Alice)
+                rates[:, bob] += weight * (np.abs(amps) ** 2).sum(axis=(0, 1))
 
     total = rates.sum()
     if total <= 0.0:

@@ -52,22 +52,10 @@ def linprog(*args, **kwargs):
     return _linprog(*args, **kwargs)
 
 
-def particle_stats() -> tuple:
-    """Phase-independent outcome statistics (s = 0, 1)."""
-    return (0.5, 0.5)
-
-
 def wave_stats(phi: float) -> tuple:
     """Fringe statistics (cos^2(phi/2), sin^2(phi/2)); sums to 1 exactly."""
     p0 = math.cos(_finite("phi", phi) / 2.0) ** 2
     return (p0, 1.0 - p0)
-
-
-def wave_stats_from_cos(cos_phi) -> tuple:
-    """Fringe statistics from cos(phi); keeps Fractions exact."""
-    one = Fraction(1) if isinstance(cos_phi, (Fraction, int)) else 1.0
-    half = one / 2
-    return ((one + cos_phi) * half, (one - cos_phi) * half)
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,9 +199,11 @@ def quantum_joints(settings, basis: str = "real") -> np.ndarray:
             table = np.array([_number(v) for v in table.flat]).reshape(table.shape)
     except (TypeError, ValueError):  # also pairs of unequal length
         raise ValueError("settings must be (theta2, phi) pairs of numbers") from None
+    if not len(table):
+        raise ValueError("settings list must be nonempty")
+    if table.shape[1:] != (2,):
+        raise ValueError("settings must be (theta2, phi) pairs of numbers")
     table = table.astype(float, copy=False)
-    if table.shape[1:] != (2,) or not len(table):
-        raise ValueError(f"settings must be nonempty (theta2, phi) pairs, got {table.shape}")
     if not np.all(np.isfinite(table)):
         raise ValueError("theta2 and phi must be finite angles")
     if basis not in ("real", "quadrature"):

@@ -100,6 +100,12 @@ def quantum_joints(settings, basis="real"):
     return born(ALICE_HV, *bob_coefficients(theta2, basis), phi)
 
 
+def exact_wave_stats(cos_phi):
+    """The wave tag's fringe statistics (cos^2(phi/2), sin^2(phi/2)) from cos(phi),
+    exact for a Fraction."""
+    return (1 + cos_phi) / 2, (1 - cos_phi) / 2
+
+
 def printed_correlation(theta1, theta2, phi):
     """The paper's printed E, valid at theta1 = 0 and pi/4."""
     sign = 1.0 if abs(theta1) < 1e-12 else -1.0

@@ -25,10 +25,14 @@ def single_photons(*specs):
     return ModeState.from_patterns([(tuple(Mode(*s) for s in specs), 1.0)])
 
 
+def norm_sq(state):
+    return sum(abs(a) ** 2 for a in state.amps.values())
+
+
 class TestPpbsTransform:
     def test_single_h_photon_unchanged_at_full_transmission(self):
         state = single_photons(("a", "H", "t"))
-        out = fock.ppbs_transform(state, ("a", "b"), t_h=1.0, t_v=0.5)
+        out = state.transform(fock._ppbs_map(("a", "b"), 1.0, 0.5))
         assert len(out.amps) == 1
         ((pattern, amp),) = out.amps.items()
         assert pattern == (Mode("a", "H", "t"),)
@@ -36,7 +40,7 @@ class TestPpbsTransform:
 
     def test_balanced_bunching_suppresses_coincidence(self):
         state = single_photons(("a", "V", "t"), ("b", "V", "t"))
-        out = fock.ppbs_transform(state, ("a", "b"), t_h=1.0, t_v=0.5)
+        out = state.transform(fock._ppbs_map(("a", "b"), 1.0, 0.5))
         coincidence = out.amps.get((Mode("a", "V", "t"), Mode("b", "V", "t")), 0.0)
         assert abs(coincidence) < 1e-12
 
@@ -46,14 +50,14 @@ class TestPpbsTransform:
         t = 1.0 / 3.0
         expected = (1.0 - t - t) ** 2
         state = single_photons(("a", "V", "t"), ("b", "V", "t"))
-        out = fock.ppbs_transform(state, ("a", "b"), t_h=1.0, t_v=t)
+        out = state.transform(fock._ppbs_map(("a", "b"), 1.0, t))
         coincidence = out.amps[(Mode("a", "V", "t"), Mode("b", "V", "t"))]
         assert abs(coincidence) ** 2 == pytest.approx(expected, abs=1e-12)
         assert abs(coincidence) ** 2 == pytest.approx(1.0 / 9.0, abs=1e-12)
 
     def test_distinguishable_photons_do_not_interfere(self):
         state = single_photons(("a", "V", "t0"), ("b", "V", "t1"))
-        out = fock.ppbs_transform(state, ("a", "b"), t_h=1.0, t_v=0.5)
+        out = state.transform(fock._ppbs_map(("a", "b"), 1.0, 0.5))
         kept, prob = out.postselect_one_per_port(("a", "b"))
         assert prob == pytest.approx(0.5, abs=1e-12)  # T^2 + R^2
 
@@ -65,10 +69,9 @@ class TestPpbsTransform:
             specs = [("ab"[rng.integers(2)], pols[rng.integers(2)],
                       f"t{rng.integers(2)}") for _ in range(n)]
             state = single_photons(*specs)
-            out = fock.ppbs_transform(state, ("a", "b"),
-                                      t_h=rng.random(), t_v=rng.random())
-            assert out.photon_numbers() == {n}
-            assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
+            out = state.transform(fock._ppbs_map(("a", "b"), rng.random(), rng.random()))
+            assert {len(p) for p in out.amps} == {n}
+            assert norm_sq(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_per_polarization_matrices_unitary(self):
         for t in (0.0, 1.0 / 3.0, 0.5, 0.77, 1.0):
@@ -76,20 +79,12 @@ class TestPpbsTransform:
             mat = np.array([[rt, rr], [rr, -rt]])
             assert np.max(np.abs(mat @ mat.T - np.eye(2))) < 1e-12
 
-    def test_unknown_labels_rejected(self):
-        state = single_photons(("a", "H", "t"))
-        with pytest.raises(ValueError):
-            fock.ppbs_transform(state, ("x", "y"), t_h=1.0, t_v=0.5)
-        with pytest.raises(ValueError):
-            fock.ppbs_transform(state, ("a", "b"), t_h=1.5, t_v=0.5)
-
     @pytest.mark.parametrize("t", [math.nan, -0.2, 1.5])
     def test_attenuate_transmission_outside_unit_interval_rejected(self, t):
         # NaN used to drop the photon silently, -0.2 and 1.5 raised a bare
         # "math domain error"
-        state = single_photons(("a", "H", "t"))
         with pytest.raises(ValueError, match=r"^transmission must be in \[0, 1\], got "):
-            fock.attenuate(state, "a", "H", t, "loss")
+            fock._attenuation_map("a", "H", t, "loss")
 
 
 class TestHomScan:
@@ -428,16 +423,16 @@ class TestModeState:
         # two indistinguishable photons on a balanced splitter: |2,0> and
         # |0,2> with amplitude 1/sqrt2 each in the normalized Fock basis
         state = single_photons(("a", "V", "t"), ("b", "V", "t"))
-        out = fock.ppbs_transform(state, ("a", "b"), t_h=0.5, t_v=0.5)
+        out = state.transform(fock._ppbs_map(("a", "b"), 0.5, 0.5))
         bunched_a = out.amps[(Mode("a", "V", "t"), Mode("a", "V", "t"))]
         bunched_b = out.amps[(Mode("b", "V", "t"), Mode("b", "V", "t"))]
         assert abs(bunched_a) == pytest.approx(1 / SQRT2, abs=1e-12)
         assert abs(bunched_b) == pytest.approx(1 / SQRT2, abs=1e-12)
-        assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert norm_sq(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_postselection_reports_success(self):
         state = single_photons(("a", "V", "t"), ("b", "V", "t"))
-        out = fock.ppbs_transform(state, ("a", "b"), t_h=1.0, t_v=1.0 / 3.0)
+        out = state.transform(fock._ppbs_map(("a", "b"), 1.0, 1.0 / 3.0))
         kept, prob = out.postselect_one_per_port(("a", "b"))
         assert prob == pytest.approx(1.0 / 9.0, abs=1e-12)
         assert all(
@@ -446,14 +441,15 @@ class TestModeState:
 
     def test_all_passive_transforms_preserve_norm(self):
         state = single_photons(("a", "H", "t0"), ("b", "V", "t1"))
-        for out in (
-            fock.ppbs_transform(state, ("a", "b"), 0.3, 0.9),
-            fock.pbs_transform(state, ("a", "b")),
-            fock.attenuate(state, "a", "H", 0.4, "loss"),
-            state.transform(fock.polarization_map("a", qs.hadamard().matrix)),
+        for element in (
+            fock._ppbs_map(("a", "b"), 0.3, 0.9),
+            fock._pbs_map(("a", "b")),
+            fock._attenuation_map("a", "H", 0.4, "loss"),
+            fock.polarization_map("a", qs.hadamard().matrix),
         ):
-            assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
-            assert out.photon_numbers() == {2}
+            out = state.transform(element)
+            assert norm_sq(out) == pytest.approx(1.0, abs=1e-12)
+            assert {len(p) for p in out.amps} == {2}
 
 
 @pytest.fixture
@@ -503,11 +499,11 @@ class TestTransformOracle:
             state.transform(fock.polarization_map("a", random_unitary(rng))),
             state.transform(fock.polarization_map("b", random_unitary(rng))),
             state.transform(fock.polarization_map("a", zero_column)),
-            fock.ppbs_transform(state, ("a", "b"), t_h=rng.random(), t_v=rng.random()),
-            fock.ppbs_transform(state, ("a", "b"), t_h=1.0, t_v=1.0 / 3.0),
-            fock.pbs_transform(state, ("a", "b")),
-            fock.attenuate(state, "a", "H", rng.random(), "loss"),
-            fock.attenuate(state, "b", "V", 1.0 / 3.0, "loss"),
+            state.transform(fock._ppbs_map(("a", "b"), rng.random(), rng.random())),
+            state.transform(fock._ppbs_map(("a", "b"), 1.0, 1.0 / 3.0)),
+            state.transform(fock._pbs_map(("a", "b"))),
+            state.transform(fock._attenuation_map("a", "H", rng.random(), "loss")),
+            state.transform(fock._attenuation_map("b", "V", 1.0 / 3.0, "loss")),
         ]
 
     @pytest.mark.parametrize("ports", [("a", "b"), ("a", "b", "c")])
@@ -531,7 +527,7 @@ class TestTransformOracle:
     def test_hong_ou_mandel_cancellation(self, permanent_checked):
         for pol in ("H", "V"):
             state = single_photons(("a", pol, "t0"), ("b", pol, "t0"))
-            out = fock.ppbs_transform(state, ("a", "b"), t_h=0.5, t_v=0.5)
+            out = state.transform(fock._ppbs_map(("a", "b"), 0.5, 0.5))
             assert (Mode("a", pol, "t0"), Mode("b", pol, "t0")) not in out.amps
             assert len(out.amps) == 2
         assert len(permanent_checked) == 2
@@ -550,7 +546,7 @@ class TestTransformOracle:
         rng = np.random.default_rng(6)
         state = random_state(rng, ("a", "b", "c"))
         for _ in range(5):
-            state = fock.ppbs_transform(state, ("a", "b"), t_h=0.5, t_v=0.3)
+            state = state.transform(fock._ppbs_map(("a", "b"), 0.5, 0.3))
         calls = []
         mapper = fock.polarization_map("a", random_unitary(rng))
         state.transform(lambda mode: calls.append(mode) or mapper(mode))
@@ -562,8 +558,9 @@ class TestTransformOracle:
         rng = np.random.default_rng(7)
         for phi, t1, t2 in rng.uniform(-math.pi, math.pi, (4, 3)).tolist():
             fock.physical_correlation(ct.ExperimentConfig(phi=phi, theta1=t1, theta2=t2), v)
-        # per overlap branch: 10 transforms to the analyzer, 3 per analyzer angle
-        assert len(permanent_checked) == 4 * (32 if 0.0 < v < 1.0 else 16)
+        # per overlap branch: 10 transforms to the analyzer, whose maps are
+        # built at import and checked in test_gate_maps_and_analyzer
+        assert len(permanent_checked) == 4 * (20 if 0.0 < v < 1.0 else 10)
 
     def test_gate_maps_and_analyzer(self, permanent_checked):
         for build in (fock.physical_cz, fock.physical_ch):
@@ -572,6 +569,12 @@ class TestTransformOracle:
         fock.bsm_scan(0.3, OverlapModel(x0=14.42, sigma=0.5), np.linspace(13.0, 16.0, 5))
         fock.bsm_projector_physical(0.3)
         assert len(permanent_checked) > 100
+        # the analyzer's fixed maps, built at import, rebuilt under the check
+        seen = len(permanent_checked)
+        for labels, kraus in fock._ANALYZER_KRAUS.items():
+            rebuilt = fock._transfer(fock._ANALYZER_FIXED, ("c", "a"), labels)
+            assert np.array_equal(np.array(rebuilt), kraus)
+        assert len(permanent_checked) == seen + 3 * 4 * 2
 
 
 class TestElementOracle:
@@ -590,19 +593,19 @@ class TestElementOracle:
             out.append((state.transform(fock.polarization_map(a, jones)),
                         ref.linear_images([(a, "H"), (a, "V")], jones.tolist())))
         for t_h, t_v in itertools.product((*cls.TRANSMISSIONS, rng.random()), repeat=2):
-            if a in state.spatial_labels() or b in state.spatial_labels():
-                # a -> sqrt(T) a + sqrt(1 - T) b and b -> sqrt(1 - T) a - sqrt(T) b
-                th, tv, rh, rv = map(math.sqrt, (t_h, t_v, 1.0 - t_h, 1.0 - t_v))
-                out.append((fock.ppbs_transform(state, ports, t_h=t_h, t_v=t_v),
-                            ref.linear_images(both, [[th, 0, rh, 0], [0, tv, 0, rv],
-                                                     [rh, 0, -th, 0], [0, rv, 0, -tv]])))
+            # a -> sqrt(T) a + sqrt(1 - T) b and b -> sqrt(1 - T) a - sqrt(T) b
+            th, tv, rh, rv = map(math.sqrt, (t_h, t_v, 1.0 - t_h, 1.0 - t_v))
+            out.append((state.transform(fock._ppbs_map(ports, t_h, t_v)),
+                        ref.linear_images(both, [[th, 0, rh, 0], [0, tv, 0, rv],
+                                                 [rh, 0, -th, 0], [0, rv, 0, -tv]])))
         # H transmits, V swaps ports
-        out.append((fock.pbs_transform(state, ports), ref.linear_images(
+        out.append((state.transform(fock._pbs_map(ports)), ref.linear_images(
             both, [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]])))
         for t in (*cls.TRANSMISSIONS, rng.random()):
             for port, pol in ((a, "H"), (b, "V")):
-                out.append((fock.attenuate(state, port, pol, t, "loss"), ref.linear_images(
-                    [(port, pol), ("loss", pol)], [[math.sqrt(t), 0], [math.sqrt(1 - t), 1]])))
+                out.append((state.transform(fock._attenuation_map(port, pol, t, "loss")),
+                            ref.linear_images([(port, pol), ("loss", pol)],
+                                              [[math.sqrt(t), 0], [math.sqrt(1 - t), 1]])))
         return [(got, ref.permanent_transform(state, images)) for got, images in out]
 
     @pytest.mark.parametrize("ports", [("a", "b"), ("b", "a"), ("a", "x"), ("x", "y")])
@@ -636,13 +639,12 @@ class TestElementOracle:
 
     def test_one_port_twice_rejected(self):
         # a port listed twice would count its photons twice
-        state = single_photons(("a", "H", "t"))
         with pytest.raises(ValueError, match="not distinct"):
-            fock.ppbs_transform(state, ("a", "a"), t_h=0.5, t_v=0.5)
+            fock._ppbs_map(("a", "a"), t_h=0.5, t_v=0.5)
         with pytest.raises(ValueError, match="not distinct"):
-            fock.pbs_transform(state, ("a", "a"))
+            fock._pbs_map(("a", "a"))
         with pytest.raises(ValueError, match="not distinct"):
-            fock.attenuate(state, "a", "H", 0.5, "a")
+            fock._attenuation_map("a", "H", 0.5, "a")
 
 
 class TestPipelineOracle:
@@ -703,8 +705,10 @@ class TestPipelineOracle:
                 curve = rates[key]
                 assert curve.dtype == np.float64 and not curve.flags.writeable
                 assert np.max(np.abs(curve - math.cos(theta2) ** 2 * (1 + sign * v) / 4)) < 1e-13
-        # post-selection keeps nothing at pi/2
-        assert set(fock.bsm_scan(math.pi / 2, overlap, positions).rates["DA"]) == {0.0}
+        # at pi/2 the closed form is cos^2(pi/2) = 3.7e-33 in floats, times
+        # (1 +- v)/4; the call returns (it once raised AttributeError)
+        rates = fock.bsm_scan(math.pi / 2, overlap, positions).rates
+        assert all(np.max(curve) < 1e-30 for curve in rates.values())
 
     def test_pinned_physical_value(self):
         cfg = ct.ExperimentConfig(phi=2.0, theta1=0.3, theta2=-1.1, delta=0.9)
@@ -732,13 +736,30 @@ class TestEarlyPostselection:
             dropped = ModeState({p: a for p, a in state.amps.items() if p not in kept.amps})
             assert kept.amps and len(dropped.amps) > 2 * len(kept.amps)
             for angle in ct._bob_angles([float(theta2)]):
-                optics = (*fock._ARM_ROTATIONS, *fock._analyzer(angle))
+                plate = fock.polarization_map("c", qs.waveplate("half", angle / 2).matrix)
+                optics = (*fock._ARM_ROTATIONS, plate, *fock._ANALYZER_FIXED)
                 assert not fock._port_amplitudes(fock._run(dropped, optics), self.PORTS)
                 # so the kept patterns alone give the same tensors, byte for byte
                 full = fock._port_amplitudes(fock._run(state, optics), self.PORTS)
                 early = fock._port_amplitudes(fock._run(kept, optics), self.PORTS)
                 assert list(early) == list(full)
                 assert all(early[k].tobytes() == full[k].tobytes() for k in full)
+
+
+class TestAnalyzerFactorization:
+    """Bob's theta2 plate is one right factor of the analyzer's fixed post-selected maps."""
+
+    ANGLES = (*np.random.default_rng(23).uniform(-10.0, 10.0, 200).tolist(),
+              0.0, math.pi / 4, -math.pi / 4, math.pi / 2, -math.pi / 2, 1e5)
+
+    @pytest.mark.parametrize("labels", [("t0", "t0"), ("t0", "t1"), ("t1", "t0")])
+    def test_matches_the_plate_run_through_the_optics(self, labels):
+        for theta2 in self.ANGLES:
+            plate = fock.polarization_map("c", qs.waveplate("half", theta2 / 2).matrix)
+            want = fock._transfer((plate, *fock._ANALYZER_FIXED), ("c", "a"), labels)
+            got = fock._analyzer(theta2)[labels]
+            assert len(got) == len(want) == (1 if labels[0] == labels[1] else 2)
+            assert np.max(np.abs(got - np.array(want))) <= 1e-15, theta2
 
 
 def error_message(call):
@@ -774,22 +795,30 @@ class TestFixedOptics:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """The (port, polarization) modes of every element map built from now on."""
-        modes = []
-        linear_map = fock._linear_map
+        """Every element built from now on: the (port, polarization) modes of
+        an element map, or the kind and angle of a waveplate."""
+        built = []
+        linear_map, waveplate = fock._linear_map, fock.waveplate
 
-        def counted(mode_list, matrix):
-            modes.append(tuple(mode_list))
+        def counted_map(mode_list, matrix):
+            built.append(tuple(mode_list))
             return linear_map(mode_list, matrix)
 
-        monkeypatch.setattr(fock, "_linear_map", counted)
-        return modes
+        def counted_plate(kind, angle):
+            built.append((kind, angle))
+            return waveplate(kind, angle)
+
+        monkeypatch.setattr(fock, "_linear_map", counted_map)
+        monkeypatch.setattr(fock, "waveplate", counted_plate)
+        return built
 
     def test_physical_correlation_builds_its_three_plates(self, built):
+        # the phi phase plate as an element map, and one theta2 plate per
+        # analyzer angle as a 2x2 matrix
         cfg = ct.ExperimentConfig(phi=2.0, theta1=0.3, theta2=-1.1, delta=0.9)
         fock.physical_correlation(cfg, 0.7)
-        s_plate, c_plate = (("s", "H"), ("s", "V")), (("c", "H"), ("c", "V"))
-        assert built == [s_plate, c_plate, c_plate]
+        plus, minus = ct._bob_angles([-1.1])
+        assert built == [(("s", "H"), ("s", "V")), ("half", plus / 2), ("half", minus / 2)]
 
     def test_gate_maps_build_nothing_and_the_analyzer_its_plate(self, built):
         for v in (0.0, 0.5, 1.0):
@@ -798,7 +827,7 @@ class TestFixedOptics:
         assert built == []
         fock.bsm_scan(0.3, OverlapModel(v=0.5), [0.0, 1.0])
         fock.bsm_projector_physical(0.3)
-        assert built == [(("c", "H"), ("c", "V"))] * 2
+        assert built == [("half", 0.15)] * 2
 
     def test_import_builds_each_fixed_element_once(self):
         # a fresh interpreter, profiled while it imports the Fock layer and
@@ -828,6 +857,9 @@ print(json.dumps({f"{f}:{n}": c for (f, n), c in calls.items()}))
         assert calls["fock.py:_ppbs_map"] == 1
         assert calls["fock.py:_attenuation_map"] == 2
         assert calls["fock.py:_pbs_map"] == 1
+        # the analyzer's fixed maps, one per pair of input temporal labels
+        assert calls["fock.py:_transfer"] == 3
+        assert "fock.py:_analyzer" not in calls
         # unitarity: one GateOp check each for W and the two fixed
         # waveplates, and for the circuit's four fixed gates, the two arm
         # rotations among them, plus the Hadamard inside controlled-Hadamard

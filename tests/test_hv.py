@@ -39,7 +39,13 @@ def random_model(rng, strategies, exact=False):
 
 class TestStats:
     def test_particle_stats(self):
-        assert hv.particle_stats() == (0.5, 0.5)
+        # a particle-tagged strategy answers 1/2, 1/2 exactly at every phase,
+        # in the column of its outcome
+        settings = SettingsList([(0.1, 0.0), (0.2, 1.3), (0.3, math.pi)])
+        model = HVModel((HVStrategy("particle", "+-+"),), (1,))
+        half, zero = Fraction(1, 2), Fraction(0)
+        plus, minus = [[half, zero], [half, zero]], [[zero, half], [zero, half]]
+        assert hv.predicted_joint(model, settings) == [plus, minus, plus]
 
     def test_wave_stats_endpoints(self):
         assert hv.wave_stats(0.0) == (1.0, 0.0)
@@ -48,14 +54,24 @@ class TestStats:
         assert p1 == pytest.approx(1.0, abs=1e-12)
 
     def test_normalization_exact_for_all_phases(self):
+        settings = SettingsList([(0.0, phi) for phi in np.linspace(0, 2 * math.pi, 101).tolist()])
         for phi in np.linspace(0, 2 * math.pi, 101):
             p0, p1 = hv.wave_stats(float(phi))
             assert p0 + p1 == 1.0
-        assert sum(hv.particle_stats()) == 1.0
+        for tag in ("particle", "wave"):
+            model = HVModel((HVStrategy(tag, "+" * len(settings)),), (1,))
+            for (p0, _), (p1, _) in hv.predicted_joint(model, settings):
+                assert p0 + p1 == 1
 
     def test_rational_form(self):
-        probs = hv.wave_stats_from_cos(Fraction(1, 2))
+        # exact statistics at cos(phi) = 1/2 agree with the float ones at pi/3,
+        # and a wave strategy passes them through exactly
+        probs = ref.exact_wave_stats(Fraction(1, 2))
         assert probs == (Fraction(3, 4), Fraction(1, 4))
+        assert hv.wave_stats(math.pi / 3) == pytest.approx(probs, abs=1e-15)
+        model = HVModel((HVStrategy("wave", "-"),), (1,))
+        joint = hv.predicted_joint(model, SettingsList([(0.2, math.pi / 3)]), wave_probs=[probs])
+        assert joint == [[[0, Fraction(3, 4)], [0, Fraction(1, 4)]]]
 
 
 class TestQuantumJoint:
@@ -80,7 +96,7 @@ class TestQuantumJoint:
         plus = q[:, 0] / q[:, 0].sum()
         minus = q[:, 1] / q[:, 1].sum()
         assert plus == pytest.approx(hv.wave_stats(phi), abs=1e-10)
-        assert minus == pytest.approx(hv.particle_stats(), abs=1e-10)
+        assert minus == pytest.approx((0.5, 0.5), abs=1e-10)
 
     def test_quadrature_basis_needs_orthogonal_angle(self):
         with pytest.raises(ValueError, match="orthogonal only"):
@@ -184,7 +200,9 @@ class TestQuantumJoints:
 
     @pytest.mark.parametrize("settings", [[], [(0.1, 0.2, 0.3)], [0.1, 0.2], np.zeros((2, 2, 2))])
     def test_settings_that_are_not_pairs_rejected(self, settings):
-        with pytest.raises(ValueError, match="pairs"):
+        message = (r"settings must be \(theta2, phi\) pairs of numbers" if len(settings)
+                   else "settings list must be nonempty")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             hv.quantum_joints(settings)
 
     @pytest.mark.parametrize("entries, expected", [
@@ -296,7 +314,7 @@ class TestPredictedJoint:
         rng = np.random.default_rng(9)
         settings = SettingsList(entries=[(0.1, 1.0), (0.4, 2.0), (0.9, 3.0)])
         wave_probs = [
-            hv.wave_stats_from_cos(Fraction(c, 5)) for c in (-3, 0, 4)
+            ref.exact_wave_stats(Fraction(c, 5)) for c in (-3, 0, 4)
         ]
         strategies = hv.enumerate_strategies(3)
         for _ in range(20):
@@ -333,8 +351,8 @@ class TestFeasibility:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(33)
         settings = SettingsList(entries=[(0.2, math.pi / 2), (0.8, math.pi / 3)])
-        wave_probs = [hv.wave_stats_from_cos(Fraction(0)),
-                      hv.wave_stats_from_cos(Fraction(1, 2))]
+        wave_probs = [ref.exact_wave_stats(Fraction(0)),
+                      ref.exact_wave_stats(Fraction(1, 2))]
         strategies = hv.enumerate_strategies(2)
         for _ in range(10):
             model = random_model(rng, strategies, exact=True)
@@ -353,8 +371,8 @@ class TestFeasibility:
             return Fraction(np.int64(value.numerator), np.int64(value.denominator))
 
         settings = SettingsList(entries=[(0.2, math.pi / 2), (0.8, math.pi / 3)])
-        wave_probs = [hv.wave_stats_from_cos(Fraction(0)),
-                      hv.wave_stats_from_cos(Fraction(1, 2))]
+        wave_probs = [ref.exact_wave_stats(Fraction(0)),
+                      ref.exact_wave_stats(Fraction(1, 2))]
         model = HVModel(strategies=(HVStrategy("particle", "+-"), HVStrategy("wave", "-+")),
                         weights=(Fraction(1, 3), Fraction(2, 3)))
         feasible = hv.predicted_joint(model, settings, wave_probs=wave_probs)
@@ -533,7 +551,7 @@ def solver_cases(rng, n, exact):
                for c in rng.choice([-1, 0, 1, -4, -2, 3], size=n)]
     phis = [math.acos(float(c)) for c in cosines]
     settings = SettingsList([(float(rng.uniform(-1.5, 1.5)), phi) for phi in phis])
-    wave = ([hv.wave_stats_from_cos(c) for c in cosines] if exact
+    wave = ([ref.exact_wave_stats(c) for c in cosines] if exact
             else [hv.wave_stats(phi) for phi in phis])
     quantum = [hv.quantum_joint(t2, phi) for t2, phi in settings.entries]
     if exact:
@@ -663,7 +681,7 @@ def rationalize(q):
 def rational_settings(cosines):
     """Distinct settings at phi = acos(c), with their exact wave statistics."""
     settings = SettingsList([(0.1 * j, math.acos(float(c))) for j, c in enumerate(cosines)])
-    return settings, [hv.wave_stats_from_cos(c) for c in cosines]
+    return settings, [ref.exact_wave_stats(c) for c in cosines]
 
 
 class TestExactOptimum:
@@ -782,7 +800,7 @@ def load_exact_reference_cases():
     for n, pool in reference["exact"].items():
         for case in pool:
             targets = [[[Fraction(v) for v in row] for row in table] for table in case["targets"]]
-            wave = [hv.wave_stats_from_cos(Fraction(c)) for c in case["cos"]]
+            wave = [ref.exact_wave_stats(Fraction(c)) for c in case["cos"]]
             settings = SettingsList(cases.hv_settings("exact", int(n), case["case"]))
             yield targets, settings, wave, Fraction(case["residual"])
 
@@ -1056,11 +1074,11 @@ class TestLocalBound:
 
     def test_constant_strategy_achieves_bound(self):
         a1 = a2 = b1 = b2 = 1
-        assert abs(a1 * b1 + a1 * b2 - a2 * b1 + a2 * b2) == 2
+        assert abs(a1 * b1 + a1 * b2 - a2 * b1 + a2 * b2) == hv.chsh_local_bound()
 
     def test_every_deterministic_strategy_bounded(self):
         for a1, a2, b1, b2 in itertools.product((-1, 1), repeat=4):
-            assert abs(a1 * b1 + a1 * b2 - a2 * b1 + a2 * b2) <= 2
+            assert abs(a1 * b1 + a1 * b2 - a2 * b1 + a2 * b2) <= hv.chsh_local_bound()
 
     def test_quantum_value_exceeds_bound(self):
         from qduality import circuit as ct

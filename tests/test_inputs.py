@@ -49,9 +49,12 @@ ENTRY_POINTS = [
     ("OverlapModel", "x0", "finite", lambda x: OverlapModel(x0=x, sigma=0.5)),
     ("OverlapModel", "sigma", "finite", lambda x: OverlapModel(x0=0.0, sigma=x)),
     ("hom_scan", "transmission", "unit", lambda x: fock.hom_scan(x, OverlapModel(), [0.0])),
-    ("ppbs_transform", "t_h", "unit", lambda x: fock.ppbs_transform(photon(), ("a", "b"), x, 0.5)),
-    ("ppbs_transform", "t_v", "unit", lambda x: fock.ppbs_transform(photon(), ("a", "b"), 0.5, x)),
-    ("attenuate", "transmission", "unit", lambda x: fock.attenuate(photon(), "a", "H", x, "loss")),
+    # the partial polarizing beam splitter and the attenuator, whose element
+    # maps check their transmissions when they are built
+    ("ppbs_transform", "t_h", "unit", lambda x: photon().transform(fock._ppbs_map("ab", x, 0.5))),
+    ("ppbs_transform", "t_v", "unit", lambda x: photon().transform(fock._ppbs_map("ab", 0.5, x))),
+    ("attenuate", "transmission", "unit",
+     lambda x: photon().transform(fock._attenuation_map("a", "H", x, "loss"))),
     ("physical_cz", "v", "unit", fock.physical_cz),
     ("physical_ch", "v", "unit", fock.physical_ch),
     ("physical_correlation", "v", "unit",
@@ -135,10 +138,14 @@ def test_fractions_give_the_float_results():
                                    ("0.1", "0.2"), (0.1, 0.2j), (0.1, np.complex128(0.2)),
                                    (Fraction(1, 3), np.complex64(0.2)), (None, 0.2)])
 def test_settings_that_are_not_pairs_of_numbers(entry):
-    # the settings list, and the joints, which take their settings as plain pairs
+    # the settings list, and the joints, which take their settings as plain
+    # pairs, word a bad entry and an empty list alike
     for call in (hv.SettingsList, hv.quantum_joints):
-        with pytest.raises(ValueError, match=r"^settings must be \(theta2, phi\) pairs of numbers$"):
-            call([(0.3, 0.4), entry])
+        for settings in ([(0.3, 0.4), entry], [entry]):
+            with pytest.raises(ValueError, match=r"^settings must be \(theta2, phi\) pairs of numbers$"):
+                call(settings)
+        with pytest.raises(ValueError, match="^settings list must be nonempty$"):
+            call([])
 
 
 def test_joints_take_fractions_and_numpy_reals_as_the_equal_floats():
