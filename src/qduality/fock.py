@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -219,20 +220,27 @@ def hom_scan(transmission: float, overlap: OverlapModel, positions) -> HomScanRe
 class PostselectedMap:
     """Completely positive two-qubit map from a post-selected interferometer.
 
-    ``kraus`` lists its Kraus operators, each scaled by the square root of
-    the weight of its temporal-distinguishability branch; the terms within
-    a branch are labelled by orthogonal temporal configurations.
+    ``kraus`` is the read-only (k, 4, 4) stack of its Kraus operators, each
+    scaled by the square root of its temporal-distinguishability branch's
+    weight; a branch's terms are labelled by orthogonal temporal configurations.
     """
 
+    __slots__ = ("kraus",)
+
     def __init__(self, kraus):
-        self.kraus = [np.asarray(k, dtype=complex) for k in kraus]
+        self.kraus = _frozen_array(kraus)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Unnormalized conditional output state."""
-        rho = np.asarray(rho, dtype=complex)
-        out = np.zeros_like(rho)
+        """Unnormalized conditional output state of a finite 4x4 ``rho``."""
+        try:
+            mat = np.asarray(rho, dtype=complex)
+        except (TypeError, ValueError):  # a str, or a ragged nesting
+            mat = np.empty(0)
+        if mat.shape != (4, 4) or not np.all(np.isfinite(mat)):
+            raise ValueError(f"rho must be a finite 4x4 matrix, got {reprlib.repr(rho)}")
+        out = np.zeros_like(mat)
         for k in self.kraus:
-            out += k @ rho @ k.conj().T
+            out += k @ mat @ k.conj().T
         return out
 
     def success_probability(self) -> float:
@@ -320,6 +328,24 @@ def _transfer(elements, ports, labels) -> list:
 # stack per pair of input temporal labels (l_c, l_a) that a pipeline feeds it
 _ANALYZER_KRAUS = {labels: np.array(_transfer(_ANALYZER_FIXED, ("c", "a"), labels))
                    for labels in (("t0", "t0"), ("t0", "t1"), ("t1", "t0"))}
+# a photon pair's temporal labels in its two overlap branches: shared, then distinct
+_PAIR_LABELS = (("t0", "t0"), ("t0", "t1"))
+# the gate chains as post-selected Kraus stacks on (c, s), one per branch; a
+# gate call only weights them
+_CZ_KRAUS, _CH_KRAUS = (tuple(np.array(_transfer(chain, ("c", "s"), labels))
+                              for labels in _PAIR_LABELS) for chain in (_CZ_CHAIN, _CH_CHAIN))
+
+
+def _scan_ket(t_c: str, t_a: str) -> np.ndarray:
+    """The (c, a) pair (|HV> + |VH>)/sqrt2 after the arm rotations, labels t_c and t_a."""
+    pair = ModeState.from_patterns([((Mode("c", p, t_c), Mode("a", q, t_a)), 1.0 / _SQRT2)
+                                    for p, q in ((POL_H, POL_V), (POL_V, POL_H))])
+    (ket,) = _port_amplitudes(_run(pair, _ARM_ROTATIONS), ("c", "a")).values()
+    return ket.reshape(4)
+
+
+# the pair that bsm_scan feeds the analyzer, per branch
+_SCAN_KETS = {labels: _scan_ket(*labels) for labels in _PAIR_LABELS}
 
 
 def _analyzer(theta2: float) -> dict:
@@ -334,18 +360,15 @@ def _analyzer(theta2: float) -> dict:
 
 
 def _overlap_branches(v: float, same, distinct) -> list:
-    """Weight v on the shared temporal labels, 1 - v on the distinct ones, as floats."""
+    """Weight v on the shared-label branch ``same``, 1 - v on ``distinct``, as floats."""
     v = float(_unit_interval("v", v))
-    return [(w, labels) for w, labels in ((v, same), (1.0 - v, distinct)) if w > 0.0]
+    return [(w, branch) for w, branch in ((v, same), (1.0 - v, distinct)) if w > 0.0]
 
 
-def _physical_gate(v: float, chain: tuple) -> tuple[PostselectedMap, float]:
+def _physical_gate(v: float, stacks: tuple) -> tuple[PostselectedMap, float]:
     """Gate map in the (control, target) basis, index 2*c + s with H = 0, V = 1."""
-    gate_map = PostselectedMap(
-        math.sqrt(w) * kraus
-        for w, labels in _overlap_branches(v, ("t0", "t0"), ("t0", "t1")) if w > 1e-15
-        for kraus in _transfer(chain, ("c", "s"), labels)
-    )
+    gate_map = PostselectedMap(np.concatenate(
+        [math.sqrt(w) * kraus for w, kraus in _overlap_branches(v, *stacks) if w > 1e-15]))
     return gate_map, gate_map.success_probability()
 
 
@@ -357,12 +380,12 @@ def physical_cz(v: float) -> tuple[PostselectedMap, float]:
     temporal-label mixture.  The returned probability is for a maximally
     mixed input.
     """
-    return _physical_gate(v, _CZ_CHAIN)
+    return _physical_gate(v, _CZ_KRAUS)
 
 
 def physical_ch(v: float) -> tuple[PostselectedMap, float]:
     """The controlled-phase chain conjugated by the target-side rotation."""
-    return _physical_gate(v, _CH_CHAIN)
+    return _physical_gate(v, _CH_KRAUS)
 
 
 def bsm_projector_physical(theta2: float) -> Projector:
@@ -392,13 +415,8 @@ def bsm_scan(theta2: float, overlap: OverlapModel, positions) -> BsmScanResult:
     positions = tuple(_finite_grid("positions", positions, "values").tolist())
     analyzer = _analyzer(theta2)
     probs = []
-    for t_c, t_a in (("t0", "t0"), ("t0", "t1")):
-        pair = _run(ModeState.from_patterns([
-            ((Mode("c", POL_H, t_c), Mode("a", POL_V, t_a)), 1.0 / _SQRT2),
-            ((Mode("c", POL_V, t_c), Mode("a", POL_H, t_a)), 1.0 / _SQRT2),
-        ]), _ARM_ROTATIONS)
-        (ket,) = _port_amplitudes(pair, ("c", "a")).values()
-        amps = _SCAN_BRAS @ analyzer[t_c, t_a] @ ket.reshape(4)  # (Kraus term, outcome)
+    for labels, ket in _SCAN_KETS.items():
+        amps = _SCAN_BRAS @ analyzer[labels] @ ket  # (Kraus term, outcome)
         probs.append((np.abs(amps) ** 2).sum(axis=0).tolist())
     same, dist = probs
     v = np.array([overlap.value(x) for x in positions], dtype=float)

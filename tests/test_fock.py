@@ -273,6 +273,46 @@ class TestPhysicalCh:
         assert np.max(np.abs(got - np.outer(ideal, ideal.conj()))) > 0.05
 
 
+class TestPostselectedMap:
+    """A gate map holds one read-only (k, 4, 4) stack of Kraus operators."""
+
+    @pytest.mark.parametrize("build", [fock.physical_cz, fock.physical_ch])
+    def test_kraus_is_one_read_only_stack(self, build):
+        for v, terms in ((1.0, 1), (0.0, 2), (0.5, 3)):
+            gate_map, _ = build(v)
+            kraus = gate_map.kraus
+            assert isinstance(kraus, np.ndarray) and kraus.dtype == np.complex128
+            assert kraus.shape == (terms, 4, 4) and not kraus.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                kraus[-1, 0, 0] = 1.0
+            assert not hasattr(gate_map, "__dict__")
+        coherent, _ = build(1.0)
+        assert np.array_equal(coherent.coherent_operator, coherent.kraus[0])
+
+    @pytest.mark.parametrize("chain, build", [(fock._CZ_CHAIN, fock.physical_cz),
+                                              (fock._CH_CHAIN, fock.physical_ch)])
+    def test_apply_is_the_list_based_sum(self, chain, build):
+        # the Kraus operators as a list, one 4x4 array per term, each branch's
+        # terms from the chain run through ModeState and scaled by the
+        # square root of its weight; the map sums them term by term
+        same, distinct = (fock._transfer(chain, ("c", "s"), labels) for labels in fock._PAIR_LABELS)
+
+        def listed_sum(v, rho):
+            out = np.zeros((4, 4), dtype=complex)
+            for w, terms in ((v, same), (1.0 - v, distinct)):
+                for k in (math.sqrt(w) * term for term in terms if w > 1e-15):
+                    out += k @ rho @ k.conj().T
+            return out
+
+        ket = np.random.default_rng(29).normal(size=(4, 2)) @ [1.0, 1.0j]
+        rho = np.outer(ket, ket.conj())
+        for v in np.linspace(0.0, 1.0, 65).tolist():
+            gate_map, success = build(v)
+            assert np.array_equal(gate_map.apply(rho), listed_sum(v, rho))
+            want = float(np.real(np.trace(listed_sum(v, np.eye(4, dtype=complex) / 4.0))))
+            assert success == gate_map.success_probability() == want
+
+
 def bob_plus_projector(theta2):
     """|b><b| for Bob's "+" ket cos(theta2)|phi-> + sin(theta2)|psi+>."""
     ket = ref.bob_kets([theta2])[0, 0]
@@ -563,18 +603,27 @@ class TestTransformOracle:
         assert len(permanent_checked) == 4 * (20 if 0.0 < v < 1.0 else 10)
 
     def test_gate_maps_and_analyzer(self, permanent_checked):
+        # the gate maps, the analyzer's fixed maps and bsm_scan's pair are
+        # built at import, so these calls run no transform at all
         for build in (fock.physical_cz, fock.physical_ch):
             for v in (0.0, 0.3, 1.0):
                 build(v)
         fock.bsm_scan(0.3, OverlapModel(x0=14.42, sigma=0.5), np.linspace(13.0, 16.0, 5))
         fock.bsm_projector_physical(0.3)
-        assert len(permanent_checked) > 100
-        # the analyzer's fixed maps, built at import, rebuilt under the check
-        seen = len(permanent_checked)
+        assert permanent_checked == []
+        # each import-time constant, rebuilt under the check
         for labels, kraus in fock._ANALYZER_KRAUS.items():
             rebuilt = fock._transfer(fock._ANALYZER_FIXED, ("c", "a"), labels)
             assert np.array_equal(np.array(rebuilt), kraus)
-        assert len(permanent_checked) == seen + 3 * 4 * 2
+        for chain, stacks in ((fock._CZ_CHAIN, fock._CZ_KRAUS), (fock._CH_CHAIN, fock._CH_KRAUS)):
+            for labels, kraus in zip(fock._PAIR_LABELS, stacks, strict=True):
+                assert np.array_equal(np.array(fock._transfer(chain, ("c", "s"), labels)), kraus)
+        for labels, ket in fock._SCAN_KETS.items():
+            assert np.array_equal(fock._scan_ket(*labels), ket)
+        # four input columns through the analyzer's 2 elements (3 label
+        # pairs), the CZ chain's 4 and the CH chain's 6 (2 pairs each); the
+        # scan's pair through the 2 arm rotations (2 pairs)
+        assert len(permanent_checked) == 4 * (3 * 2 + 2 * 4 + 2 * 6) + 2 * 2
 
 
 class TestElementOracle:
@@ -857,8 +906,11 @@ print(json.dumps({f"{f}:{n}": c for (f, n), c in calls.items()}))
         assert calls["fock.py:_ppbs_map"] == 1
         assert calls["fock.py:_attenuation_map"] == 2
         assert calls["fock.py:_pbs_map"] == 1
-        # the analyzer's fixed maps, one per pair of input temporal labels
-        assert calls["fock.py:_transfer"] == 3
+        # the analyzer's fixed maps, one per pair of input temporal labels,
+        # and the CZ and CH Kraus stacks, one per overlap branch; bsm_scan's
+        # pair, one ket per branch
+        assert calls["fock.py:_transfer"] == 3 + 2 + 2
+        assert calls["fock.py:_scan_ket"] == 2
         assert "fock.py:_analyzer" not in calls
         # unitarity: one GateOp check each for W and the two fixed
         # waveplates, and for the circuit's four fixed gates, the two arm

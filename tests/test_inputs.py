@@ -9,6 +9,7 @@ AttributeError from the code behind the check.
 
 import math
 import re
+import reprlib
 from fractions import Fraction
 
 import numpy as np
@@ -178,3 +179,22 @@ def test_object_of_another_type_is_a_value_error_that_names_it(label, name, call
     with pytest.raises(ValueError, match=f"^{name} must be of type [A-Za-z]+, got ") as info:
         call(value)
     assert repr(value) in str(info.value)
+
+
+@pytest.mark.parametrize("rho", [np.eye(2), np.eye(8), np.ones(4), np.ones((4, 4, 1)),
+                                 np.full((4, 4), math.nan), np.diag([1.0, 1.0, math.inf, 1.0]),
+                                 "x", None, {"a": 1}, [[1.0, 0.0], [0.0]]],
+                         ids=["2x2", "8x8", "vector", "4x4x1", "nan", "inf", "str", "None", "dict",
+                              "ragged"])
+def test_density_matrix_must_be_finite_4x4(rho):
+    # a gate map checks its input once, where it enters, not numpy's matmul
+    gate_map, _ = fock.physical_cz(0.5)
+    with pytest.raises(ValueError, match="^rho must be a finite 4x4 matrix, got ") as info:
+        gate_map.apply(rho)
+    assert reprlib.repr(rho) in str(info.value)
+
+
+def test_density_matrix_as_nested_lists_gives_the_array_result():
+    gate_map, _ = fock.physical_ch(0.3)
+    rho = np.arange(16.0).reshape(4, 4) / 16
+    assert np.array_equal(gate_map.apply(rho.tolist()), gate_map.apply(rho))
