@@ -218,6 +218,7 @@ def coincidence_probabilities(config: ExperimentConfig) -> OutcomeDistribution:
     marginals stay fair.  The ideal part is the surface kernel's ``_born``
     on one state and one theta2 row.
     """
+    _instance("config", config, ExperimentConfig)
     states = _final_states(np.array([config.phi]), config.delta)
     ideal = _born(states, _alice_kets(config.theta1), _bob_kets([config.theta2]))[:, 0, 0]
     scale = config.noise.correlation_scale
@@ -367,8 +368,8 @@ def sample_counts(distribution: OutcomeDistribution, total: int, seed) -> np.nda
     total = operator.index(total)
     if total < 1:
         raise ValueError(f"total must be >= 1, got {total}")
+    probs = _instance("distribution", distribution, OutcomeDistribution).as_array()
     rng = rng_stream(seed)
-    probs = distribution.as_array()
     counts = np.zeros(4, dtype=np.int64)
     block = np.empty(min(_SAMPLE_CHUNK, total))
     below = np.empty(block.size, dtype=bool)

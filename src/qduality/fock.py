@@ -27,7 +27,7 @@ import numpy as np
 from . import circuit as _circuit
 from .qstate import (
     KET_A, KET_D, Projector, _SQRT2, _finite, _finite_grid, _frozen_array, _instance,
-    _unit_interval, w_gate, waveplate)
+    _unit_interval, bell_ket, w_gate, waveplate)
 
 POL_H = "H"
 POL_V = "V"
@@ -273,10 +273,9 @@ _CZ_CHAIN = (_ppbs_map(("s", "c"), 1.0, 1.0 / 3.0),
              polarization_map("c", -np.eye(2)))
 _W = w_gate().matrix
 _CH_CHAIN = (polarization_map("s", _W.conj().T), *_CZ_CHAIN, polarization_map("s", _W))
-# the fixed polarization rotations of the control and ancilla arms, the
-# last two of the circuit's fixed gates
-_ARM_ROTATIONS = tuple(polarization_map(port, matrix)
-                       for port, matrix in zip("ca", _circuit._FIXED_GATES[2:]))
+# the control and ancilla arms' fixed polarization rotations, the last two of
+# the circuit's fixed gates, as one matrix on (c, a) polarizations, index 2*c + a
+_ARM = _frozen_array(np.kron(*_circuit._FIXED_GATES[2:]))
 # the source's half-wave plate at pi/8 on the signal photon
 _SOURCE_PLATE = polarization_map("s", waveplate("half", math.pi / 8).matrix)
 # the analyzer after its theta2 plate: a half-wave plate at 0 on the ancilla
@@ -336,16 +335,8 @@ _CZ_KRAUS, _CH_KRAUS = (tuple(np.array(_transfer(chain, ("c", "s"), labels))
                               for labels in _PAIR_LABELS) for chain in (_CZ_CHAIN, _CH_CHAIN))
 
 
-def _scan_ket(t_c: str, t_a: str) -> np.ndarray:
-    """The (c, a) pair (|HV> + |VH>)/sqrt2 after the arm rotations, labels t_c and t_a."""
-    pair = ModeState.from_patterns([((Mode("c", p, t_c), Mode("a", q, t_a)), 1.0 / _SQRT2)
-                                    for p, q in ((POL_H, POL_V), (POL_V, POL_H))])
-    (ket,) = _port_amplitudes(_run(pair, _ARM_ROTATIONS), ("c", "a")).values()
-    return ket.reshape(4)
-
-
-# the pair that bsm_scan feeds the analyzer, per branch
-_SCAN_KETS = {labels: _scan_ket(*labels) for labels in _PAIR_LABELS}
+# the pair (|HV> + |VH>)/sqrt2 on (c, a) that bsm_scan feeds the analyzer
+_SCAN_KET = _frozen_array(_ARM @ bell_ket("psi+"))
 
 
 def _analyzer(theta2: float) -> dict:
@@ -415,8 +406,8 @@ def bsm_scan(theta2: float, overlap: OverlapModel, positions) -> BsmScanResult:
     positions = tuple(_finite_grid("positions", positions, "values").tolist())
     analyzer = _analyzer(theta2)
     probs = []
-    for labels, ket in _SCAN_KETS.items():
-        amps = _SCAN_BRAS @ analyzer[labels] @ ket  # (Kraus term, outcome)
+    for labels in _PAIR_LABELS:
+        amps = _SCAN_BRAS @ analyzer[labels] @ _SCAN_KET  # (Kraus term, outcome)
         probs.append((np.abs(amps) ** 2).sum(axis=0).tolist())
     same, dist = probs
     v = np.array([overlap.value(x) for x in positions], dtype=float)
@@ -436,9 +427,11 @@ def physical_correlation(config: _circuit.ExperimentConfig, v: float) -> float:
     angles from ``circuit._bob_angles``, which names a theta2 whose quarter
     turn does not resolve in floats; the four post-selected rates combine
     exactly like coincidence counts.  Source and gate chain run once per
-    overlap branch, then post-selection on ports s, c and a, then the arm
-    rotations; only the analyzer's maps depend on theta2.
+    overlap branch and are post-selected on ports s, c and a; the arm
+    rotations and the analyzer then act on the kept polarization tensors as
+    matrices, and only the analyzer's maps depend on theta2.
     """
+    _instance("config", config, _circuit.ExperimentConfig)
     branches = _overlap_branches(v, ("t0", "t0", "t0"), ("t1", "t0", "t0"))
     c1, s1 = math.cos(config.theta1), math.sin(config.theta1)
     alice = np.array([[c1, s1], [-s1, c1]])  # her "+" and "-" bras on photon S
@@ -453,20 +446,11 @@ def physical_correlation(config: _circuit.ExperimentConfig, v: float) -> float:
             ((Mode("s", POL_V, t_s), Mode("c", POL_V, t_c), Mode("a", POL_H, t_a)),
              np.exp(1j * config.delta) / _SQRT2),
         ]), gate)
-        # Post-selecting here is exact.  Nothing after the gate touches port
-        # s or the loss ports (the arm rotations act within c and within a,
-        # the analyzer mixes only c with a), so their photon counts are
-        # final, and so is the total in c and a.  Photon A alone is in port
-        # a until the analyzer, so a pattern ends with one photon in each of
-        # s, c and a only if it has one in each now.  A dropped pattern feeds
-        # only patterns dropped later, so every kept amplitude is the same
-        # sum, in the same order, as without this step.
-        state, _ = state.postselect_one_per_port(("s", "c", "a"))
-        state = _run(state, _ARM_ROTATIONS)
-        # The analyzer keeps port s and its label, so tensors with distinct
-        # keys stay orthogonal, and so do its Kraus terms.
+        # Post-selecting here is exact: after the gate only the analyzer moves
+        # a photon between ports, and port a holds photon A alone until then.
+        # Tensors with distinct temporal keys stay orthogonal.
         for (_, t_c, t_a), tensor in _port_amplitudes(state, ("s", "c", "a")).items():
-            rows = alice @ tensor.reshape(2, 4)  # (Alice's outcome, c-a polarizations)
+            rows = alice @ tensor.reshape(2, 4) @ _ARM.T  # (Alice's outcome, c-a polarizations)
             for bob, analyzer in enumerate(analyzers):
                 amps = _CROSS_BRAS @ analyzer[t_c, t_a] @ rows.T  # (term, cross outcome, Alice)
                 rates[:, bob] += weight * (np.abs(amps) ** 2).sum(axis=(0, 1))

@@ -18,6 +18,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,6 +87,10 @@ class HVModel:
         weights = tuple(self.weights)
         if len(strategies) != len(weights) or not strategies:
             raise ValueError("strategies and weights must be equal-length, nonempty")
+        if not all(isinstance(s, HVStrategy) for s in strategies):
+            raise ValueError(f"strategies must be HVStrategy instances, got {reprlib.repr(strategies)}")
+        if not all(isinstance(w, numbers.Real) for w in weights):
+            raise ValueError(f"weights must be real numbers, got {reprlib.repr(weights)}")
         exact = all(isinstance(w, (Fraction, int)) for w in weights)
         if not exact and not all(map(math.isfinite, weights)):
             raise ValueError("weights must be finite")
@@ -158,10 +164,7 @@ def predicted_joint(model: HVModel, settings: SettingsList, wave_probs=None):
     n = len(_instance("settings", settings, SettingsList))
     if len(_instance("model", model, HVModel).strategies[0].bob_outcomes) != n:
         raise ValueError("model strategies do not cover the settings list")
-    if wave_probs is None:
-        wave_probs = [wave_stats(phi) for _, phi in settings.entries]
-    if len(wave_probs) != n:
-        raise ValueError("wave_probs must align with the settings list")
+    wave_probs = _wave_probs(wave_probs, settings)
     joints = []
     for j in range(n):
         table = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
@@ -239,6 +242,26 @@ def _sums_to_one(values) -> bool:
     if all(isinstance(v, (Fraction, int)) for v in values):
         return total == 1
     return abs(float(total) - 1.0) <= 1e-9
+
+
+def _wave_probs(wave_probs, settings: SettingsList) -> list:
+    """Per-setting fringe statistics, checked; by default each setting's ``wave_stats``."""
+    if wave_probs is None:
+        wave_probs = [wave_stats(phi) for _, phi in settings.entries]
+    if len(wave_probs) != len(settings):
+        raise ValueError("wave_probs must align with the settings list")
+    try:
+        wave_probs = [tuple(map(_python_fraction, pair)) for pair in wave_probs]
+    except TypeError:  # an entry that is not a sequence
+        wave_probs = [()]
+    if not all(len(pair) == 2 for pair in wave_probs):
+        raise ValueError("wave_probs must hold one pair of numbers per setting")
+    if not all(isinstance(w, numbers.Real) and 0 <= w <= 1  # NaN fails too
+               for pair in wave_probs for w in pair):
+        raise ValueError("wave statistics must lie in [0, 1]")
+    if not all(_sums_to_one(pair) for pair in wave_probs):
+        raise ValueError("wave statistics must sum to 1")
+    return wave_probs
 
 
 def _validate_targets(targets, n):
@@ -503,17 +526,8 @@ def feasibility(targets, settings: SettingsList, wave_probs=None) -> Feasibility
     over on the exact loop, with the same floats read as Fractions, and its
     optimum gives the float residual and witness.  ``cuts`` counts both loops.
     """
-    n = len(_instance("settings", settings, SettingsList))
-    flat_targets = _validate_targets(targets, n)
-    if wave_probs is None:
-        wave_probs = [wave_stats(phi) for _, phi in settings.entries]
-    if len(wave_probs) != n:
-        raise ValueError("wave_probs must align with the settings list")
-    wave_probs = [tuple(map(_python_fraction, pair)) for pair in wave_probs]
-    if not all(0 <= w <= 1 for pair in wave_probs for w in pair):
-        raise ValueError("wave statistics must lie in [0, 1]")
-    if not all(_sums_to_one(pair) for pair in wave_probs):
-        raise ValueError("wave statistics must sum to 1")
+    flat_targets = _validate_targets(targets, len(_instance("settings", settings, SettingsList)))
+    wave_probs = _wave_probs(wave_probs, settings)
 
     exact = all(isinstance(v, (Fraction, int))
                 for v in itertools.chain(*flat_targets, *wave_probs))

@@ -598,9 +598,10 @@ class TestTransformOracle:
         rng = np.random.default_rng(7)
         for phi, t1, t2 in rng.uniform(-math.pi, math.pi, (4, 3)).tolist():
             fock.physical_correlation(ct.ExperimentConfig(phi=phi, theta1=t1, theta2=t2), v)
-        # per overlap branch: 10 transforms to the analyzer, whose maps are
-        # built at import and checked in test_gate_maps_and_analyzer
-        assert len(permanent_checked) == 4 * (20 if 0.0 < v < 1.0 else 10)
+        # per overlap branch: 8 transforms, the source plate, the phi plate and
+        # the CH chain's 6, up to the gate; the arm rotations and the analyzer
+        # are matrices built at import and checked in test_gate_maps_and_analyzer
+        assert len(permanent_checked) == 4 * (16 if 0.0 < v < 1.0 else 8)
 
     def test_gate_maps_and_analyzer(self, permanent_checked):
         # the gate maps, the analyzer's fixed maps and bsm_scan's pair are
@@ -618,11 +619,14 @@ class TestTransformOracle:
         for chain, stacks in ((fock._CZ_CHAIN, fock._CZ_KRAUS), (fock._CH_CHAIN, fock._CH_KRAUS)):
             for labels, kraus in zip(fock._PAIR_LABELS, stacks, strict=True):
                 assert np.array_equal(np.array(fock._transfer(chain, ("c", "s"), labels)), kraus)
-        for labels, ket in fock._SCAN_KETS.items():
-            assert np.array_equal(fock._scan_ket(*labels), ket)
+        for t_c, t_a in fock._PAIR_LABELS:
+            pair = ModeState.from_patterns([((Mode("c", p, t_c), Mode("a", q, t_a)), 1.0 / SQRT2)
+                                            for p, q in (("H", "V"), ("V", "H"))])
+            (ket,) = fock._port_amplitudes(fock._run(pair, ARM_MAPS), ("c", "a")).values()
+            assert np.array_equal(ket.reshape(4), fock._SCAN_KET)
         # four input columns through the analyzer's 2 elements (3 label
         # pairs), the CZ chain's 4 and the CH chain's 6 (2 pairs each); the
-        # scan's pair through the 2 arm rotations (2 pairs)
+        # scan's pair through the 2 arm rotations' element maps (2 pairs)
         assert len(permanent_checked) == 4 * (3 * 2 + 2 * 4 + 2 * 6) + 2 * 2
 
 
@@ -764,8 +768,13 @@ class TestPipelineOracle:
         assert f"{fock.physical_correlation(cfg, 0.7):.12f}" == "0.081239967134"
 
 
+# the arm rotations on ports c and a as element maps, the path that the
+# module's one 4x4 matrix ``fock._ARM`` stands for
+ARM_MAPS = tuple(fock.polarization_map(port, gate) for port, gate in zip("ca", ct._FIXED_GATES[2:]))
+
+
 class TestEarlyPostselection:
-    """``physical_correlation`` post-selects ports s, c and a before Bob's optics."""
+    """``physical_correlation`` post-selects ports s, c and a right after the gate."""
 
     PORTS = ("s", "c", "a")
 
@@ -784,9 +793,16 @@ class TestEarlyPostselection:
             kept, _ = state.postselect_one_per_port(self.PORTS)
             dropped = ModeState({p: a for p, a in state.amps.items() if p not in kept.amps})
             assert kept.amps and len(dropped.amps) > 2 * len(kept.amps)
+            # the arm rotations as one matrix on the kept (c, a) tensors
+            rotated = fock._port_amplitudes(fock._run(kept, ARM_MAPS), self.PORTS)
+            tensors = fock._port_amplitudes(state, self.PORTS)
+            assert list(rotated) == list(tensors)
+            for key, tensor in tensors.items():
+                got = tensor.reshape(2, 4) @ fock._ARM.T
+                assert np.max(np.abs(got - rotated[key].reshape(2, 4))) <= 1e-15
             for angle in ct._bob_angles([float(theta2)]):
                 plate = fock.polarization_map("c", qs.waveplate("half", angle / 2).matrix)
-                optics = (*fock._ARM_ROTATIONS, plate, *fock._ANALYZER_FIXED)
+                optics = (*ARM_MAPS, plate, *fock._ANALYZER_FIXED)
                 assert not fock._port_amplitudes(fock._run(dropped, optics), self.PORTS)
                 # so the kept patterns alone give the same tensors, byte for byte
                 full = fock._port_amplitudes(fock._run(state, optics), self.PORTS)
@@ -900,17 +916,16 @@ print(json.dumps({f"{f}:{n}": c for (f, n), c in calls.items()}))
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         calls = json.loads(proc.stdout)
-        # the CZ chain (4), W and its inverse, the two arm rotations, the
-        # source plate, and the analyzer's plate on "a" and its PBS
-        assert calls["fock.py:_linear_map"] == 11
+        # the CZ chain (4), W and its inverse, the source plate, and the
+        # analyzer's plate on "a" and its PBS; the arm rotations are one
+        # 4x4 matrix, not element maps
+        assert calls["fock.py:_linear_map"] == 9
         assert calls["fock.py:_ppbs_map"] == 1
         assert calls["fock.py:_attenuation_map"] == 2
         assert calls["fock.py:_pbs_map"] == 1
         # the analyzer's fixed maps, one per pair of input temporal labels,
-        # and the CZ and CH Kraus stacks, one per overlap branch; bsm_scan's
-        # pair, one ket per branch
+        # and the CZ and CH Kraus stacks, one per overlap branch
         assert calls["fock.py:_transfer"] == 3 + 2 + 2
-        assert calls["fock.py:_scan_ket"] == 2
         assert "fock.py:_analyzer" not in calls
         # unitarity: one GateOp check each for W and the two fixed
         # waveplates, and for the circuit's four fixed gates, the two arm

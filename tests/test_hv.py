@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import reprlib
 import subprocess
 import sys
 import time
@@ -283,6 +284,45 @@ class TestPredictedJoint:
                       HVStrategy(tag="particle", bob_outcomes="-"))
         with pytest.raises(ValueError, match="finite"):
             HVModel(strategies=strategies[:len(weights)], weights=weights)
+
+    @pytest.mark.parametrize("strategies, weights, name", [
+        (("wave",), (1,), "strategies"),
+        ((None,), (1,), "strategies"),
+        ((WAVE_PLUS, ("particle", "+")), (0.5, 0.5), "strategies"),
+        ((WAVE_PLUS,), ("1",), "weights"),
+        ((WAVE_PLUS,), (b"1",), "weights"),
+        ((WAVE_PLUS,), (None,), "weights"),
+        ((WAVE_PLUS,), (1j,), "weights"),
+        ((WAVE_PLUS,), (np.complex128(1.0),), "weights"),
+    ])
+    def test_strategies_and_weights_of_another_type_rejected(self, strategies, weights, name):
+        # a ValueError that names the argument, not an AttributeError or a
+        # TypeError from the checks behind it
+        with pytest.raises(ValueError, match=f"^{name} must be ") as info:
+            HVModel(strategies, weights)
+        assert reprlib.repr((strategies, weights)[name == "weights"]) in str(info.value)
+
+    @pytest.mark.parametrize("wave, message", [
+        ([(2, -1)], "wave statistics must lie in [0, 1]"),
+        ([(math.nan, 0.5)], "wave statistics must lie in [0, 1]"),
+        ([(0.5, -math.inf)], "wave statistics must lie in [0, 1]"),
+        ([(0.5, 0.4)], "wave statistics must sum to 1"),
+        ([(Fraction(1, 2), Fraction(1, 3))], "wave statistics must sum to 1"),
+        ([("0.5", "0.5")], "wave statistics must lie in [0, 1]"),
+        ([(0.5, 0.5j)], "wave statistics must lie in [0, 1]"),
+        # a pair of another length once gave a joint that sums to 0.75, or an IndexError
+        ([(0.5, 0.25, 0.25)], "wave_probs must hold one pair of numbers per setting"),
+        ([(1.0,)], "wave_probs must hold one pair of numbers per setting"),
+        ([None], "wave_probs must hold one pair of numbers per setting"),
+        ([0.5], "wave_probs must hold one pair of numbers per setting"),
+    ])
+    def test_wave_statistics_checked_as_feasibility_checks_them(self, wave, message):
+        settings = SettingsList([(0.1, 0.2)])
+        model = HVModel((WAVE_PLUS,), (1,))
+        for call in (lambda: hv.predicted_joint(model, settings, wave),
+                     lambda: hv.feasibility([[[0.5, 0.0], [0.5, 0.0]]], settings, wave)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
 
     @pytest.mark.parametrize("build, message", [
         (lambda: HVStrategy(tag="photon", bob_outcomes="+"), "tag must be one of"),
@@ -570,6 +610,7 @@ def solver_cases(rng, n, exact):
 
 
 class TestAgainstEnumeratedStrategies:
+    @pytest.mark.highs
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_float_residuals_match(self, n):
         rng = np.random.default_rng(100 + n)
@@ -934,6 +975,7 @@ def load_perfbench_cases():
 
 
 class TestFloatKernel:
+    @pytest.mark.highs
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_highs_on_random_cases(self, seed):
         rng = np.random.default_rng(600 + seed)
@@ -943,6 +985,7 @@ class TestFloatKernel:
                        else admixed_targets(rng, settings))
             assert_matches_highs(targets, settings)
 
+    @pytest.mark.highs
     def test_matches_highs_on_quantum_targets_up_to_forty_settings(self):
         rng = np.random.default_rng(640)
         for n in range(1, 41):
@@ -950,6 +993,7 @@ class TestFloatKernel:
             assert_matches_highs([hv.quantum_joint(t2, phi) for t2, phi in settings.entries],
                                  settings)
 
+    @pytest.mark.highs
     @pytest.mark.parametrize("phis, unique", [
         ((0.0, math.pi), True),
         ((math.pi / 2,), False),
@@ -982,6 +1026,7 @@ class TestFloatKernel:
             _, (_, residual, _) = hv._kelley(hv._exact_cut(flat, wave), Fraction(1))
             assert abs(result.residual - float(residual)) <= 1e-12
 
+    @pytest.mark.highs
     def test_finishes_on_the_exact_loop_at_the_cut_cap(self, monkeypatch):
         rng = np.random.default_rng(660)
         for i in range(6):
@@ -1127,6 +1172,7 @@ class TestExactSimplex:
         assert res.objective == Fraction(1)
         assert res.x[0] == Fraction(1)
 
+    @pytest.mark.highs
     def test_matches_scipy_on_random_problems(self):
         from scipy.optimize import linprog
 

@@ -163,6 +163,10 @@ OBJECT_ARGUMENTS = [
     ("ExperimentConfig", "noise", lambda x: ct.ExperimentConfig(phi=0.1, noise=x)),
     ("correlation_surface", "noise", lambda x: ct.correlation_surface(0.0, noise=x)),
     ("chsh", "noise", lambda x: ct.chsh(0.3, noise=x)),
+    ("coincidence_probabilities", "config", ct.coincidence_probabilities),
+    ("correlation", "config", ct.correlation),
+    ("sample_counts", "distribution", lambda x: ct.sample_counts(x, 10, 0)),
+    ("physical_correlation", "config", lambda x: fock.physical_correlation(x, 1.0)),
     ("feasibility", "settings", lambda x: hv.feasibility([[[0.5, 0.0], [0.5, 0.0]]], x)),
     ("predicted_joint", "model", lambda x: hv.predicted_joint(x, hv.SettingsList([(0.1, 0.2)]))),
     ("predicted_joint", "settings", lambda x: hv.predicted_joint(
