@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -343,8 +344,13 @@ def correlation_surface(theta1: float,
 
 
 def rng_stream(seed) -> np.random.Generator:
-    """Seeded portable generator."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    """Seeded portable generator; a seed that ``np.random.SeedSequence`` rejects is a ValueError."""
+    try:
+        sequence = np.random.SeedSequence(seed)
+    except (TypeError, ValueError):  # a str or float, or a negative integer
+        raise ValueError(f"seed must be a non-negative integer or a sequence of them, "
+                         f"got {reprlib.repr(seed)}") from None
+    return np.random.Generator(np.random.PCG64(sequence))
 
 
 # Uniforms drawn per block while sampling: 512 KiB of float64, plus a 64 KiB
@@ -363,7 +369,8 @@ def sample_counts(distribution: OutcomeDistribution, total: int, seed) -> np.nda
     are drawn from ``rng_stream(seed)``, one per remaining event at each
     binomial step, into one reused 512 KiB block, so the working set does
     not grow with ``total``.  ``total`` must be an integer (numpy integers
-    included); anything else raises ``TypeError``.
+    included); anything else raises ``TypeError``.  ``seed`` is what
+    ``np.random.SeedSequence`` takes; anything else raises a ValueError.
     """
     total = operator.index(total)
     if total < 1:

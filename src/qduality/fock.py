@@ -327,6 +327,9 @@ def _transfer(elements, ports, labels) -> list:
 # stack per pair of input temporal labels (l_c, l_a) that a pipeline feeds it
 _ANALYZER_KRAUS = {labels: np.array(_transfer(_ANALYZER_FIXED, ("c", "a"), labels))
                    for labels in (("t0", "t0"), ("t0", "t1"), ("t1", "t0"))}
+# the same terms read out on the cross outcomes, (k, 1, 2, 4); axis 1 takes Bob's plates
+_CROSS_KRAUS = {labels: _frozen_array((_CROSS_BRAS @ kraus)[:, None])
+                for labels, kraus in _ANALYZER_KRAUS.items()}
 # a photon pair's temporal labels in its two overlap branches: shared, then distinct
 _PAIR_LABELS = (("t0", "t0"), ("t0", "t1"))
 # the gate chains as post-selected Kraus stacks on (c, s), one per branch; a
@@ -339,15 +342,13 @@ _CZ_KRAUS, _CH_KRAUS = (tuple(np.array(_transfer(chain, ("c", "s"), labels))
 _SCAN_KET = _frozen_array(_ARM @ bell_ket("psi+"))
 
 
-def _analyzer(theta2: float) -> dict:
-    """Bob's analyzer at theta2: its (k, 4, 4) Kraus terms on (c, a) per input labels (l_c, l_a).
+def _plates(angles) -> np.ndarray:
+    """Bob's theta2 plates kron(HWP(t/2), I) on (c, a), one per angle t, as an (n, 4, 4) stack.
 
-    The half-wave plate at theta2/2 acts on port c alone, before the fixed
-    optics, and keeps every temporal label, so it is one right factor of
-    each fixed map.
-    """
-    right = np.kron(waveplate("half", _finite("theta2", theta2) / 2.0).matrix, np.eye(2))
-    return {labels: kraus @ right for labels, kraus in _ANALYZER_KRAUS.items()}
+    A plate acts on port c alone and keeps every temporal label, so it is one
+    right factor of each of the analyzer's fixed maps."""
+    return np.array([[[c, 0.0, s, 0.0], [0.0, c, 0.0, s], [s, 0.0, -c, 0.0], [0.0, s, 0.0, -c]]
+                     for c, s in ((math.cos(t), math.sin(t)) for t in angles)])
 
 
 def _overlap_branches(v: float, same, distinct) -> list:
@@ -385,7 +386,7 @@ def bsm_projector_physical(theta2: float) -> Projector:
     The cross outcomes DA and AD herald the "+" result; the matrix equals
     the circuit-level projector onto cos(theta2)|phi-> + sin(theta2)|psi+>.
     """
-    (transfer,) = _analyzer(theta2)["t0", "t0"]
+    (transfer,) = _ANALYZER_KRAUS["t0", "t0"] @ _plates([_finite("theta2", theta2)])[0]
     rows = _CROSS_BRAS @ transfer
     return Projector(rows.conj().T @ rows)
 
@@ -404,10 +405,10 @@ def bsm_scan(theta2: float, overlap: OverlapModel, positions) -> BsmScanResult:
     """
     _instance("overlap", overlap, OverlapModel)
     positions = tuple(_finite_grid("positions", positions, "values").tolist())
-    analyzer = _analyzer(theta2)
+    (plate,) = _plates([_finite("theta2", theta2)])
     probs = []
     for labels in _PAIR_LABELS:
-        amps = _SCAN_BRAS @ analyzer[labels] @ _SCAN_KET  # (Kraus term, outcome)
+        amps = _SCAN_BRAS @ (_ANALYZER_KRAUS[labels] @ plate) @ _SCAN_KET  # (Kraus term, outcome)
         probs.append((np.abs(amps) ** 2).sum(axis=0).tolist())
     same, dist = probs
     v = np.array([overlap.value(x) for x in positions], dtype=float)
@@ -427,9 +428,9 @@ def physical_correlation(config: _circuit.ExperimentConfig, v: float) -> float:
     angles from ``circuit._bob_angles``, which names a theta2 whose quarter
     turn does not resolve in floats; the four post-selected rates combine
     exactly like coincidence counts.  Source and gate chain run once per
-    overlap branch and are post-selected on ports s, c and a; the arm
-    rotations and the analyzer then act on the kept polarization tensors as
-    matrices, and only the analyzer's maps depend on theta2.
+    overlap branch and are post-selected on ports s, c and a.  Each kept
+    polarization tensor then takes two matrix products: Bob's two plates as
+    one stack, then the analyzer's fixed maps read out on the cross outcomes.
     """
     _instance("config", config, _circuit.ExperimentConfig)
     branches = _overlap_branches(v, ("t0", "t0", "t0"), ("t1", "t0", "t0"))
@@ -437,7 +438,7 @@ def physical_correlation(config: _circuit.ExperimentConfig, v: float) -> float:
     alice = np.array([[c1, s1], [-s1, c1]])  # her "+" and "-" bras on photon S
     phase = polarization_map("s", np.diag([1.0, np.exp(1j * config.phi)]))
     gate = (_SOURCE_PLATE, phase, *_CH_CHAIN)
-    analyzers = [_analyzer(theta2) for theta2 in _circuit._bob_angles([config.theta2])]
+    plates = _plates(_circuit._bob_angles([config.theta2]))  # Bob's "+" and "-" runs
     rates = np.zeros((2, 2))  # [alice sign, bob sign]
     for weight, (t_s, t_c, t_a) in branches:
         state = _run(ModeState.from_patterns([
@@ -451,9 +452,8 @@ def physical_correlation(config: _circuit.ExperimentConfig, v: float) -> float:
         # Tensors with distinct temporal keys stay orthogonal.
         for (_, t_c, t_a), tensor in _port_amplitudes(state, ("s", "c", "a")).items():
             rows = alice @ tensor.reshape(2, 4) @ _ARM.T  # (Alice's outcome, c-a polarizations)
-            for bob, analyzer in enumerate(analyzers):
-                amps = _CROSS_BRAS @ analyzer[t_c, t_a] @ rows.T  # (term, cross outcome, Alice)
-                rates[:, bob] += weight * (np.abs(amps) ** 2).sum(axis=(0, 1))
+            amps = _CROSS_KRAUS[t_c, t_a] @ (plates @ rows.T)  # (term, Bob, cross outcome, Alice)
+            rates += weight * (np.abs(amps) ** 2).sum(axis=(0, 2)).T
 
     total = rates.sum()
     if total <= 0.0:

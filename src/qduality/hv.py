@@ -244,11 +244,19 @@ def _sums_to_one(values) -> bool:
     return abs(float(total) - 1.0) <= 1e-9
 
 
+def _length(name: str, values) -> int:
+    """``len(values)``, or a ValueError naming ``name`` when it is not a sequence."""
+    try:
+        return len(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {reprlib.repr(values)}") from None
+
+
 def _wave_probs(wave_probs, settings: SettingsList) -> list:
     """Per-setting fringe statistics, checked; by default each setting's ``wave_stats``."""
     if wave_probs is None:
         wave_probs = [wave_stats(phi) for _, phi in settings.entries]
-    if len(wave_probs) != len(settings):
+    if _length("wave_probs", wave_probs) != len(settings):
         raise ValueError("wave_probs must align with the settings list")
     try:
         wave_probs = [tuple(map(_python_fraction, pair)) for pair in wave_probs]
@@ -265,11 +273,14 @@ def _wave_probs(wave_probs, settings: SettingsList) -> list:
 
 
 def _validate_targets(targets, n):
-    if len(targets) != n:
+    if _length("targets", targets) != n:
         raise ValueError("targets must align with the settings list")
     flat = []
     for table in targets:
-        rows = [list(r) for r in table]
+        try:
+            rows = [list(r) for r in table]
+        except TypeError:  # a table or a row that is not a sequence
+            rows = []
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("each target must be a 2x2 joint distribution")
         entries = [rows[s][b] for s in (0, 1) for b in (0, 1)]
@@ -279,11 +290,15 @@ def _validate_targets(targets, n):
             if any(e < 0 for e in entries):
                 raise ValueError("target probabilities must be nonnegative")
         else:
+            try:
+                entries = [_number(e) for e in entries]
+            except (TypeError, ValueError):  # None, a str or a complex entry
+                raise ValueError("target probabilities must be real numbers") from None
             if not all(map(math.isfinite, entries)):
                 raise ValueError("target probabilities must be finite")
             if any(e < -1e-12 for e in entries):
                 raise ValueError("target probabilities must be nonnegative")
-            entries = [max(0.0, float(e)) for e in entries]
+            entries = [max(0.0, e) for e in entries]
         if not _sums_to_one(entries):
             raise ValueError("each target distribution must sum to 1")
         flat.append(entries)

@@ -622,6 +622,18 @@ class TestSurface:
         assert table.min() == pytest.approx(-0.86, abs=1e-10)
         assert table.max() == pytest.approx(0.86, abs=1e-10)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_noiseless_surface_has_rank_two(self, seed):
+        # each amplitude is alpha + e^{i phi} beta, and the noiseless E is a
+        # sum of two products of a theta2 factor and a phi factor, as the
+        # paper's cos(2 theta2 + pi/4) +- sin(phi) cos(2 theta2 - pi/4) is
+        rng = np.random.default_rng(seed)
+        table = ct.correlation_surface(rng.uniform(-7.0, 7.0), rng.uniform(-10.0, 10.0, 200),
+                                       rng.uniform(-15.0, 15.0, 200))
+        sigma = np.linalg.svd(table, compute_uv=False)
+        assert sigma[1] > 1e-3 * sigma[0]
+        assert sigma[2] <= 1e-12 * sigma[0]
+
     def test_single_point_grid_reduces_to_correlation(self):
         table = ct.correlation_surface(0.0, theta2_grid=(0.3,), phi_grid=(1.1,))
         expected = ct.correlation(ct.ExperimentConfig(phi=1.1, theta1=0.0,

@@ -764,8 +764,10 @@ class TestPipelineOracle:
         assert all(np.max(curve) < 1e-30 for curve in rates.values())
 
     def test_pinned_physical_value(self):
+        # both overlap branches, then each alone: distinct labels, shared ones
         cfg = ct.ExperimentConfig(phi=2.0, theta1=0.3, theta2=-1.1, delta=0.9)
-        assert f"{fock.physical_correlation(cfg, 0.7):.12f}" == "0.081239967134"
+        for v, pin in ((0.7, "0.081239967134"), (0.0, "0.046460726804"), (1.0, "0.101405018498")):
+            assert f"{fock.physical_correlation(cfg, v):.12f}" == pin
 
 
 # the arm rotations on ports c and a as element maps, the path that the
@@ -822,9 +824,27 @@ class TestAnalyzerFactorization:
         for theta2 in self.ANGLES:
             plate = fock.polarization_map("c", qs.waveplate("half", theta2 / 2).matrix)
             want = fock._transfer((plate, *fock._ANALYZER_FIXED), ("c", "a"), labels)
-            got = fock._analyzer(theta2)[labels]
+            got = fock._ANALYZER_KRAUS[labels] @ fock._plates([theta2])[0]
             assert len(got) == len(want) == (1 if labels[0] == labels[1] else 2)
             assert np.max(np.abs(got - np.array(want))) <= 1e-15, theta2
+            # read out on the cross outcomes, as physical_correlation folds them
+            cross = fock._CROSS_KRAUS[labels][:, 0] @ fock._plates([theta2])[0]
+            assert np.max(np.abs(cross - fock._CROSS_BRAS @ np.array(want))) <= 1e-15, theta2
+
+    def test_plate_stack_is_the_kron_of_the_half_wave_plate(self):
+        # a dense grid, signed zeros, quarter turns and huge angles; a
+        # subnormal theta2 is left out, because theta2 / 2 underflows there
+        grid = (*np.linspace(-4 * math.pi, 4 * math.pi, 4001).tolist(), *self.ANGLES,
+                -0.0, math.pi, -math.pi, 1e-300, -1e-300, 1e300, -1e300, 2.0**-1021)
+        plates = fock._plates(grid)
+        assert plates.shape == (len(grid), 4, 4)
+        for theta2, plate in zip(grid, plates):
+            want = np.kron(qs.waveplate("half", theta2 / 2).matrix, np.eye(2))
+            assert np.array_equal(plate, want), theta2
+        # Bob's two runs are one stack: each plate as built on its own
+        for theta2 in self.ANGLES:
+            pair = ct._bob_angles([theta2])
+            assert np.array_equal(fock._plates(pair), [fock._plates([t])[0] for t in pair])
 
 
 def error_message(call):
@@ -878,21 +898,21 @@ class TestFixedOptics:
         return built
 
     def test_physical_correlation_builds_its_three_plates(self, built):
-        # the phi phase plate as an element map, and one theta2 plate per
-        # analyzer angle as a 2x2 matrix
+        # the phi phase plate as an element map; Bob's two theta2 plates are
+        # one stack written from cos and sin, so no waveplate GateOp
         cfg = ct.ExperimentConfig(phi=2.0, theta1=0.3, theta2=-1.1, delta=0.9)
         fock.physical_correlation(cfg, 0.7)
-        plus, minus = ct._bob_angles([-1.1])
-        assert built == [(("s", "H"), ("s", "V")), ("half", plus / 2), ("half", minus / 2)]
+        assert built == [(("s", "H"), ("s", "V"))]
 
     def test_gate_maps_build_nothing_and_the_analyzer_its_plate(self, built):
+        # the analyzer's plate comes from the same cos/sin stack: no element
+        # map and no waveplate GateOp
         for v in (0.0, 0.5, 1.0):
             fock.physical_cz(v)
             fock.physical_ch(v)
-        assert built == []
         fock.bsm_scan(0.3, OverlapModel(v=0.5), [0.0, 1.0])
         fock.bsm_projector_physical(0.3)
-        assert built == [("half", 0.15)] * 2
+        assert built == []
 
     def test_import_builds_each_fixed_element_once(self):
         # a fresh interpreter, profiled while it imports the Fock layer and
@@ -926,7 +946,7 @@ print(json.dumps({f"{f}:{n}": c for (f, n), c in calls.items()}))
         # the analyzer's fixed maps, one per pair of input temporal labels,
         # and the CZ and CH Kraus stacks, one per overlap branch
         assert calls["fock.py:_transfer"] == 3 + 2 + 2
-        assert "fock.py:_analyzer" not in calls
+        assert "fock.py:_plates" not in calls
         # unitarity: one GateOp check each for W and the two fixed
         # waveplates, and for the circuit's four fixed gates, the two arm
         # rotations among them, plus the Hadamard inside controlled-Hadamard

@@ -202,3 +202,50 @@ def test_density_matrix_as_nested_lists_gives_the_array_result():
     gate_map, _ = fock.physical_ch(0.3)
     rho = np.arange(16.0).reshape(4, 4) / 16
     assert np.array_equal(gate_map.apply(rho.tolist()), gate_map.apply(rho))
+
+
+# (entry point, argument name, call with the argument set to x)
+SEQUENCE_ARGUMENTS = [
+    ("feasibility", "targets", lambda x: hv.feasibility(x, hv.SettingsList([(0.1, 0.2)]))),
+    ("feasibility", "wave_probs",
+     lambda x: hv.feasibility([[[0.5, 0.0], [0.5, 0.0]]], hv.SettingsList([(0.1, 0.2)]), x)),
+    ("predicted_joint", "wave_probs",
+     lambda x: hv.predicted_joint(hv.HVModel((hv.HVStrategy("wave", "+"),), (1,)),
+                                  hv.SettingsList([(0.1, 0.2)]), x)),
+]
+
+
+@pytest.mark.parametrize("label, name, call", SEQUENCE_ARGUMENTS,
+                         ids=[f"{label}-{name}" for label, name, _ in SEQUENCE_ARGUMENTS])
+@pytest.mark.parametrize("value", [5, 0.5, object()], ids=["int", "float", "object"])
+def test_argument_that_is_not_a_sequence_is_a_value_error_that_names_it(label, name, call, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a sequence, got ") as info:
+        call(value)
+    assert reprlib.repr(value) in str(info.value)
+
+
+@pytest.mark.parametrize("table", [None, 0.5, [None, None], [[0.5, 0.0], 0.5]])
+def test_target_tables_that_are_not_sequences(table):
+    with pytest.raises(ValueError, match="^each target must be a 2x2 joint distribution$"):
+        hv.feasibility([table], hv.SettingsList([(0.1, 0.2)]))
+
+
+@pytest.mark.parametrize("entry", [None, "0.5", b"0.5", 0.5j, np.complex128(0.5)])
+def test_target_entries_that_are_not_real_numbers(entry):
+    with pytest.raises(ValueError, match="^target probabilities must be real numbers$"):
+        hv.feasibility([[[entry, 0.0], [0.5, 0.0]]], hv.SettingsList([(0.1, 0.2)]))
+
+
+@pytest.mark.parametrize("seed", ["x", 1.5, -1, np.int64(-1), np.float64(2.0), b"1", [1, -1], [0.5]])
+def test_seed_that_seed_sequence_rejects_is_a_value_error(seed):
+    dist = ct.OutcomeDistribution(0.25, 0.25, 0.25, 0.25)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer or a sequence") as info:
+        ct.sample_counts(dist, 10, seed)
+    assert reprlib.repr(seed) in str(info.value)
+
+
+def test_numpy_integer_seeds_give_the_int_counts():
+    dist = ct.OutcomeDistribution(0.4, 0.1, 0.3, 0.2)
+    want = ct.sample_counts(dist, 5585, 7).tobytes()
+    for seed in (np.int64(7), np.uint8(7), np.int32(7)):
+        assert ct.sample_counts(dist, 5585, seed).tobytes() == want
