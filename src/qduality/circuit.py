@@ -150,7 +150,7 @@ _FIXED_GATES = tuple(gate().matrix for gate in (
     hadamard, controlled_hadamard, control_arm_rotation, ancilla_arm_rotation))
 
 
-def final_state(phi: float, delta: float = math.pi / 4) -> StateVector:
+def final_state(phi: float, delta: float = ExperimentConfig.delta) -> StateVector:
     """The output state of the full interferometer: one row of ``_final_states``.
 
     Hadamard and phase shifter on S, controlled-Hadamard with control C and
@@ -344,10 +344,13 @@ def correlation_surface(theta1: float,
 
 
 def rng_stream(seed) -> np.random.Generator:
-    """Seeded portable generator; a seed that ``np.random.SeedSequence`` rejects is a ValueError."""
+    """Seeded portable generator; a seed that ``np.random.SeedSequence`` rejects is a ValueError,
+    and so are None, which it would fill from OS entropy, and a bool, which it reads as 0 or 1."""
     try:
+        if seed is None or isinstance(seed, (bool, np.bool_)):
+            raise TypeError
         sequence = np.random.SeedSequence(seed)
-    except (TypeError, ValueError):  # a str or float, or a negative integer
+    except (TypeError, ValueError):  # a str or float, a negative integer, None or a bool
         raise ValueError(f"seed must be a non-negative integer or a sequence of them, "
                          f"got {reprlib.repr(seed)}") from None
     return np.random.Generator(np.random.PCG64(sequence))
@@ -369,9 +372,11 @@ def sample_counts(distribution: OutcomeDistribution, total: int, seed) -> np.nda
     are drawn from ``rng_stream(seed)``, one per remaining event at each
     binomial step, into one reused 512 KiB block, so the working set does
     not grow with ``total``.  ``total`` must be an integer (numpy integers
-    included); anything else raises ``TypeError``.  ``seed`` is what
-    ``np.random.SeedSequence`` takes; anything else raises a ValueError.
+    included, bools not); anything else raises ``TypeError``.  ``seed`` is
+    what ``rng_stream`` takes; anything else raises a ValueError.
     """
+    if isinstance(total, (bool, np.bool_)):  # operator.index reads a bool as 0 or 1
+        raise TypeError(f"{type(total).__name__!r} object cannot be interpreted as an integer")
     total = operator.index(total)
     if total < 1:
         raise ValueError(f"total must be >= 1, got {total}")

@@ -27,7 +27,7 @@ import numpy as np
 from . import circuit as _circuit
 from .qstate import (
     KET_A, KET_D, Projector, _SQRT2, _finite, _finite_grid, _frozen_array, _instance,
-    _unit_interval, bell_ket, w_gate, waveplate)
+    _unit_interval, bell_ket, w_gate)
 
 POL_H = "H"
 POL_V = "V"
@@ -276,11 +276,8 @@ _CH_CHAIN = (polarization_map("s", _W.conj().T), *_CZ_CHAIN, polarization_map("s
 # the control and ancilla arms' fixed polarization rotations, the last two of
 # the circuit's fixed gates, as one matrix on (c, a) polarizations, index 2*c + a
 _ARM = _frozen_array(np.kron(*_circuit._FIXED_GATES[2:]))
-# the source's half-wave plate at pi/8 on the signal photon
-_SOURCE_PLATE = polarization_map("s", waveplate("half", math.pi / 8).matrix)
-# the analyzer after its theta2 plate: a half-wave plate at 0 on the ancilla
-# port, then the interference beam splitter
-_ANALYZER_FIXED = (polarization_map("a", waveplate("half", 0.0).matrix), _pbs_map(("c", "a")))
+# the analyzer's interference beam splitter, where its two photons meet
+_ANALYZER_FIXED = (_pbs_map(("c", "a")),)
 _DA_KETS = {"D": KET_D, "A": KET_A}
 # Bob's diagonal-basis outcomes as rows <oc| (x) <oa| on (c, a); the cross
 # outcomes DA and AD come first
@@ -323,9 +320,11 @@ def _transfer(elements, ports, labels) -> list:
     return [maps[key] for key in sorted(maps)]
 
 
-# the analyzer's fixed optics as post-selected Kraus terms on (c, a), one
-# stack per pair of input temporal labels (l_c, l_a) that a pipeline feeds it
+# the analyzer's fixed optics as post-selected Kraus terms on (c, a), one stack per
+# pair of input temporal labels (l_c, l_a): the beam splitter's maps times the right
+# factor kron(I, HWP(0)) = diag(1, -1, 1, -1), the ancilla's half-wave plate at 0
 _ANALYZER_KRAUS = {labels: np.array(_transfer(_ANALYZER_FIXED, ("c", "a"), labels))
+                   * [1.0, -1.0, 1.0, -1.0]
                    for labels in (("t0", "t0"), ("t0", "t1"), ("t1", "t0"))}
 # the same terms read out on the cross outcomes, (k, 1, 2, 4); axis 1 takes Bob's plates
 _CROSS_KRAUS = {labels: _frozen_array((_CROSS_BRAS @ kraus)[:, None])
@@ -427,26 +426,26 @@ def physical_correlation(config: _circuit.ExperimentConfig, v: float) -> float:
     a separate run at theta2 + pi/2, as in the counting procedure, with both
     angles from ``circuit._bob_angles``, which names a theta2 whose quarter
     turn does not resolve in floats; the four post-selected rates combine
-    exactly like coincidence counts.  Source and gate chain run once per
-    overlap branch and are post-selected on ports s, c and a.  Each kept
-    polarization tensor then takes two matrix products: Bob's two plates as
-    one stack, then the analyzer's fixed maps read out on the cross outcomes.
+    exactly like coincidence counts.  S meets no photon before the gate, so
+    it enters as the ket ``particle_state(phi)`` beside the source pair on
+    (c, a); only the gate chain runs per overlap branch, post-selected on
+    ports s, c and a.  Each kept tensor then takes two matmuls: Bob's two
+    plates as one stack, then the analyzer's maps on the cross outcomes.
     """
     _instance("config", config, _circuit.ExperimentConfig)
     branches = _overlap_branches(v, ("t0", "t0", "t0"), ("t1", "t0", "t0"))
     c1, s1 = math.cos(config.theta1), math.sin(config.theta1)
     alice = np.array([[c1, s1], [-s1, c1]])  # her "+" and "-" bras on photon S
-    phase = polarization_map("s", np.diag([1.0, np.exp(1j * config.phi)]))
-    gate = (_SOURCE_PLATE, phase, *_CH_CHAIN)
+    # S as the source's plate and the phase plate leave it, beside the pair
+    # (|HV> + e^{i delta}|VH>)/sqrt2 on (c, a)
+    signal = _circuit.particle_state(config.phi).amplitudes.tolist()
+    pair = ((POL_H, POL_V, 1.0 / _SQRT2), (POL_V, POL_H, np.exp(1j * config.delta) / _SQRT2))
     plates = _plates(_circuit._bob_angles([config.theta2]))  # Bob's "+" and "-" runs
     rates = np.zeros((2, 2))  # [alice sign, bob sign]
     for weight, (t_s, t_c, t_a) in branches:
-        state = _run(ModeState.from_patterns([
-            ((Mode("s", POL_V, t_s), Mode("c", POL_H, t_c), Mode("a", POL_V, t_a)),
-             1.0 / _SQRT2),
-            ((Mode("s", POL_V, t_s), Mode("c", POL_V, t_c), Mode("a", POL_H, t_a)),
-             np.exp(1j * config.delta) / _SQRT2),
-        ]), gate)
+        state = _run(ModeState.from_patterns(
+            ((Mode("s", p_s, t_s), Mode("c", p_c, t_c), Mode("a", p_a, t_a)), a_s * a_ca)
+            for p_s, a_s in zip(_POLS, signal) for p_c, p_a, a_ca in pair), _CH_CHAIN)
         # Post-selecting here is exact: after the gate only the analyzer moves
         # a photon between ports, and port a holds photon A alone until then.
         # Tensors with distinct temporal keys stay orthogonal.

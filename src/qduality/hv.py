@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuit import _BLOCK_POINTS, _born, _bob_kets, _final_states
+from .circuit import ExperimentConfig, _BLOCK_POINTS, _born, _bob_kets, _final_states
 from .qstate import _COMPLEX, _finite, _instance
 
 FEASIBILITY_TOL = 1e-9
@@ -117,6 +117,28 @@ def _number(value) -> float:
     return float(value)
 
 
+def _settings_table(settings) -> np.ndarray:
+    """``settings`` as an (n, 2) float array of finite (theta2, phi) pairs, n >= 1."""
+    try:
+        table = np.array(tuple(settings))
+        if table.dtype.kind not in "fiub":  # Fractions, say, are read one at a time
+            if table.dtype != object:  # str, bytes or complex
+                raise TypeError
+            table = np.array([_number(v) for v in table.flat]).reshape(table.shape)
+    except OverflowError:  # an int too large for a float
+        raise ValueError("settings must be finite") from None
+    except (TypeError, ValueError):  # also pairs of unequal length
+        raise ValueError("settings must be (theta2, phi) pairs of numbers") from None
+    if not len(table):
+        raise ValueError("settings list must be nonempty")
+    if table.shape[1:] != (2,):
+        raise ValueError("settings must be (theta2, phi) pairs of numbers")
+    table = table.astype(float, copy=False)
+    if not np.all(np.isfinite(table)):
+        raise ValueError("settings must be finite")
+    return table
+
+
 @dataclass(frozen=True, slots=True)
 class SettingsList:
     """Measurement settings (theta2, phi) the hidden variable must answer."""
@@ -124,14 +146,7 @@ class SettingsList:
     entries: tuple
 
     def __post_init__(self):
-        try:
-            entries = tuple((_number(t2), _number(phi)) for t2, phi in self.entries)
-        except (TypeError, ValueError):
-            raise ValueError("settings must be (theta2, phi) pairs of numbers") from None
-        if not entries:
-            raise ValueError("settings list must be nonempty")
-        if not all(math.isfinite(v) for entry in entries for v in entry):
-            raise ValueError("settings must be finite")
+        entries = tuple(map(tuple, _settings_table(self.entries).tolist()))
         if len(set(entries)) != len(entries):
             raise ValueError("settings must be distinct")
         object.__setattr__(self, "entries", entries)
@@ -194,27 +209,13 @@ def quantum_joints(settings, basis: str = "real") -> np.ndarray:
     of settings, the circuit's ``_born`` pairs each state ``final_state(phi)``
     with its own setting's kets only.
     """
-    try:
-        table = np.array(tuple(settings))
-        if table.dtype.kind not in "fiub":  # Fractions, say, are read one at a time
-            if table.dtype != object:  # str, bytes or complex
-                raise TypeError
-            table = np.array([_number(v) for v in table.flat]).reshape(table.shape)
-    except (TypeError, ValueError):  # also pairs of unequal length
-        raise ValueError("settings must be (theta2, phi) pairs of numbers") from None
-    if not len(table):
-        raise ValueError("settings list must be nonempty")
-    if table.shape[1:] != (2,):
-        raise ValueError("settings must be (theta2, phi) pairs of numbers")
-    table = table.astype(float, copy=False)
-    if not np.all(np.isfinite(table)):
-        raise ValueError("theta2 and phi must be finite angles")
+    table = _settings_table(settings)
     if basis not in ("real", "quadrature"):
         raise ValueError(f"basis must be 'real' or 'quadrature', got {basis!r}")
     q = np.empty((len(table), 2, 2))
     for first in range(0, len(table), _BLOCK_POINTS):
         theta2, phi = table[first:first + _BLOCK_POINTS].T.tolist()
-        states = _final_states(np.array(phi), math.pi / 4)[:, None]
+        states = _final_states(np.array(phi), ExperimentConfig.delta)[:, None]
         ideal = _born(states, _ALICE_HV, _bob_kets(theta2, basis))
         q[first:first + _BLOCK_POINTS] = ideal[..., 0].T.reshape(-1, 2, 2)
     return q

@@ -57,6 +57,8 @@ def _finite_grid(name: str, values, kind: str = "angles") -> np.ndarray:
     try:
         grid = np.asarray(values if isinstance(values, np.ndarray) else tuple(values),
                           dtype=float)
+    except OverflowError:  # an int too large for a float
+        raise ValueError(f"{name} must hold finite {kind} only") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be a sequence of {kind}: {exc}") from None
     if grid.ndim != 1:

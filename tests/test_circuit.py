@@ -839,7 +839,8 @@ class TestSampling:
             phi=3 * math.pi / 2, theta1=0.0, theta2=math.pi / 8))
         assert ct.sample_counts(dist, total, seed=7).tolist() == expected
 
-    @pytest.mark.parametrize("total", [2.5, 3.0, "10", None])
+    # a bool is no count of shots, although operator.index reads it as 0 or 1
+    @pytest.mark.parametrize("total", [2.5, 3.0, "10", None, True, False, np.True_])
     def test_non_integral_total_rejected(self, total):
         dist = ct.OutcomeDistribution(0.25, 0.25, 0.25, 0.25)
         with pytest.raises(TypeError):

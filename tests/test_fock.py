@@ -598,10 +598,11 @@ class TestTransformOracle:
         rng = np.random.default_rng(7)
         for phi, t1, t2 in rng.uniform(-math.pi, math.pi, (4, 3)).tolist():
             fock.physical_correlation(ct.ExperimentConfig(phi=phi, theta1=t1, theta2=t2), v)
-        # per overlap branch: 8 transforms, the source plate, the phi plate and
-        # the CH chain's 6, up to the gate; the arm rotations and the analyzer
-        # are matrices built at import and checked in test_gate_maps_and_analyzer
-        assert len(permanent_checked) == 4 * (16 if 0.0 < v < 1.0 else 8)
+        # per overlap branch: the CH chain's 6 transforms, up to the gate; S's
+        # ket enters as it leaves the phi plate, and the arm rotations and the
+        # analyzer are matrices built at import and checked in
+        # test_gate_maps_and_analyzer
+        assert len(permanent_checked) == 4 * (12 if 0.0 < v < 1.0 else 6)
 
     def test_gate_maps_and_analyzer(self, permanent_checked):
         # the gate maps, the analyzer's fixed maps and bsm_scan's pair are
@@ -615,7 +616,7 @@ class TestTransformOracle:
         # each import-time constant, rebuilt under the check
         for labels, kraus in fock._ANALYZER_KRAUS.items():
             rebuilt = fock._transfer(fock._ANALYZER_FIXED, ("c", "a"), labels)
-            assert np.array_equal(np.array(rebuilt), kraus)
+            assert np.array_equal(np.array(rebuilt) * [1.0, -1.0, 1.0, -1.0], kraus)
         for chain, stacks in ((fock._CZ_CHAIN, fock._CZ_KRAUS), (fock._CH_CHAIN, fock._CH_KRAUS)):
             for labels, kraus in zip(fock._PAIR_LABELS, stacks, strict=True):
                 assert np.array_equal(np.array(fock._transfer(chain, ("c", "s"), labels)), kraus)
@@ -624,10 +625,10 @@ class TestTransformOracle:
                                             for p, q in (("H", "V"), ("V", "H"))])
             (ket,) = fock._port_amplitudes(fock._run(pair, ARM_MAPS), ("c", "a")).values()
             assert np.array_equal(ket.reshape(4), fock._SCAN_KET)
-        # four input columns through the analyzer's 2 elements (3 label
+        # four input columns through the analyzer's beam splitter (3 label
         # pairs), the CZ chain's 4 and the CH chain's 6 (2 pairs each); the
         # scan's pair through the 2 arm rotations' element maps (2 pairs)
-        assert len(permanent_checked) == 4 * (3 * 2 + 2 * 4 + 2 * 6) + 2 * 2
+        assert len(permanent_checked) == 4 * (3 * 1 + 2 * 4 + 2 * 6) + 2 * 2
 
 
 class TestElementOracle:
@@ -773,6 +774,12 @@ class TestPipelineOracle:
 # the arm rotations on ports c and a as element maps, the path that the
 # module's one 4x4 matrix ``fock._ARM`` stands for
 ARM_MAPS = tuple(fock.polarization_map(port, gate) for port, gate in zip("ca", ct._FIXED_GATES[2:]))
+# the ancilla's half-wave plate at 0 as an element map, the path that the right
+# factor diag(1, -1, 1, -1) of each ``fock._ANALYZER_KRAUS`` term stands for
+ANCILLA_PLATE = fock.polarization_map("a", qs.waveplate("half", 0.0).matrix)
+# the source's half-wave plate at pi/8 on S, which turns its |V> into the
+# particle state at phi = 0
+SOURCE_PLATE = fock.polarization_map("s", qs.waveplate("half", math.pi / 8).matrix)
 
 
 class TestEarlyPostselection:
@@ -780,18 +787,29 @@ class TestEarlyPostselection:
 
     PORTS = ("s", "c", "a")
 
-    @pytest.mark.parametrize("labels", [("t0", "t0", "t0"), ("t1", "t0", "t0")],
+    @pytest.mark.parametrize("labels, v", [(("t0", "t0", "t0"), 1.0), (("t1", "t0", "t0"), 0.0)],
                              ids=["same", "distinct"])
-    def test_dropped_patterns_never_reach_postselection(self, labels):
+    def test_dropped_patterns_never_reach_postselection(self, monkeypatch, labels, v):
         rng = np.random.default_rng(19)
         t_s, t_c, t_a = labels
-        for phi, theta2, delta in rng.uniform(-2 * math.pi, 2 * math.pi, (25, 3)):
+        inputs = []  # the states physical_correlation runs through the gate chain
+        run = fock._run
+        monkeypatch.setattr(fock, "_run", lambda state, elements: (
+            inputs.append(state) if elements is fock._CH_CHAIN else None) or run(state, elements))
+        for phi, theta2, delta in rng.uniform(-2 * math.pi, 2 * math.pi, (25, 3)).tolist():
+            # the input as its optics made it: |V> on S through the source's
+            # plate and the phi plate, beside the source pair on (c, a)
             phase = fock.polarization_map("s", np.diag([1.0, np.exp(1j * phi)]))
-            state = fock._run(ModeState.from_patterns([
+            old = fock._run(ModeState.from_patterns([
                 ((Mode("s", "V", t_s), Mode("c", "H", t_c), Mode("a", "V", t_a)), 1.0 / SQRT2),
                 ((Mode("s", "V", t_s), Mode("c", "V", t_c), Mode("a", "H", t_a)),
                  np.exp(1j * delta) / SQRT2),
-            ]), (fock._SOURCE_PLATE, phase, *fock._CH_CHAIN))
+            ]), (SOURCE_PLATE, phase))
+            inputs.clear()
+            fock.physical_correlation(ct.ExperimentConfig(phi=phi, theta2=theta2, delta=delta), v)
+            (given,) = inputs
+            ref.assert_same_state(given, old.amps, 1e-15)
+            state = fock._run(given, fock._CH_CHAIN)
             kept, _ = state.postselect_one_per_port(self.PORTS)
             dropped = ModeState({p: a for p, a in state.amps.items() if p not in kept.amps})
             assert kept.amps and len(dropped.amps) > 2 * len(kept.amps)
@@ -802,9 +820,9 @@ class TestEarlyPostselection:
             for key, tensor in tensors.items():
                 got = tensor.reshape(2, 4) @ fock._ARM.T
                 assert np.max(np.abs(got - rotated[key].reshape(2, 4))) <= 1e-15
-            for angle in ct._bob_angles([float(theta2)]):
+            for angle in ct._bob_angles([theta2]):
                 plate = fock.polarization_map("c", qs.waveplate("half", angle / 2).matrix)
-                optics = (*ARM_MAPS, plate, *fock._ANALYZER_FIXED)
+                optics = (*ARM_MAPS, plate, ANCILLA_PLATE, *fock._ANALYZER_FIXED)
                 assert not fock._port_amplitudes(fock._run(dropped, optics), self.PORTS)
                 # so the kept patterns alone give the same tensors, byte for byte
                 full = fock._port_amplitudes(fock._run(state, optics), self.PORTS)
@@ -823,7 +841,7 @@ class TestAnalyzerFactorization:
     def test_matches_the_plate_run_through_the_optics(self, labels):
         for theta2 in self.ANGLES:
             plate = fock.polarization_map("c", qs.waveplate("half", theta2 / 2).matrix)
-            want = fock._transfer((plate, *fock._ANALYZER_FIXED), ("c", "a"), labels)
+            want = fock._transfer((plate, ANCILLA_PLATE, *fock._ANALYZER_FIXED), ("c", "a"), labels)
             got = fock._ANALYZER_KRAUS[labels] @ fock._plates([theta2])[0]
             assert len(got) == len(want) == (1 if labels[0] == labels[1] else 2)
             assert np.max(np.abs(got - np.array(want))) <= 1e-15, theta2
@@ -881,28 +899,29 @@ class TestFixedOptics:
     @pytest.fixture
     def built(self, monkeypatch):
         """Every element built from now on: the (port, polarization) modes of
-        an element map, or the kind and angle of a waveplate."""
+        an element map, or the label of a checked gate such as a waveplate."""
         built = []
-        linear_map, waveplate = fock._linear_map, fock.waveplate
+        linear_map, check_gate = fock._linear_map, qs.GateOp.__post_init__
 
         def counted_map(mode_list, matrix):
             built.append(tuple(mode_list))
             return linear_map(mode_list, matrix)
 
-        def counted_plate(kind, angle):
-            built.append((kind, angle))
-            return waveplate(kind, angle)
+        def counted_gate(gate):
+            built.append(gate.label)
+            check_gate(gate)
 
         monkeypatch.setattr(fock, "_linear_map", counted_map)
-        monkeypatch.setattr(fock, "waveplate", counted_plate)
+        monkeypatch.setattr(qs.GateOp, "__post_init__", counted_gate)
         return built
 
-    def test_physical_correlation_builds_its_three_plates(self, built):
-        # the phi phase plate as an element map; Bob's two theta2 plates are
-        # one stack written from cos and sin, so no waveplate GateOp
+    def test_physical_correlation_builds_no_element(self, built):
+        # phi enters through S's ket, not a plate's element map; Bob's two
+        # theta2 plates are one stack written from cos and sin, so no
+        # waveplate GateOp
         cfg = ct.ExperimentConfig(phi=2.0, theta1=0.3, theta2=-1.1, delta=0.9)
         fock.physical_correlation(cfg, 0.7)
-        assert built == [(("s", "H"), ("s", "V"))]
+        assert built == []
 
     def test_gate_maps_build_nothing_and_the_analyzer_its_plate(self, built):
         # the analyzer's plate comes from the same cos/sin stack: no element
@@ -936,24 +955,26 @@ print(json.dumps({f"{f}:{n}": c for (f, n), c in calls.items()}))
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         calls = json.loads(proc.stdout)
-        # the CZ chain (4), W and its inverse, the source plate, and the
-        # analyzer's plate on "a" and its PBS; the arm rotations are one
-        # 4x4 matrix, not element maps
-        assert calls["fock.py:_linear_map"] == 9
+        # the CZ chain (4), W and its inverse, and the analyzer's PBS; the
+        # arm rotations and the ancilla's plate are matrices, not element maps
+        assert calls["fock.py:_linear_map"] == 7
         assert calls["fock.py:_ppbs_map"] == 1
         assert calls["fock.py:_attenuation_map"] == 2
         assert calls["fock.py:_pbs_map"] == 1
         # the analyzer's fixed maps, one per pair of input temporal labels,
         # and the CZ and CH Kraus stacks, one per overlap branch
         assert calls["fock.py:_transfer"] == 3 + 2 + 2
+        # four input columns each: the PBS for 3 label pairs, the CZ chain's
+        # 4 and the CH chain's 6 elements for 2
+        assert calls["fock.py:transform"] == 4 * (3 * 1 + 2 * 4 + 2 * 6)
         assert "fock.py:_plates" not in calls
-        # unitarity: one GateOp check each for W and the two fixed
-        # waveplates, and for the circuit's four fixed gates, the two arm
-        # rotations among them, plus the Hadamard inside controlled-Hadamard
+        # unitarity: one GateOp check for W and for each of the circuit's
+        # four fixed gates, the two arm rotations among them, plus the
+        # Hadamard inside controlled-Hadamard; no waveplate
         assert calls["qstate.py:w_gate"] == 1
-        assert calls["qstate.py:waveplate"] == 2
+        assert "qstate.py:waveplate" not in calls
         assert calls["qstate.py:hadamard"] == 2
         assert calls["qstate.py:controlled_hadamard"] == 1
         assert calls["circuit.py:control_arm_rotation"] == 1
         assert calls["circuit.py:ancilla_arm_rotation"] == 1
-        assert calls["qstate.py:__post_init__"] == 8
+        assert calls["qstate.py:__post_init__"] == 6

@@ -1,8 +1,9 @@
-"""The input rules of ``qstate``, at every entry point that takes a scalar or an object.
+"""The input rules of ``qstate``, at every entry point that takes a scalar, a grid or an object.
 
 Each scalar argument is checked by ``qstate._finite`` (a finite real
-number) or ``qstate._unit_interval`` (a real number in [0, 1]), and each
-object argument by ``qstate._instance``.  A bad value raises a ValueError
+number) or ``qstate._unit_interval`` (a real number in [0, 1]), each grid
+by ``qstate._finite_grid`` and each object argument by
+``qstate._instance``.  A bad value raises a ValueError
 whose message starts with the argument's name, never a TypeError or an
 AttributeError from the code behind the check.
 """
@@ -135,15 +136,21 @@ def test_fractions_give_the_float_results():
     assert fock.physical_correlation(config, third) == fock.physical_correlation(config, 1 / 3)
 
 
+# an int too large for a float is a number, but not a finite one
+NOT_FINITE = [(10**400, 0.1), (0.1, -10**400)]
+
+
 @pytest.mark.parametrize("entry", [("0.1", 0.2), (0.1, "0.2"), (b"0.1", 0.2), "ab", (0.1,), None,
                                    ("0.1", "0.2"), (0.1, 0.2j), (0.1, np.complex128(0.2)),
-                                   (Fraction(1, 3), np.complex64(0.2)), (None, 0.2)])
+                                   (Fraction(1, 3), np.complex64(0.2)), (None, 0.2), *NOT_FINITE])
 def test_settings_that_are_not_pairs_of_numbers(entry):
     # the settings list, and the joints, which take their settings as plain
     # pairs, word a bad entry and an empty list alike
+    message = ("^settings must be finite$" if any(entry is bad for bad in NOT_FINITE)
+               else r"^settings must be \(theta2, phi\) pairs of numbers$")
     for call in (hv.SettingsList, hv.quantum_joints):
         for settings in ([(0.3, 0.4), entry], [entry]):
-            with pytest.raises(ValueError, match=r"^settings must be \(theta2, phi\) pairs of numbers$"):
+            with pytest.raises(ValueError, match=message):
                 call(settings)
         with pytest.raises(ValueError, match="^settings list must be nonempty$"):
             call([])
@@ -155,6 +162,34 @@ def test_joints_take_fractions_and_numpy_reals_as_the_equal_floats():
                      [(np.float64(1 / 3), np.float32(0.5)), (np.float16(0.25), np.int64(2))],
                      np.array([(1 / 3, 0.5), (0.25, 2.0)])):
         assert hv.quantum_joints(settings).tobytes() == want.tobytes()
+
+
+# (entry point, argument name, kind, call with one entry of the grid set to x):
+# each grid argument is checked by ``qstate._finite_grid``
+GRID_ARGUMENTS = [
+    ("correlation_surface", "theta2_grid", "angles",
+     lambda x: ct.correlation_surface(0.0, [0.3, x], [0.1])),
+    ("correlation_surface", "phi_grid", "angles", lambda x: ct.correlation_surface(0.0, [0.3], [x])),
+    ("chsh", "theta1_pair", "angles", lambda x: ct.chsh(0.1, theta1_pair=(0, x))),
+    ("chsh", "theta2_pair", "angles", lambda x: ct.chsh(0.1, theta2_pair=(x, 0.4))),
+    ("fit_visibility", "theta2_values", "angles",
+     lambda x: ct.fit_visibility([0.1, x], [0.5, 0.4], 0.0, 0.3)),
+    ("fit_visibility", "measured", "values",
+     lambda x: ct.fit_visibility([0.1, 0.2], [x, 0.4], 0.0, 0.3)),
+    ("hom_scan", "positions", "values", lambda x: fock.hom_scan(0.5, OverlapModel(), [0.0, x])),
+    ("bsm_scan", "positions", "values", lambda x: fock.bsm_scan(0.3, OverlapModel(), [x])),
+]
+
+
+@pytest.mark.parametrize("label, name, kind, call", GRID_ARGUMENTS,
+                         ids=[f"{label}-{name}" for label, name, _, _ in GRID_ARGUMENTS])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, -10**400],
+                         ids=["nan", "inf", "-inf", "int", "-int"])
+def test_grid_entry_that_is_not_finite_is_a_value_error_that_names_it(label, name, kind, call,
+                                                                       value):
+    # an int too large for a float is a number, but not a finite one
+    with pytest.raises(ValueError, match=f"^{name} must hold finite {kind} only$"):
+        call(value)
 
 
 # (entry point, argument name, call with the argument set to x): each object
@@ -236,7 +271,9 @@ def test_target_entries_that_are_not_real_numbers(entry):
         hv.feasibility([[[entry, 0.0], [0.5, 0.0]]], hv.SettingsList([(0.1, 0.2)]))
 
 
-@pytest.mark.parametrize("seed", ["x", 1.5, -1, np.int64(-1), np.float64(2.0), b"1", [1, -1], [0.5]])
+# None would draw fresh OS entropy, and a bool would act as seed 0 or 1
+@pytest.mark.parametrize("seed", ["x", 1.5, -1, np.int64(-1), np.float64(2.0), b"1", [1, -1], [0.5],
+                                  None, True, False, np.True_])
 def test_seed_that_seed_sequence_rejects_is_a_value_error(seed):
     dist = ct.OutcomeDistribution(0.25, 0.25, 0.25, 0.25)
     with pytest.raises(ValueError, match="^seed must be a non-negative integer or a sequence") as info:
