@@ -104,10 +104,6 @@ class OutcomeDistribution:
     def correlation(self) -> float:
         return self.p_pp - self.p_pm - self.p_mp + self.p_mm
 
-    @property
-    def alice_plus_marginal(self) -> float:
-        return self.p_pp + self.p_pm
-
 
 def initial_state(delta: float) -> StateVector:
     """|V>_S (x) (|HV> + e^{i delta}|VH>)_CA / sqrt2, register order (S, C, A)."""
@@ -372,14 +368,15 @@ def sample_counts(distribution: OutcomeDistribution, total: int, seed) -> np.nda
     are drawn from ``rng_stream(seed)``, one per remaining event at each
     binomial step, into one reused 512 KiB block, so the working set does
     not grow with ``total``.  ``total`` must be an integer (numpy integers
-    included, bools not); anything else raises ``TypeError``.  ``seed`` is
+    included, bools not) from 1 to the int64 maximum 2**63 - 1; anything else
+    raises ``TypeError``, and an integer out of that range a ValueError.  ``seed`` is
     what ``rng_stream`` takes; anything else raises a ValueError.
     """
     if isinstance(total, (bool, np.bool_)):  # operator.index reads a bool as 0 or 1
         raise TypeError(f"{type(total).__name__!r} object cannot be interpreted as an integer")
     total = operator.index(total)
-    if total < 1:
-        raise ValueError(f"total must be >= 1, got {total}")
+    if not 1 <= total < 2**63:  # what the int64 counts hold
+        raise ValueError(f"total must be from 1 to 2**63 - 1, got {total}")
     probs = _instance("distribution", distribution, OutcomeDistribution).as_array()
     rng = rng_stream(seed)
     counts = np.zeros(4, dtype=np.int64)

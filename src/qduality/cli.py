@@ -151,14 +151,6 @@ def _analyze_counts(path) -> list:
     return results
 
 
-def emit_counts(records, stream) -> None:
-    stream.write(COUNTS_HEADER + "\n")
-    for r in records:
-        stream.write(
-            f"{r.theta1!r},{r.theta2!r},{r.phi!r},{r.n_pp},{r.n_pm},{r.n_mp},{r.n_mm}\n"
-        )
-
-
 def correlation_with_error(record: CoincidenceRecord) -> CorrelationResult:
     """E from counts plus the multinomial error bar sqrt((1-E^2)/N)."""
     total = record.total
@@ -170,13 +162,15 @@ def correlation_with_error(record: CoincidenceRecord) -> CorrelationResult:
 
 
 def chsh_from_records(records) -> tuple:
-    """(S, sigma_S) from four records covering two angles per side.
+    """(S, sigma_S) from four records at one phi covering two angles per side.
 
     The sign pattern is |E(t1,t2) + E(t1,t2') - E(t1',t2) + E(t1',t2')|
     with t1 < t1' and t2 < t2'; sigma_S is the quadrature sum.
     """
     if len(records) != 4:
         raise ValueError(f"expected exactly 4 records, got {len(records)}")
+    if len({r.phi for r in records}) != 1:
+        raise ValueError("records must share one phi")
     theta1s = sorted({r.theta1 for r in records})
     theta2s = sorted({r.theta2 for r in records})
     if len(theta1s) != 2 or len(theta2s) != 2:
@@ -345,9 +339,10 @@ def _cmd_simulate(args) -> int:
         delta=args.delta, noise=_noise(args),
     )
     dist = circuit.coincidence_probabilities(config)
+    # drawn first, so that a --shots that sample_counts rejects prints nothing
+    counts = None if args.shots is None else circuit.sample_counts(dist, args.shots, args.seed)
     print(f"E={dist.correlation:.4f}")
-    if args.shots is not None:
-        counts = circuit.sample_counts(dist, args.shots, args.seed)
+    if counts is not None:
         print("counts=" + ",".join(str(int(c)) for c in counts))
     return EXIT_OK
 

@@ -247,13 +247,6 @@ class PostselectedMap:
         """Heralding probability for a maximally mixed input."""
         return float(np.real(np.trace(self.apply(np.eye(4, dtype=complex) / 4.0))))
 
-    @property
-    def coherent_operator(self) -> np.ndarray:
-        """The single Kraus operator, when the map is a pure rescaled unitary."""
-        if len(self.kraus) != 1:
-            raise ValueError("map is not coherent (multiple Kraus operators)")
-        return self.kraus[0]
-
 
 def _run(state: ModeState, elements) -> ModeState:
     """``state`` through a tuple of element maps, one ``transform`` each, in order."""

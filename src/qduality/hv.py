@@ -92,8 +92,11 @@ class HVModel:
         if not all(isinstance(w, numbers.Real) for w in weights):
             raise ValueError(f"weights must be real numbers, got {reprlib.repr(weights)}")
         exact = all(isinstance(w, (Fraction, int)) for w in weights)
-        if not exact and not all(map(math.isfinite, weights)):
-            raise ValueError("weights must be finite")
+        try:  # math.isfinite overflows on an int too large for a float
+            if not exact and not all(map(math.isfinite, weights)):
+                raise OverflowError
+        except OverflowError:
+            raise ValueError("weights must be finite") from None
         if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
         total = sum(weights)
@@ -153,15 +156,6 @@ class SettingsList:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def enumerate_strategies(num_settings: int) -> list:
-    """All deterministic strategies, ordered by (tag, outcome bits)."""
-    return [
-        HVStrategy(tag=tag, bob_outcomes="".join(outcomes))
-        for tag in _TAGS
-        for outcomes in itertools.product(_OUTCOMES, repeat=num_settings)
-    ]
 
 
 def _stats_for(tag: str, wave_probs):
@@ -293,6 +287,8 @@ def _validate_targets(targets, n):
         else:
             try:
                 entries = [_number(e) for e in entries]
+            except OverflowError:  # an int too large for a float
+                raise ValueError("target probabilities must be finite") from None
             except (TypeError, ValueError):  # None, a str or a complex entry
                 raise ValueError("target probabilities must be real numbers") from None
             if not all(map(math.isfinite, entries)):

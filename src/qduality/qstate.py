@@ -44,10 +44,11 @@ def _finite(name: str, value, kind: str = "angle") -> float:
 
 def _unit_interval(name: str, value):
     """``value`` if it is a real number in [0, 1]; else a ValueError that names ``name``."""
-    try:
-        if not isinstance(value, _COMPLEX) and 0.0 <= value <= 1.0:
+    try:  # an array with an axis is no number, even with one element; a list fails the comparison
+        if (not isinstance(value, _COMPLEX) and getattr(value, "ndim", 0) == 0
+                and 0.0 <= value <= 1.0):
             return value
-    except (TypeError, ValueError):  # a str or None; an array has no single truth value
+    except (TypeError, ValueError):  # a str or None
         pass
     raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
@@ -112,14 +113,6 @@ class StateVector:
         return float(abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2)
 
 
-def product_state(*kets) -> StateVector:
-    """Tensor product of single-qubit kets (each a length-2 array)."""
-    amps = np.array([1.0], dtype=complex)
-    for ket in kets:
-        amps = np.kron(amps, np.asarray(ket, dtype=complex))
-    return StateVector(amps)
-
-
 class _Operator:
     """A square operator whose size is read from its matrix."""
 
@@ -177,12 +170,6 @@ def _unit_ket(ket) -> np.ndarray:
     if not 1e-12 <= norm < math.inf:
         raise ValueError("cannot project onto a zero or non-finite vector")
     return vec / norm
-
-
-def projector_onto(ket) -> Projector:
-    """Rank-1 projector |k><k| onto a (normalized) ket."""
-    vec = _unit_ket(ket)
-    return Projector(np.outer(vec, vec.conj()))
 
 
 def _apply_matrix(amplitudes: np.ndarray, num_qubits: int, matrix: np.ndarray,
@@ -272,14 +259,6 @@ def controlled_hadamard() -> GateOp:
     mat = np.eye(4, dtype=complex)
     mat[2:, 2:] = hadamard().matrix
     return GateOp(mat, label="CH")
-
-
-def controlled_hadamard_decomposition() -> GateOp:
-    """The same gate built as (I (x) W) CZ (I (x) W+)."""
-    w = w_gate().matrix
-    iw = np.kron(np.eye(2), w)
-    mat = iw @ cz_gate().matrix @ iw.conj().T
-    return GateOp(mat, label="CH(W,CZ)")
 
 
 _BELL_KETS = {

@@ -18,6 +18,7 @@ from collections import defaultdict
 import numpy as np
 
 from qduality.fock import Mode
+from qduality.hv import HVStrategy
 
 SQRT2 = math.sqrt(2.0)
 PHI_MINUS = np.array([1, 0, 0, -1]) / SQRT2
@@ -104,6 +105,14 @@ def exact_wave_stats(cos_phi):
     """The wave tag's fringe statistics (cos^2(phi/2), sin^2(phi/2)) from cos(phi),
     exact for a Fraction."""
     return (1 + cos_phi) / 2, (1 - cos_phi) / 2
+
+
+def enumerate_strategies(num_settings):
+    """Every deterministic tagged strategy on ``num_settings`` settings, ordered by
+    (tag, outcome string): the columns of the LP over all strategies."""
+    return [HVStrategy(tag=tag, bob_outcomes="".join(outcomes))
+            for tag in ("particle", "wave")
+            for outcomes in itertools.product("+-", repeat=num_settings)]
 
 
 def printed_correlation(theta1, theta2, phi):

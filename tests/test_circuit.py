@@ -47,7 +47,7 @@ class TestParticleWave:
                            [1 / SQRT2, -1 / SQRT2], atol=1e-12)
 
     def test_wave_at_zero_is_v(self):
-        assert ct.wave_state(0.0).fidelity(qs.product_state(qs.KET_V)) == \
+        assert ct.wave_state(0.0).fidelity(qs.StateVector(qs.KET_V)) == \
             pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("phi", np.linspace(0, 2 * math.pi, 13))
@@ -121,7 +121,7 @@ class TestFinalState:
                 check(op)
 
             monkeypatch.setattr(cls, "__post_init__", counted)
-        qs.hadamard(), qs.projector_onto(qs.KET_H)
+        qs.hadamard(), qs.Projector(np.outer(qs.KET_H, qs.KET_H.conj()))
         assert built == ["GateOp", "Projector"]  # the count sees both kinds
         built.clear()
         ct._final_states(np.linspace(0.0, 6.0, 7), 0.4)
@@ -169,18 +169,18 @@ class TestProjectors:
         assert np.max(np.abs(total - np.eye(2))) < 1e-12
 
     def test_bob_zero_is_phi_minus(self):
-        expected = qs.projector_onto(qs.bell_ket("phi-")).matrix
+        expected = outer_products(qs.bell_ket("phi-"))
         assert np.allclose(bob_projectors(0.0)[0], expected, atol=1e-12)
 
     def test_bob_right_angle_is_psi_plus(self):
-        expected = qs.projector_onto(qs.bell_ket("psi+")).matrix
+        expected = outer_products(qs.bell_ket("psi+"))
         assert np.allclose(bob_projectors(math.pi / 2)[0], expected, atol=1e-12)
 
     def test_bob_quarter_in_local_basis(self):
         # algebraic expansion oracle: (|phi-> + |psi+>)/sqrt2 = (|HD> + |VA>)/sqrt2
         hd = np.kron(qs.KET_H, qs.KET_D)
         va = np.kron(qs.KET_V, qs.KET_A)
-        expected = qs.projector_onto((hd + va) / SQRT2).matrix
+        expected = outer_products((hd + va) / SQRT2)
         assert np.allclose(bob_projectors(math.pi / 4)[0], expected, atol=1e-12)
 
     def test_bob_minus_is_plus_at_rotated_angle(self):
@@ -508,8 +508,7 @@ class TestCorrelation:
                     dist = ct.coincidence_probabilities(
                         ct.ExperimentConfig(phi=phi, theta1=theta1,
                                             theta2=theta2))
-                    assert dist.alice_plus_marginal == pytest.approx(0.5,
-                                                                     abs=1e-10)
+                    assert dist.p_pp + dist.p_pm == pytest.approx(0.5, abs=1e-10)
 
 
 def chsh_of(correlation, phi, theta1_pair=(0.0, math.pi / 4),
@@ -866,6 +865,14 @@ class TestSampling:
         dist = ct.OutcomeDistribution(0.25, 0.25, 0.25, 0.25)
         with pytest.raises(ValueError):
             ct.sample_counts(dist, 0, seed=1)
+
+    # more events than int64 counts hold, rejected before any uniform is drawn
+    @pytest.mark.parametrize("total", [2**63, 10**20])
+    def test_total_beyond_int64_rejected(self, total):
+        dist = ct.OutcomeDistribution(0.25, 0.25, 0.25, 0.25)
+        message = rf"^total must be from 1 to 2\*\*63 - 1, got {total}$"
+        with pytest.raises(ValueError, match=message):
+            ct.sample_counts(dist, total, seed=1)
 
     def test_sample_mean_matches_analytic_correlation(self):
         # law of large numbers against the analytic value -0.85/sqrt2

@@ -102,10 +102,10 @@ class TestIngest:
             CoincidenceRecord(0.0, PI_8, PHI, 10, 20, 30, 40),
             CoincidenceRecord(PI_4, PI3_8, PHI, 1, 2, 3, 4),
         ]
-        buf = io.StringIO()
-        cli.emit_counts(records, buf)
+        # angles written as repr, as analyze writes them, read back bit for bit
         path = tmp_path / "counts.csv"
-        path.write_text(buf.getvalue())
+        path.write_text("".join([cli.COUNTS_HEADER + "\n"] + [
+            ",".join(map(repr, r)) + "\n" for r in records]))
         assert cli.ingest_counts(path) == records
 
 
@@ -175,6 +175,16 @@ class TestChshFromRecords:
             CoincidenceRecord(PI_4, PI3_8, PHI, 1, 1, 1, 1),
         ]
         with pytest.raises(ValueError):
+            cli.chsh_from_records(records)
+
+    def test_mixed_phi_rejected(self):
+        # the four correlations of one S are taken at one interferometer phase
+        records = [
+            CoincidenceRecord(t1, t2, phi, 250, 250, 250, 250)
+            for (t1, t2), phi in zip(((0.0, PI_8), (0.0, PI3_8), (PI_4, PI_8), (PI_4, PI3_8)),
+                                     (0.0, 0.0, 0.0, 5.0))
+        ]
+        with pytest.raises(ValueError, match="^records must share one phi$"):
             cli.chsh_from_records(records)
 
 
@@ -467,6 +477,15 @@ class TestCommands:
         assert captured.out == ""
         assert "--shots" in captured.err
 
+    def test_shots_beyond_int64_print_nothing(self, capsys):
+        # the counts are drawn before E is printed, and this many are refused at once
+        code = cli.main(["simulate", "--theta1", "0", "--theta2", "0",
+                         "--phi", "0", "--shots", "99999999999999999999"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (
+            "error: total must be from 1 to 2**63 - 1, got 99999999999999999999\n")
+
     def test_io_error_exit_code(self, capsys):
         assert cli.main(["analyze", "--from", "/nonexistent/file.csv"]) == 2
         capsys.readouterr()
@@ -656,6 +675,16 @@ class TestInputFileErrors:
         assert (code, captured.out) == (2, "")
         assert captured.err == (
             f"error: {path}: records must cover two theta1 and two theta2 values\n")
+
+    def test_chsh_records_at_two_phases_name_file(self, capsys, tmp_path, table_a1_path):
+        path = tmp_path / "f.csv"
+        rows = table_a1_path.read_text().splitlines()
+        path.write_text("\n".join(rows[:-1] + [rows[-1].replace(",4.71238898038469,", ",5,")])
+                        + "\n")
+        code = cli.main(["chsh", "--from", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {path}: records must share one phi\n"
 
     @pytest.mark.parametrize("body, line, message", [
         ("0.5,1.0\n0.1,abc\n", 3, "could not convert string to float: 'abc'"),

@@ -356,7 +356,7 @@ class TestPredictedJoint:
         wave_probs = [
             ref.exact_wave_stats(Fraction(c, 5)) for c in (-3, 0, 4)
         ]
-        strategies = hv.enumerate_strategies(3)
+        strategies = ref.enumerate_strategies(3)
         for _ in range(20):
             model = random_model(rng, strategies, exact=True)
             joints = hv.predicted_joint(model, settings, wave_probs=wave_probs)
@@ -378,7 +378,7 @@ class TestFeasibility:
                 for _ in range(n)
             ]
             settings = SettingsList(entries=entries)
-            model = random_model(rng, hv.enumerate_strategies(n))
+            model = random_model(rng, ref.enumerate_strategies(n))
             target = hv.predicted_joint(model, settings)
             result = hv.feasibility(target, settings)
             assert result.feasible
@@ -393,7 +393,7 @@ class TestFeasibility:
         settings = SettingsList(entries=[(0.2, math.pi / 2), (0.8, math.pi / 3)])
         wave_probs = [ref.exact_wave_stats(Fraction(0)),
                       ref.exact_wave_stats(Fraction(1, 2))]
-        strategies = hv.enumerate_strategies(2)
+        strategies = ref.enumerate_strategies(2)
         for _ in range(10):
             model = random_model(rng, strategies, exact=True)
             target = hv.predicted_joint(model, settings, wave_probs=wave_probs)
@@ -549,7 +549,7 @@ def enumerated_residual(targets, wave_probs, exact):
     n = len(targets)
     one = Fraction(1) if exact else 1.0
     zero = 0 * one
-    strategies = hv.enumerate_strategies(n)
+    strategies = ref.enumerate_strategies(n)
     m, num_e = len(strategies), 4 * n
     ineq = []
     for j in range(n):
@@ -604,7 +604,7 @@ def solver_cases(rng, n, exact):
         randoms = [rational_joint(rng) for _ in range(n)]
     else:
         randoms = [rng.dirichlet(np.ones(4)).reshape(2, 2) for _ in range(n)]
-    model = random_model(rng, hv.enumerate_strategies(n), exact=exact)
+    model = random_model(rng, ref.enumerate_strategies(n), exact=exact)
     tagged = hv.predicted_joint(model, settings, wave_probs=wave)
     return [(t, wave, settings) for t in (quantum, randoms, tagged)]
 
@@ -768,7 +768,7 @@ class TestExactOptimum:
         # so the only zero-residual wave weight is W = 0 or W = 1
         rng = np.random.default_rng(17)
         settings, wave = rational_settings([Fraction(1), Fraction(-2, 5), Fraction(3, 5)])
-        strategies = [s for s in hv.enumerate_strategies(3) if s.tag == tag]
+        strategies = [s for s in ref.enumerate_strategies(3) if s.tag == tag]
         for _ in range(3):
             targets = hv.predicted_joint(random_model(rng, strategies, exact=True), settings,
                                          wave_probs=wave)
@@ -800,7 +800,7 @@ class TestExactOptimum:
             targets = [rational_joint(rng) for _ in range(3)]
             result = hv.feasibility(targets, settings, wave_probs=wave)
             assert result.residual == enumerated_residual(targets, wave, exact=True)
-            model = random_model(rng, hv.enumerate_strategies(3), exact=True)
+            model = random_model(rng, ref.enumerate_strategies(3), exact=True)
             targets = hv.predicted_joint(model, settings, wave_probs=wave)
             result = hv.feasibility(targets, settings, wave_probs=wave)
             assert result.feasible and result.residual == 0
@@ -889,7 +889,7 @@ class TestIntegerCut:
             if i % 2:
                 targets = [rational_joint(rng) for _ in range(n)]
             else:
-                model = random_model(rng, hv.enumerate_strategies(n), exact=True)
+                model = random_model(rng, ref.enumerate_strategies(n), exact=True)
                 targets = hv.predicted_joint(model, settings, wave_probs=wave)
             result = self.assert_identities(targets, settings, wave)
             assert result.residual == 0 or i % 2

@@ -68,8 +68,9 @@ ENTRY_POINTS = [
     ("quantum_joint", "phi", "finite", lambda x: hv.quantum_joint(0.3, x)),
 ]
 
+# an array with an axis is no scalar, even when it holds one value in range
 NOT_NUMBERS = ["x", None, 1j, np.complex128(0.5), np.complex64(0.5), np.array([0.1, 0.2]),
-               math.nan, math.inf, -math.inf]
+               np.array([0.5]), math.nan, math.inf, -math.inf]
 OUTSIDE_UNIT_INTERVAL = [-0.1, 1.5]
 
 
@@ -116,7 +117,7 @@ def test_large_int_is_a_value_error():
 
 def test_rules_keep_the_value_as_given():
     # the finite rule keeps the value as a Python float, for arrays and labels
-    for value in (0.25, 1, np.float64(0.5), Fraction(1, 3)):
+    for value in (0.25, 1, np.float64(0.5), np.array(0.5), Fraction(1, 3)):
         finite = qs._finite("x", value)
         assert type(finite) is float and finite == float(value)
         assert qs._unit_interval("x", value) is value
@@ -138,6 +139,15 @@ def test_fractions_give_the_float_results():
 
 # an int too large for a float is a number, but not a finite one
 NOT_FINITE = [(10**400, 0.1), (0.1, -10**400)]
+
+
+@pytest.mark.parametrize("huge", [10**400, -10**400])
+def test_int_too_large_for_a_float_among_floats_is_not_finite(huge):
+    strategies = (hv.HVStrategy("wave", "+"), hv.HVStrategy("particle", "+"))
+    with pytest.raises(ValueError, match="^weights must be finite$"):
+        hv.HVModel(strategies, (huge, 0.5))
+    with pytest.raises(ValueError, match="^target probabilities must be finite$"):
+        hv.feasibility([[[huge, 0.0], [0, 0.5]]], hv.SettingsList([(0.1, 0.2)]))
 
 
 @pytest.mark.parametrize("entry", [("0.1", 0.2), (0.1, "0.2"), (b"0.1", 0.2), "ab", (0.1,), None,

@@ -7,6 +7,7 @@ from qduality import qstate as qs
 from qduality.circuit import final_state, particle_state, wave_state
 
 SQRT2 = math.sqrt(2.0)
+PROJ_H = qs.Projector(np.outer(qs.KET_H, qs.KET_H.conj()))
 
 
 def random_state(rng, n):
@@ -22,13 +23,13 @@ def random_unitary(rng, dim):
 
 class TestApplyGate:
     def test_identity_returns_same_state(self):
-        state = qs.product_state(qs.KET_D, qs.KET_R)
+        state = qs.StateVector(np.kron(qs.KET_D, qs.KET_R))
         ident = qs.GateOp(np.eye(2), label="I")
         out = qs.apply_gate(state, ident, (1,))
         assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_hadamard_on_v(self):
-        out = qs.apply_gate(qs.product_state(qs.KET_V), qs.hadamard(), (0,))
+        out = qs.apply_gate(qs.StateVector(qs.KET_V), qs.hadamard(), (0,))
         assert np.allclose(out.amplitudes, [1 / SQRT2, -1 / SQRT2], atol=1e-12)
 
     def test_ch_turns_particle_into_wave_when_control_v(self):
@@ -61,12 +62,12 @@ class TestApplyGate:
             assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-12
 
     def test_dimension_mismatch_rejected(self):
-        state = qs.product_state(qs.KET_H, qs.KET_H)
+        state = qs.StateVector(np.kron(qs.KET_H, qs.KET_H))
         with pytest.raises(ValueError):
             qs.apply_gate(state, qs.hadamard(), (0, 1))
 
     def test_bad_targets_rejected(self):
-        state = qs.product_state(qs.KET_H, qs.KET_H)
+        state = qs.StateVector(np.kron(qs.KET_H, qs.KET_H))
         with pytest.raises(ValueError):
             qs.apply_gate(state, qs.controlled_hadamard(), (0, 0))
         with pytest.raises(ValueError):
@@ -120,10 +121,9 @@ class TestPhaseShifter:
                            atol=1e-12)
 
     def test_quarter_turn_maps_d_to_l(self):
-        out = qs.apply_gate(qs.product_state(qs.KET_D),
+        out = qs.apply_gate(qs.StateVector(qs.KET_D),
                             qs.phase_shifter(math.pi / 2), (0,))
-        assert out.fidelity(qs.product_state(qs.KET_L)) == pytest.approx(1.0,
-                                                                         abs=1e-12)
+        assert out.fidelity(qs.StateVector(qs.KET_L)) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
     def test_non_finite_phase_rejected(self, phi):
@@ -134,14 +134,14 @@ class TestPhaseShifter:
 
 class TestControlledHadamard:
     def test_control_off_identity(self):
-        state = qs.product_state(qs.KET_H, qs.KET_V)  # (control, target)
+        state = qs.StateVector(np.kron(qs.KET_H, qs.KET_V))  # (control, target)
         out = qs.apply_gate(state, qs.controlled_hadamard(), (0, 1))
         assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_control_on_hadamard(self):
-        state = qs.product_state(qs.KET_V, qs.KET_V)
+        state = qs.StateVector(np.kron(qs.KET_V, qs.KET_V))
         out = qs.apply_gate(state, qs.controlled_hadamard(), (0, 1))
-        expected = qs.product_state(qs.KET_V, qs.KET_A)
+        expected = qs.StateVector(np.kron(qs.KET_V, qs.KET_A))
         assert out.fidelity(expected) == pytest.approx(1.0, abs=1e-12)
 
     def test_w_conjugation_of_z_is_hadamard(self):
@@ -150,9 +150,10 @@ class TestControlledHadamard:
         assert np.max(np.abs(wzw - qs.hadamard().matrix)) < 1e-12
 
     def test_decomposition_matches_block_form(self):
-        direct = qs.controlled_hadamard().matrix
-        decomposed = qs.controlled_hadamard_decomposition().matrix
-        assert np.max(np.abs(direct - decomposed)) < 1e-12
+        # CH = (I (x) W) CZ (I (x) W+), the identity the Fock gate chain wraps
+        iw = np.kron(np.eye(2), qs.w_gate().matrix)
+        decomposed = iw @ qs.cz_gate().matrix @ iw.conj().T
+        assert np.max(np.abs(qs.controlled_hadamard().matrix - decomposed)) < 1e-12
 
 
 class TestBellStates:
@@ -179,19 +180,18 @@ class TestBellStates:
 
 class TestOutcomeProbability:
     def test_certain_outcome(self):
-        proj = qs.projector_onto(qs.KET_H)
-        assert qs.outcome_probability(qs.product_state(qs.KET_H), proj, (0,)) == \
+        assert qs.outcome_probability(qs.StateVector(qs.KET_H), PROJ_H, (0,)) == \
             pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_half(self):
-        proj = qs.projector_onto(qs.KET_H)
-        assert qs.outcome_probability(qs.product_state(qs.KET_D), proj, (0,)) == \
+        assert qs.outcome_probability(qs.StateVector(qs.KET_D), PROJ_H, (0,)) == \
             pytest.approx(0.5, abs=1e-12)
 
     def test_bell_projector_on_entangled_final_state(self):
         # oracle: explicit summation of <psi|P|psi> over basis indices
         state = final_state(math.pi / 2, math.pi / 4)
-        proj = qs.projector_onto(qs.bell_state("psi+").amplitudes)
+        ket = qs.bell_ket("psi+")
+        proj = qs.Projector(np.outer(ket, ket.conj()))
         embedded = np.kron(np.eye(2), proj.matrix)
         expected = 0.0
         for i in range(8):
@@ -204,15 +204,14 @@ class TestOutcomeProbability:
         assert got == pytest.approx(0.5, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        proj = qs.projector_onto(qs.KET_H)
         with pytest.raises(ValueError):
-            qs.outcome_probability(qs.product_state(qs.KET_H, qs.KET_H),
-                                   proj, (0, 1))
+            qs.outcome_probability(qs.StateVector(np.kron(qs.KET_H, qs.KET_H)),
+                                   PROJ_H, (0, 1))
 
 
 class TestSchmidt:
     def test_product_state(self):
-        state = qs.product_state(qs.KET_H, qs.KET_V)
+        state = qs.StateVector(np.kron(qs.KET_H, qs.KET_V))
         coeffs = qs.schmidt_coefficients(state, (0,))
         assert np.allclose(coeffs, [1.0, 0.0], atol=1e-12)
 
@@ -260,7 +259,7 @@ class TestValidation:
 
     def test_fidelity_across_register_sizes_rejected(self):
         with pytest.raises(ValueError, match="fidelity requires equal register sizes"):
-            qs.product_state(qs.KET_H).fidelity(qs.bell_state("psi+"))
+            qs.StateVector(qs.KET_H).fidelity(qs.bell_state("psi+"))
 
     def test_sizes_come_from_the_arrays(self):
         for n in range(1, 5):
@@ -305,14 +304,14 @@ class TestValidation:
     def test_zero_or_non_finite_ket_rejected(self, ket):
         # raised before the division by the norm, which warns on NaN and inf
         with pytest.raises(ValueError, match="zero or non-finite"):
-            qs.projector_onto(ket)
+            qs._unit_ket(ket)
 
     def test_nan_probability_rejected(self):
         # a state that skipped validation still cannot yield a NaN probability
         state = object.__new__(qs.StateVector)
         object.__setattr__(state, "amplitudes", np.array([math.nan, 0.0], dtype=complex))
         with pytest.raises(ValueError, match="outside"):
-            qs.outcome_probability(state, qs.projector_onto(qs.KET_H), (0,))
+            qs.outcome_probability(state, PROJ_H, (0,))
 
     def test_states_are_immutable(self):
         state = qs.bell_state("phi+")
