@@ -212,12 +212,11 @@ def coincidence_probabilities(config: ExperimentConfig) -> OutcomeDistribution:
     Noise is applied at the probability level: the ideal distribution is
     mixed with the uniform one, first by the visibility and then by the
     background fraction, so the correlation scales as (1-b)*V while fair
-    marginals stay fair.  The ideal part is the surface kernel's ``_born``
-    on one state and one theta2 row.
+    marginals stay fair.  The ideal part is ``_joints`` at the one setting.
     """
     _instance("config", config, ExperimentConfig)
-    states = _final_states(np.array([config.phi]), config.delta)
-    ideal = _born(states, _alice_kets(config.theta1), _bob_kets([config.theta2]))[:, 0, 0]
+    ideal = _joints(np.array([config.theta2]), np.array([config.phi]),
+                    _alice_kets(config.theta1), config.delta, "real")[0].ravel()
     scale = config.noise.correlation_scale
     return OutcomeDistribution(*np.clip(scale * ideal + (1.0 - scale) * 0.25, 0.0, 1.0))
 
@@ -298,6 +297,20 @@ def _born(states: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     if outside.any():
         raise ValueError(f"probability {ideal[outside][0]} outside [0, 1]")
     return np.clip(ideal, 0.0, 1.0)
+
+
+def _joints(theta2, phi, alice, delta: float, basis: str) -> np.ndarray:
+    """Fresh (n, 2, 2) Born probabilities q[j, a, b] at n checked settings (theta2[j], phi[j]).
+
+    One paired ``_born`` call per block of settings: each state
+    final_state(phi[j], delta) meets only its own setting's Bob kets.
+    """
+    q = np.empty((len(phi), 2, 2))
+    for first in range(0, len(phi), _BLOCK_POINTS):
+        rows = slice(first, first + _BLOCK_POINTS)
+        kets = _bob_kets(theta2[rows].tolist(), basis)
+        q[rows] = _born(_final_states(phi[rows], delta)[:, None], alice, kets)[..., 0].T.reshape(-1, 2, 2)
+    return q
 
 
 def correlation_surface(theta1: float,

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuit import ExperimentConfig, _BLOCK_POINTS, _born, _bob_kets, _final_states
+from .circuit import ExperimentConfig, _joints
 from .qstate import _COMPLEX, _finite, _instance
 
 FEASIBILITY_TOL = 1e-9
@@ -89,27 +89,40 @@ class HVModel:
             raise ValueError("strategies and weights must be equal-length, nonempty")
         if not all(isinstance(s, HVStrategy) for s in strategies):
             raise ValueError(f"strategies must be HVStrategy instances, got {reprlib.repr(strategies)}")
-        if not all(isinstance(w, numbers.Real) for w in weights):
-            raise ValueError(f"weights must be real numbers, got {reprlib.repr(weights)}")
-        exact = all(isinstance(w, (Fraction, int)) for w in weights)
-        try:  # math.isfinite overflows on an int too large for a float
-            if not exact and not all(map(math.isfinite, weights)):
-                raise OverflowError
-        except OverflowError:
-            raise ValueError("weights must be finite") from None
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative")
-        total = sum(weights)
-        if exact:
-            if total != 1:
-                raise ValueError(f"weights sum to {total}, expected exactly 1")
-        elif abs(float(total) - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {total}, expected 1 within 1e-12")
+        object.__setattr__(self, "weights", tuple(_probabilities("weights", weights, sum_tol=1e-12)))
         n = len(strategies[0].bob_outcomes)
         if any(len(s.bob_outcomes) != n for s in strategies):
             raise ValueError("all strategies must cover the same settings")
         object.__setattr__(self, "strategies", strategies)
-        object.__setattr__(self, "weights", weights)
+
+
+def _probabilities(name: str, values, slack=0.0, sum_tol=1e-9) -> list:
+    """``values`` as one probability distribution; else a ValueError that starts with ``name``.
+
+    Fractions and ints come back as Fractions of Python ints (numpy ones
+    cannot hash), in [0, 1] and summing to 1 exactly.  Other real numbers
+    come back as floats: finite, within ``slack`` of [0, 1] and clamped into
+    it, and summing to 1 within ``sum_tol`` with only their negatives clamped.
+    """
+    exact = all(isinstance(v, (Fraction, int)) for v in values)
+    if not (exact or all(isinstance(v, numbers.Real) for v in values)):  # a str, None or complex
+        raise ValueError(f"{name} must be real numbers, got {reprlib.repr(values)}")
+    try:  # float overflows on an int too large for it
+        probs = [Fraction(int(v.numerator), int(v.denominator)) if exact else float(v) for v in values]
+        if not (exact or all(map(math.isfinite, probs))):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got {reprlib.repr(values)}") from None
+    slack = 0 if exact else slack
+    if not all(-slack <= p <= 1 + slack for p in probs):
+        raise ValueError(f"{name} must lie in [0, 1], got {reprlib.repr(values)}")
+    if not exact:
+        probs = [max(0.0, p) for p in probs]
+    total = sum(probs)
+    if not (total == 1 if exact else abs(total - 1.0) <= sum_tol):
+        within = "" if exact else f" within {sum_tol:g}"
+        raise ValueError(f"{name} must sum to 1{within}, got {total}")
+    return probs if exact else [min(p, 1.0) for p in probs]
 
 
 def _number(value) -> float:
@@ -158,28 +171,28 @@ class SettingsList:
         return len(self.entries)
 
 
-def _stats_for(tag: str, wave_probs):
-    return (Fraction(1, 2), Fraction(1, 2)) if tag == TAG_PARTICLE else wave_probs
-
-
 def predicted_joint(model: HVModel, settings: SettingsList, wave_probs=None):
     """Per-setting joint distributions p(s, b) implied by the model.
 
     ``wave_probs`` optionally overrides the per-setting fringe statistics
     (e.g. with exact Fractions); by default they are computed from each
     setting's phi.  Returns a list of 2x2 nested lists indexed [s][b] with
-    b = 0 for '+' and 1 for '-'.
+    b = 0 for '+' and 1 for '-'.  Every entry is a Fraction when the weights
+    and the wave statistics are, and a float otherwise.
     """
     n = len(_instance("settings", settings, SettingsList))
     if len(_instance("model", model, HVModel).strategies[0].bob_outcomes) != n:
         raise ValueError("model strategies do not cover the settings list")
     wave_probs = _wave_probs(wave_probs, settings)
+    number = Fraction if all(isinstance(v, Fraction)
+                             for v in itertools.chain(model.weights, *wave_probs)) else float
+    weights, zero, half = [number(w) for w in model.weights], number(0), number(1) / 2
     joints = []
     for j in range(n):
-        table = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
-        for strategy, weight in zip(model.strategies, model.weights):
+        table = [[zero, zero], [zero, zero]]
+        for strategy, weight in zip(model.strategies, weights):
             b = _OUTCOMES.index(strategy.bob_outcomes[j])
-            stats = _stats_for(strategy.tag, wave_probs[j])
+            stats = (half, half) if strategy.tag == TAG_PARTICLE else wave_probs[j]
             for s in (0, 1):
                 table[s][b] += weight * stats[s]
         joints.append(table)
@@ -199,20 +212,14 @@ def quantum_joints(settings, basis: str = "real") -> np.ndarray:
     projects the pair.  ``basis="real"`` uses the real tunable
     superposition cos|phi-> + sin|psi+> and its orthogonal partner at
     theta2 + pi/2; ``basis="quadrature"`` uses the +-i superposition pair,
-    which is a valid measurement only at theta2 = pi/4 + k pi/2.  Per block
-    of settings, the circuit's ``_born`` pairs each state ``final_state(phi)``
-    with its own setting's kets only.
+    which is a valid measurement only at theta2 = pi/4 + k pi/2.  The
+    circuit's ``_joints`` computes the tables, as it does for
+    ``coincidence_probabilities``.
     """
-    table = _settings_table(settings)
+    theta2, phi = _settings_table(settings).T
     if basis not in ("real", "quadrature"):
         raise ValueError(f"basis must be 'real' or 'quadrature', got {basis!r}")
-    q = np.empty((len(table), 2, 2))
-    for first in range(0, len(table), _BLOCK_POINTS):
-        theta2, phi = table[first:first + _BLOCK_POINTS].T.tolist()
-        states = _final_states(np.array(phi), ExperimentConfig.delta)[:, None]
-        ideal = _born(states, _ALICE_HV, _bob_kets(theta2, basis))
-        q[first:first + _BLOCK_POINTS] = ideal[..., 0].T.reshape(-1, 2, 2)
-    return q
+    return _joints(theta2, phi, _ALICE_HV, ExperimentConfig.delta, basis)
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,21 +229,6 @@ class FeasibilityResult:
     model: HVModel | None
     method: str  # "exact" or "float"
     cuts: int  # Kelley cuts made, in both loops when a float solve reaches the cap
-
-
-def _python_fraction(value):
-    """A Fraction or int as a Fraction of Python ints (numpy ones cannot hash); others as is."""
-    if isinstance(value, (Fraction, int)):
-        return Fraction(int(value.numerator), int(value.denominator))
-    return value
-
-
-def _sums_to_one(values) -> bool:
-    """Exactly for Fractions and ints, within 1e-9 otherwise."""
-    total = sum(values)
-    if all(isinstance(v, (Fraction, int)) for v in values):
-        return total == 1
-    return abs(float(total) - 1.0) <= 1e-9
 
 
 def _length(name: str, values) -> int:
@@ -254,52 +246,24 @@ def _wave_probs(wave_probs, settings: SettingsList) -> list:
     if _length("wave_probs", wave_probs) != len(settings):
         raise ValueError("wave_probs must align with the settings list")
     try:
-        wave_probs = [tuple(map(_python_fraction, pair)) for pair in wave_probs]
+        pairs = [tuple(pair) for pair in wave_probs]
     except TypeError:  # an entry that is not a sequence
-        wave_probs = [()]
-    if not all(len(pair) == 2 for pair in wave_probs):
+        pairs = [()]
+    if not all(len(pair) == 2 for pair in pairs):
         raise ValueError("wave_probs must hold one pair of numbers per setting")
-    if not all(isinstance(w, numbers.Real) and 0 <= w <= 1  # NaN fails too
-               for pair in wave_probs for w in pair):
-        raise ValueError("wave statistics must lie in [0, 1]")
-    if not all(_sums_to_one(pair) for pair in wave_probs):
-        raise ValueError("wave statistics must sum to 1")
-    return wave_probs
+    return [_probabilities("wave_probs", pair) for pair in pairs]
 
 
 def _validate_targets(targets, n):
     if _length("targets", targets) != n:
         raise ValueError("targets must align with the settings list")
-    flat = []
-    for table in targets:
-        try:
-            rows = [list(r) for r in table]
-        except TypeError:  # a table or a row that is not a sequence
-            rows = []
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise ValueError("each target must be a 2x2 joint distribution")
-        entries = [rows[s][b] for s in (0, 1) for b in (0, 1)]
-        exact = all(isinstance(e, (Fraction, int)) for e in entries)
-        if exact:
-            entries = [_python_fraction(e) for e in entries]
-            if any(e < 0 for e in entries):
-                raise ValueError("target probabilities must be nonnegative")
-        else:
-            try:
-                entries = [_number(e) for e in entries]
-            except OverflowError:  # an int too large for a float
-                raise ValueError("target probabilities must be finite") from None
-            except (TypeError, ValueError):  # None, a str or a complex entry
-                raise ValueError("target probabilities must be real numbers") from None
-            if not all(map(math.isfinite, entries)):
-                raise ValueError("target probabilities must be finite")
-            if any(e < -1e-12 for e in entries):
-                raise ValueError("target probabilities must be nonnegative")
-            entries = [max(0.0, e) for e in entries]
-        if not _sums_to_one(entries):
-            raise ValueError("each target distribution must sum to 1")
-        flat.append(entries)
-    return flat
+    try:
+        tables = [[list(row) for row in table] for table in targets]
+    except TypeError:  # a table or a row that is not a sequence
+        tables = [[]]
+    if not all(len(rows) == 2 and len(rows[0]) == len(rows[1]) == 2 for rows in tables):
+        raise ValueError("each target must be a 2x2 joint distribution")
+    return [_probabilities("targets", rows[0] + rows[1], slack=1e-12) for rows in tables]
 
 
 def _distance_pieces(q, k, one=1):
@@ -428,8 +392,6 @@ def _float_cut(flat_targets, wave_probs):
     # a candidate whose x is within rounding of 0 or W counts as inside:
     # dropping the one that carries r_j's one-sided slope would tilt the cut
     x_err = _FLOAT_ROUNDING * (abs(p) + abs(r) + 1)
-    index = np.indices(slopes.shape[1:])
-    settings = np.arange(len(k))
 
     def cut(w, side):
         x = p * w + r
@@ -437,10 +399,10 @@ def _float_cut(flat_targets, wave_probs):
                   & _lex_nonnegative(w - x, side * (1 - p), x_err))
         x = np.clip(x, 0.0, w)
         values = a * x + (b * w + c)
-        pick = (_lex_argmax(values, side * slopes), *index)  # the largest piece of each max
-        value, slope = values[pick].sum(axis=0), slopes[pick].sum(axis=0)
+        pick = _lex_argmax(values, side * slopes)[None]  # the largest piece of each max
+        value, slope = (np.take_along_axis(z, pick, 0)[0].sum(axis=0) for z in (values, slopes))
         pick = _lex_argmax(np.where(inside, -value, -np.inf), -side * slope)  # the smallest candidate
-        value, slope, x = (z[pick, settings] for z in (value, slope, x))
+        value, slope, x = (np.take_along_axis(z, pick[None], 0)[0] for z in (value, slope, x))
         j = _lex_argmax(value, side * slope)
         return (float(slope[j]), float(value[j] - slope[j] * w)), x
 
@@ -541,8 +503,7 @@ def feasibility(targets, settings: SettingsList, wave_probs=None) -> Feasibility
     flat_targets = _validate_targets(targets, len(_instance("settings", settings, SettingsList)))
     wave_probs = _wave_probs(wave_probs, settings)
 
-    exact = all(isinstance(v, (Fraction, int))
-                for v in itertools.chain(*flat_targets, *wave_probs))
+    exact = all(isinstance(v, Fraction) for v in itertools.chain(*flat_targets, *wave_probs))
     if exact:
         cuts, (wave_weight, residual, wave_plus) = _kelley(
             _exact_cut(flat_targets, wave_probs), Fraction(1))

@@ -30,8 +30,8 @@ KET_L = np.array([1.0, 1.0j], dtype=complex) / _SQRT2
 _COMPLEX = (complex, np.complexfloating)
 
 
-# The package's input rules: each scalar, grid or object argument is checked
-# by one of these four, which raise a ValueError that starts with its name.
+# The package's input rules: one of these four checks each scalar, grid or object argument,
+# and hv's ``_probabilities`` each distribution, with a ValueError that starts with its name.
 def _finite(name: str, value, kind: str = "angle") -> float:
     """``float(value)`` if it is a finite real number; else a ValueError that names ``name``."""
     try:  # math.isfinite rejects a str or None, and overflows on an int too large
@@ -44,8 +44,9 @@ def _finite(name: str, value, kind: str = "angle") -> float:
 
 def _unit_interval(name: str, value):
     """``value`` if it is a real number in [0, 1]; else a ValueError that names ``name``."""
-    try:  # an array with an axis is no number, even with one element; a list fails the comparison
+    try:  # an array with an axis, or of complex dtype, is no number; a list fails the comparison
         if (not isinstance(value, _COMPLEX) and getattr(value, "ndim", 0) == 0
+                and getattr(getattr(value, "dtype", None), "kind", "") != "c"
                 and 0.0 <= value <= 1.0):
             return value
     except (TypeError, ValueError):  # a str or None

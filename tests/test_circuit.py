@@ -391,6 +391,19 @@ class TestCoincidences:
             assert np.all(probs >= -1e-12)
             assert abs(probs.sum() - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    def test_joints_of_a_block_are_each_setting_alone(self, n):
+        # _joints pairs each state with its own setting's kets, across blocks of
+        # settings; the noiseless coincidences of one setting give the same bits
+        rng = np.random.default_rng(500 + n)
+        theta1, delta = rng.uniform(-7.0, 7.0), rng.uniform(-10.0, 10.0)
+        theta2, phi = rng.uniform(-10.0, 10.0, n), rng.uniform(-15.0, 15.0, n)
+        q = ct._joints(theta2, phi, ct._alice_kets(theta1), delta, "real")
+        assert q.shape == (n, 2, 2) and q.flags.owndata
+        for j in range(n):
+            config = ct.ExperimentConfig(phi[j], theta1, theta2[j], delta)
+            assert ct.coincidence_probabilities(config).as_array().tobytes() == q[j].tobytes()
+
     def test_invalid_noise_rejected(self):
         with pytest.raises(ValueError):
             ct.NoiseParams(visibility=1.2)

@@ -261,6 +261,29 @@ class TestPredictedJoint:
         assert table[0][1] == pytest.approx(0.25)
         assert table[1][1] == pytest.approx(0.25)
 
+    def test_unreached_cells_take_the_joint_number_type(self):
+        # a float joint holds floats only, so json takes it; an exact one holds Fractions only
+        settings = SettingsList([(0.0, 1.0)])
+        (table,) = hv.predicted_joint(HVModel((WAVE_PLUS,), (1.0,)), settings)
+        assert [type(v) for row in table for v in row] == [float] * 4
+        assert table[0][1] == table[1][1] == 0.0
+        assert json.loads(json.dumps(table)) == table
+        exact = HVModel((WAVE_PLUS, HVStrategy("particle", "+")), (Fraction(1, 3), Fraction(2, 3)))
+        (table,) = hv.predicted_joint(exact, settings, [(Fraction(3, 4), Fraction(1, 4))])
+        assert table == [[Fraction(7, 12), 0], [Fraction(5, 12), 0]]
+        assert [type(v) for row in table for v in row] == [Fraction] * 4
+
+    def test_exact_weights_with_float_wave_statistics_give_floats(self):
+        # a Fraction weight meets a float wave statistic: every cell is a float,
+        # the particle halves and the unreached cells too, with the mixed sums' values
+        model = HVModel((WAVE_PLUS, HVStrategy("particle", "+")), (Fraction(1, 3), Fraction(2, 3)))
+        settings = SettingsList([(0.0, 1.0)])
+        (table,) = hv.predicted_joint(model, settings)
+        p0, p1 = hv.wave_stats(1.0)
+        assert table == [[Fraction(1, 3) * p0 + Fraction(1, 3), 0.0],
+                         [Fraction(1, 3) * p1 + Fraction(1, 3), 0.0]]
+        assert [type(v) for row in table for v in row] == [float] * 4
+
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValueError):
             HVModel(
@@ -303,13 +326,13 @@ class TestPredictedJoint:
         assert reprlib.repr((strategies, weights)[name == "weights"]) in str(info.value)
 
     @pytest.mark.parametrize("wave, message", [
-        ([(2, -1)], "wave statistics must lie in [0, 1]"),
-        ([(math.nan, 0.5)], "wave statistics must lie in [0, 1]"),
-        ([(0.5, -math.inf)], "wave statistics must lie in [0, 1]"),
-        ([(0.5, 0.4)], "wave statistics must sum to 1"),
-        ([(Fraction(1, 2), Fraction(1, 3))], "wave statistics must sum to 1"),
-        ([("0.5", "0.5")], "wave statistics must lie in [0, 1]"),
-        ([(0.5, 0.5j)], "wave statistics must lie in [0, 1]"),
+        ([(2, -1)], "wave_probs must lie in [0, 1], got (2, -1)"),
+        ([(math.nan, 0.5)], "wave_probs must be finite, got (nan, 0.5)"),
+        ([(0.5, -math.inf)], "wave_probs must be finite, got (0.5, -inf)"),
+        ([(0.5, 0.4)], "wave_probs must sum to 1 within 1e-09, got 0.9"),
+        ([(Fraction(1, 2), Fraction(1, 3))], "wave_probs must sum to 1, got 5/6"),
+        ([("0.5", "0.5")], "wave_probs must be real numbers, got ('0.5', '0.5')"),
+        ([(0.5, 0.5j)], "wave_probs must be real numbers, got (0.5, 0.5j)"),
         # a pair of another length once gave a joint that sums to 0.75, or an IndexError
         ([(0.5, 0.25, 0.25)], "wave_probs must hold one pair of numbers per setting"),
         ([(1.0,)], "wave_probs must hold one pair of numbers per setting"),
@@ -329,7 +352,7 @@ class TestPredictedJoint:
         (lambda: HVModel(strategies=(WAVE_PLUS,), weights=(0.5, 0.5)),
          "strategies and weights must be equal-length, nonempty"),
         (lambda: HVModel(strategies=(WAVE_PLUS,), weights=(Fraction(1, 2),)),
-         "weights sum to 1/2, expected exactly 1"),
+         "weights must sum to 1, got 1/2"),
         (lambda: HVModel(strategies=(WAVE_PLUS, HVStrategy("particle", "+-")), weights=(0.5, 0.5)),
          "all strategies must cover the same settings"),
         (lambda: SettingsList([]), "settings list must be nonempty"),
@@ -494,9 +517,9 @@ class TestFeasibility:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_targets_rejected(self, bad):
         settings = SettingsList([(0.0, 1.0)])
-        with pytest.raises(ValueError, match="target probabilities must be finite"):
+        with pytest.raises(ValueError, match="^targets must be finite, got "):
             hv.feasibility([[[bad, 0.5], [0.5, 0.0]]], settings)
-        with pytest.raises(ValueError, match="target probabilities must be finite"):
+        with pytest.raises(ValueError, match="^targets must be finite, got "):
             hv.feasibility([[[Fraction(1, 2), bad], [Fraction(1, 2), 0]]], settings)
 
     def test_exact_inputs_must_sum_to_one_exactly(self):
@@ -532,12 +555,42 @@ class TestFeasibility:
         ([[[0.5, 0.0, 0.0], [0.5, 0.0]]], None, "each target must be a 2x2 joint distribution"),
         ([[[0.5, 0.5]]], None, "each target must be a 2x2 joint distribution"),
         ([[[Fraction(-1, 2), 1], [Fraction(1, 2), 0]]], None,
-         "target probabilities must be nonnegative"),
+         "targets must lie in [0, 1], got [Fraction(-1, 2), 1, Fraction(1, 2), 0]"),
     ])
     def test_targets_that_do_not_fit_rejected(self, targets, wave_probs, message):
         settings = SettingsList(entries=[(0.0, 1.0)])
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             hv.feasibility(targets, settings, wave_probs)
+
+    def test_float_entries_just_above_one(self):
+        # the probability rule bounds every entry, not only the sum: a float target
+        # entry more than 1e-12 above 1 is out of range, though the sum is within
+        # 1e-9 of 1, and one within 1e-12 of it is read as 1
+        settings = SettingsList(entries=[(0.0, 1.0)])
+        with pytest.raises(ValueError, match=r"^targets must lie in \[0, 1\], got "):
+            hv.feasibility([[[1 + 5e-10, 0.0], [0.0, 0.0]]], settings)
+        assert hv._probabilities("targets", [1 + 5e-13, 0.0, 0.0, 0.0], slack=1e-12) == [1.0, 0, 0, 0]
+        at_zero = SettingsList(entries=[(0.0, 0.0)])  # wave statistics (1, 0)
+        assert hv.feasibility([[[1 + 5e-13, 0.0], [0.0, 0.0]]], at_zero).residual == 0.0
+        # the sum is taken before that clamp, so no table the 1e-9 tolerance
+        # refused (here 1 + 1.0005e-9) passes once an entry is read as 1
+        with pytest.raises(ValueError, match="^targets must sum to 1 within 1e-09, got "):
+            hv.feasibility([[[1 + 1e-12, 9.995e-10], [0.0, 0.0]]], at_zero)
+        # weights take no slack: a weight above 1 is out of range, even within
+        # the 1e-12 their sum is allowed
+        with pytest.raises(ValueError, match=r"^weights must lie in \[0, 1\], got "):
+            HVModel((WAVE_PLUS,), (1 + 5e-13,))
+        assert HVModel((WAVE_PLUS, HVStrategy("particle", "+")), (0.5, 0.5 + 5e-13)).weights[1] > 0.5
+
+    def test_rule_returns_python_fractions_or_clamped_floats(self):
+        # a numpy int is no Python int, so its list is read as floats; a bool is an int
+        got = hv._probabilities("x", [np.int64(1), 0])
+        assert got == [1.0, 0.0] and all(type(v) is float for v in got)
+        got = hv._probabilities("x", [True, 0])
+        assert got == [1, 0] and all(type(v) is Fraction for v in got)
+        assert hv._probabilities("x", [-1e-13, 1.0], slack=1e-12) == [0.0, 1.0]
+        with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\]"):
+            hv._probabilities("x", [-1e-13, 1.0])
 
 
 def enumerated_residual(targets, wave_probs, exact):

@@ -1,16 +1,18 @@
-"""The input rules of ``qstate``, at every entry point that takes a scalar, a grid or an object.
+"""The input rules of ``qstate`` and ``hv``, at every entry point that takes a scalar, a grid,
+an object or a probability distribution.
 
 Each scalar argument is checked by ``qstate._finite`` (a finite real
 number) or ``qstate._unit_interval`` (a real number in [0, 1]), each grid
-by ``qstate._finite_grid`` and each object argument by
-``qstate._instance``.  A bad value raises a ValueError
-whose message starts with the argument's name, never a TypeError or an
-AttributeError from the code behind the check.
+by ``qstate._finite_grid``, each object argument by ``qstate._instance``
+and each probability distribution by ``hv._probabilities``.  A bad value
+raises a ValueError whose message starts with the argument's name, never a
+TypeError or an AttributeError from the code behind the check.
 """
 
 import math
 import re
 import reprlib
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -69,8 +71,8 @@ ENTRY_POINTS = [
 ]
 
 # an array with an axis is no scalar, even when it holds one value in range
-NOT_NUMBERS = ["x", None, 1j, np.complex128(0.5), np.complex64(0.5), np.array([0.1, 0.2]),
-               np.array([0.5]), math.nan, math.inf, -math.inf]
+NOT_NUMBERS = ["x", None, 1j, np.complex128(0.5), np.complex64(0.5), np.array(0.5 + 0.5j),
+               np.array([0.1, 0.2]), np.array([0.5]), math.nan, math.inf, -math.inf]
 OUTSIDE_UNIT_INTERVAL = [-0.1, 1.5]
 
 
@@ -144,9 +146,9 @@ NOT_FINITE = [(10**400, 0.1), (0.1, -10**400)]
 @pytest.mark.parametrize("huge", [10**400, -10**400])
 def test_int_too_large_for_a_float_among_floats_is_not_finite(huge):
     strategies = (hv.HVStrategy("wave", "+"), hv.HVStrategy("particle", "+"))
-    with pytest.raises(ValueError, match="^weights must be finite$"):
+    with pytest.raises(ValueError, match="^weights must be finite, got "):
         hv.HVModel(strategies, (huge, 0.5))
-    with pytest.raises(ValueError, match="^target probabilities must be finite$"):
+    with pytest.raises(ValueError, match="^targets must be finite, got "):
         hv.feasibility([[[huge, 0.0], [0, 0.5]]], hv.SettingsList([(0.1, 0.2)]))
 
 
@@ -275,10 +277,48 @@ def test_target_tables_that_are_not_sequences(table):
         hv.feasibility([table], hv.SettingsList([(0.1, 0.2)]))
 
 
-@pytest.mark.parametrize("entry", [None, "0.5", b"0.5", 0.5j, np.complex128(0.5)])
+# a Decimal, a 0-d array and a numpy bool are no numbers.Real, as for weights
+# and wave statistics, though float() would read them
+@pytest.mark.parametrize("entry", [None, "0.5", b"0.5", 0.5j, np.complex128(0.5),
+                                   Decimal("0.5"), np.array(0.5), np.True_])
 def test_target_entries_that_are_not_real_numbers(entry):
-    with pytest.raises(ValueError, match="^target probabilities must be real numbers$"):
+    with pytest.raises(ValueError, match="^targets must be real numbers, got "):
         hv.feasibility([[[entry, 0.0], [0.5, 0.0]]], hv.SettingsList([(0.1, 0.2)]))
+
+
+ONE_SETTING = hv.SettingsList([(0.1, 0.2)])
+# (argument name, call with one distribution set to the pair x): the weights
+# of a two-strategy model, one target table and one setting's wave statistics
+DISTRIBUTION_ARGUMENTS = [
+    ("weights", lambda x: hv.HVModel((hv.HVStrategy("wave", "+"), hv.HVStrategy("particle", "-")), x)),
+    ("targets", lambda x: hv.feasibility([[[x[0], 0], [x[1], 0]]], ONE_SETTING)),
+    ("wave_probs", lambda x: hv.feasibility([[[0.5, 0.0], [0.5, 0.0]]], ONE_SETTING, [x])),
+    ("wave_probs", lambda x: hv.predicted_joint(
+        hv.HVModel((hv.HVStrategy("wave", "+"),), (1,)), ONE_SETTING, [x])),
+]
+# (case, pair, what the message says it must be or do): the same bad pairs for every argument
+BAD_DISTRIBUTIONS = [
+    ("nan", (0.5, math.nan), "be finite"), ("inf", (math.inf, 0.5), "be finite"),
+    ("-inf", (0.5, -math.inf), "be finite"),
+    ("huge-int-among-floats", (10**400, 0.5), "be finite"),
+    ("str", ("0.5", 0.5), "be real numbers"), ("bytes", (b"0.5", 0.5), "be real numbers"),
+    ("None", (None, 0.5), "be real numbers"), ("complex", (0.5, 0.5j), "be real numbers"),
+    ("numpy-complex", (np.complex128(0.5), 0.5), "be real numbers"),
+    ("negative", (-0.25, 0.5), "lie in [0, 1]"), ("above-1", (1.25, 0.0), "lie in [0, 1]"),
+    ("negative-fraction", (Fraction(-1, 2), Fraction(3, 2)), "lie in [0, 1]"),
+    ("huge-int", (10**400, 0), "lie in [0, 1]"),
+    ("float-sum", (0.5, 0.5 + 1e-6), "sum to 1 within 1e-"),
+    ("fraction-sum", (Fraction(1, 4), Fraction(1, 4)), "sum to 1, got 1/2"),
+]
+
+
+@pytest.mark.parametrize("name, call", DISTRIBUTION_ARGUMENTS,
+                         ids=[f"{name}-{k}" for k, (name, _) in enumerate(DISTRIBUTION_ARGUMENTS)])
+@pytest.mark.parametrize("case, pair, must", BAD_DISTRIBUTIONS, ids=[c for c, _, _ in BAD_DISTRIBUTIONS])
+def test_bad_distribution_is_a_value_error_that_names_it(name, call, case, pair, must):
+    # weights, targets and wave statistics share one probability rule and its wording
+    with pytest.raises(ValueError, match=f"^{name} must {re.escape(must)}"):
+        call(pair)
 
 
 # None would draw fresh OS entropy, and a bool would act as seed 0 or 1
