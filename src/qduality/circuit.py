@@ -29,6 +29,7 @@ from .qstate import (
     _finite,
     _finite_grid,
     _instance,
+    _probabilities,
     _unit_interval,
     _unit_ket,
 )
@@ -89,13 +90,11 @@ class OutcomeDistribution:
     p_mm: float
 
     def __post_init__(self):
-        for name in ("p_pp", "p_pm", "p_mp", "p_mm"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name), "probability"))
-        probs = self.as_array()
-        if not np.all((probs >= -1e-10) & (probs <= 1.0 + 1e-10)):  # NaN fails too
-            raise ValueError(f"probabilities outside [0, 1]: {probs}")
-        if not abs(float(probs.sum()) - 1.0) <= 1e-10:
-            raise ValueError(f"probabilities sum to {probs.sum()}, expected 1")
+        names = ("p_pp", "p_pm", "p_mp", "p_mm")
+        probs = [_finite(name, getattr(self, name), "probability") for name in names]
+        _probabilities(", ".join(names), probs, slack=1e-10, sum_tol=1e-10)
+        for name, p in zip(names, probs):  # as given: the rule's clamped copy is dropped
+            object.__setattr__(self, name, p)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p_pp, self.p_pm, self.p_mp, self.p_mm], dtype=float)

@@ -27,7 +27,7 @@ import numpy as np
 from . import circuit as _circuit
 from .qstate import (
     KET_A, KET_D, Projector, _SQRT2, _finite, _finite_grid, _frozen_array, _instance,
-    _unit_interval, bell_ket, w_gate)
+    _numbers, _unit_interval, bell_ket, w_gate)
 
 POL_H = "H"
 POL_V = "V"
@@ -228,14 +228,11 @@ class PostselectedMap:
     __slots__ = ("kraus",)
 
     def __init__(self, kraus):
-        self.kraus = _frozen_array(kraus)
+        self.kraus = _frozen_array(_numbers("kraus", kraus, "numbers", complex))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Unnormalized conditional output state of a finite 4x4 ``rho``."""
-        try:
-            mat = np.asarray(rho, dtype=complex)
-        except (TypeError, ValueError):  # a str, or a ragged nesting
-            mat = np.empty(0)
+        mat = _numbers("rho", rho, "numbers", complex)
         if mat.shape != (4, 4) or not np.all(np.isfinite(mat)):
             raise ValueError(f"rho must be a finite 4x4 matrix, got {reprlib.repr(rho)}")
         out = np.zeros_like(mat)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circuit import ExperimentConfig, _joints
-from .qstate import _COMPLEX, _finite, _instance
+from .qstate import _finite, _finite_grid, _instance, _probabilities
 
 FEASIBILITY_TOL = 1e-9
 _FLOAT_TOL = 1e-12  # a float Kelley loop stops when g is this close to its lower bound
@@ -96,65 +95,6 @@ class HVModel:
         object.__setattr__(self, "strategies", strategies)
 
 
-def _probabilities(name: str, values, slack=0.0, sum_tol=1e-9) -> list:
-    """``values`` as one probability distribution; else a ValueError that starts with ``name``.
-
-    Fractions and ints come back as Fractions of Python ints (numpy ones
-    cannot hash), in [0, 1] and summing to 1 exactly.  Other real numbers
-    come back as floats: finite, within ``slack`` of [0, 1] and clamped into
-    it, and summing to 1 within ``sum_tol`` with only their negatives clamped.
-    """
-    exact = all(isinstance(v, (Fraction, int)) for v in values)
-    if not (exact or all(isinstance(v, numbers.Real) for v in values)):  # a str, None or complex
-        raise ValueError(f"{name} must be real numbers, got {reprlib.repr(values)}")
-    try:  # float overflows on an int too large for it
-        probs = [Fraction(int(v.numerator), int(v.denominator)) if exact else float(v) for v in values]
-        if not (exact or all(map(math.isfinite, probs))):
-            raise OverflowError
-    except OverflowError:
-        raise ValueError(f"{name} must be finite, got {reprlib.repr(values)}") from None
-    slack = 0 if exact else slack
-    if not all(-slack <= p <= 1 + slack for p in probs):
-        raise ValueError(f"{name} must lie in [0, 1], got {reprlib.repr(values)}")
-    if not exact:
-        probs = [max(0.0, p) for p in probs]
-    total = sum(probs)
-    if not (total == 1 if exact else abs(total - 1.0) <= sum_tol):
-        within = "" if exact else f" within {sum_tol:g}"
-        raise ValueError(f"{name} must sum to 1{within}, got {total}")
-    return probs if exact else [min(p, 1.0) for p in probs]
-
-
-def _number(value) -> float:
-    """``float(value)``, with a TypeError for a str or bytes, which ``float`` would parse,
-    and for a complex number, whose imaginary part ``float`` would drop for numpy's."""
-    if isinstance(value, (str, bytes, *_COMPLEX)):
-        raise TypeError(f"not a number: {value!r}")
-    return float(value)
-
-
-def _settings_table(settings) -> np.ndarray:
-    """``settings`` as an (n, 2) float array of finite (theta2, phi) pairs, n >= 1."""
-    try:
-        table = np.array(tuple(settings))
-        if table.dtype.kind not in "fiub":  # Fractions, say, are read one at a time
-            if table.dtype != object:  # str, bytes or complex
-                raise TypeError
-            table = np.array([_number(v) for v in table.flat]).reshape(table.shape)
-    except OverflowError:  # an int too large for a float
-        raise ValueError("settings must be finite") from None
-    except (TypeError, ValueError):  # also pairs of unequal length
-        raise ValueError("settings must be (theta2, phi) pairs of numbers") from None
-    if not len(table):
-        raise ValueError("settings list must be nonempty")
-    if table.shape[1:] != (2,):
-        raise ValueError("settings must be (theta2, phi) pairs of numbers")
-    table = table.astype(float, copy=False)
-    if not np.all(np.isfinite(table)):
-        raise ValueError("settings must be finite")
-    return table
-
-
 @dataclass(frozen=True, slots=True)
 class SettingsList:
     """Measurement settings (theta2, phi) the hidden variable must answer."""
@@ -162,7 +102,8 @@ class SettingsList:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(map(tuple, _settings_table(self.entries).tolist()))
+        table = _finite_grid("settings", self.entries, "(theta2, phi) pairs", width=2)
+        entries = tuple(map(tuple, table.tolist()))
         if len(set(entries)) != len(entries):
             raise ValueError("settings must be distinct")
         object.__setattr__(self, "entries", entries)
@@ -216,7 +157,7 @@ def quantum_joints(settings, basis: str = "real") -> np.ndarray:
     circuit's ``_joints`` computes the tables, as it does for
     ``coincidence_probabilities``.
     """
-    theta2, phi = _settings_table(settings).T
+    theta2, phi = _finite_grid("settings", settings, "(theta2, phi) pairs", width=2).T
     if basis not in ("real", "quadrature"):
         raise ValueError(f"basis must be 'real' or 'quadrature', got {basis!r}")
     return _joints(theta2, phi, _ALICE_HV, ExperimentConfig.delta, basis)
@@ -262,7 +203,7 @@ def _validate_targets(targets, n):
     except TypeError:  # a table or a row that is not a sequence
         tables = [[]]
     if not all(len(rows) == 2 and len(rows[0]) == len(rows[1]) == 2 for rows in tables):
-        raise ValueError("each target must be a 2x2 joint distribution")
+        raise ValueError("targets must each be a 2x2 joint distribution")
     return [_probabilities("targets", rows[0] + rows[1], slack=1e-12) for rows in tables]
 
 
@@ -392,6 +333,8 @@ def _float_cut(flat_targets, wave_probs):
     # a candidate whose x is within rounding of 0 or W counts as inside:
     # dropping the one that carries r_j's one-sided slope would tilt the cut
     x_err = _FLOAT_ROUNDING * (abs(p) + abs(r) + 1)
+    # the index grids that pick along axis 0, built once rather than on every cut
+    maxes, candidates, settings = np.indices(slopes.shape[1:], sparse=True)
 
     def cut(w, side):
         x = p * w + r
@@ -399,10 +342,10 @@ def _float_cut(flat_targets, wave_probs):
                   & _lex_nonnegative(w - x, side * (1 - p), x_err))
         x = np.clip(x, 0.0, w)
         values = a * x + (b * w + c)
-        pick = _lex_argmax(values, side * slopes)[None]  # the largest piece of each max
-        value, slope = (np.take_along_axis(z, pick, 0)[0].sum(axis=0) for z in (values, slopes))
+        pick = _lex_argmax(values, side * slopes)  # the largest piece of each max
+        value, slope = (z[pick, maxes, candidates, settings].sum(axis=0) for z in (values, slopes))
         pick = _lex_argmax(np.where(inside, -value, -np.inf), -side * slope)  # the smallest candidate
-        value, slope, x = (np.take_along_axis(z, pick[None], 0)[0] for z in (value, slope, x))
+        value, slope, x = (z[pick, settings[0, 0]] for z in (value, slope, x))
         j = _lex_argmax(value, side * slope)
         return (float(slope[j]), float(value[j] - slope[j] * w)), x
 

@@ -8,6 +8,7 @@ operation returns a fresh object.
 from __future__ import annotations
 
 import math
+import numbers
 import reprlib
 from dataclasses import dataclass
 
@@ -30,8 +31,10 @@ KET_L = np.array([1.0, 1.0j], dtype=complex) / _SQRT2
 _COMPLEX = (complex, np.complexfloating)
 
 
-# The package's input rules: one of these four checks each scalar, grid or object argument,
-# and hv's ``_probabilities`` each distribution, with a ValueError that starts with its name.
+# The package's input rules, each raising a ValueError that starts with the argument's name:
+# ``_finite`` and ``_unit_interval`` check each scalar, ``_numbers`` each array (``_finite_grid``
+# each grid of finite floats), ``_instance`` each object and ``_probabilities`` each
+# distribution.  Text is never a number, though ``float``, ``complex`` and numpy would parse it.
 def _finite(name: str, value, kind: str = "angle") -> float:
     """``float(value)`` if it is a finite real number; else a ValueError that names ``name``."""
     try:  # math.isfinite rejects a str or None, and overflows on an int too large
@@ -54,22 +57,79 @@ def _unit_interval(name: str, value):
     raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
-def _finite_grid(name: str, values, kind: str = "angles") -> np.ndarray:
-    """``values`` as a nonempty 1-D array of finite floats; ValueError names ``name``."""
+def _entry(value, dtype):
+    """``dtype(value)``; a TypeError for text, and for a complex number read as a float."""
+    if isinstance(value, (str, bytes)) or dtype is float and isinstance(value, _COMPLEX):
+        raise TypeError(f"not a number: {value!r}")
+    return dtype(value)
+
+
+def _numbers(name: str, values, kind: str, dtype=float) -> np.ndarray:
+    """``values`` as a ``dtype`` array of any shape; else a ValueError that starts with ``name``.
+
+    numpy infers the dtype of an array, or of the tuple of any other
+    iterable: bool, int and float (and complex, for a complex ``dtype``)
+    are cast whole, and an object array one entry at a time.  Text, whole,
+    as an entry or as an array, is refused, and so is complex for a float.
+    """
     try:
-        grid = np.asarray(values if isinstance(values, np.ndarray) else tuple(values),
-                          dtype=float)
+        if isinstance(values, (str, bytes)):
+            raise TypeError(f"not a number: {values!r}")
+        array = np.asarray(values if isinstance(values, np.ndarray) else tuple(values))
+        if array.dtype.kind not in ("fiubc" if dtype is complex else "fiub"):
+            if array.dtype != object:  # text, complex, dates
+                raise TypeError(f"not numbers: {reprlib.repr(values)}")
+            array = np.array([_entry(v, dtype) for v in array.flat], dtype).reshape(array.shape)
+        return array.astype(dtype, copy=False)
     except OverflowError:  # an int too large for a float
         raise ValueError(f"{name} must hold finite {kind} only") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # also a ragged nesting
         raise ValueError(f"{name} must be a sequence of {kind}: {exc}") from None
-    if grid.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {grid.shape}")
+
+
+def _finite_grid(name: str, values, kind: str = "angles", width: int = 0) -> np.ndarray:
+    """``values`` as a nonempty 1-D array of finite floats, or with ``width`` an (n, width)
+    one; else a ValueError that starts with ``name``."""
+    grid = _numbers(name, values, kind)
     if grid.size == 0:
         raise ValueError(f"{name} must be nonempty")
+    if grid.ndim == 0 or grid.shape[1:] != ((width,) if width else ()):
+        raise ValueError(f"{name} must be a sequence of {kind}, got shape {grid.shape}" if width
+                         else f"{name} must be one-dimensional, got shape {grid.shape}")
     if not np.all(np.isfinite(grid)):
         raise ValueError(f"{name} must hold finite {kind} only")
     return grid
+
+
+def _probabilities(name: str, values, slack=0.0, sum_tol=1e-9) -> list:
+    """``values`` as one probability distribution; else a ValueError that starts with ``name``.
+
+    Fractions and ints come back as Fractions of Python ints (numpy ones
+    cannot hash), in [0, 1] and summing to 1 exactly.  Other real numbers
+    come back as floats: finite, within ``slack`` of [0, 1] and clamped into
+    it, and summing to 1 within ``sum_tol`` with only their negatives clamped.
+    """
+    from fractions import Fraction  # here, not at import: most commands never read a Fraction
+
+    exact = all(isinstance(v, (Fraction, int)) for v in values)
+    if not (exact or all(isinstance(v, numbers.Real) for v in values)):  # a str, None or complex
+        raise ValueError(f"{name} must be real numbers, got {reprlib.repr(values)}")
+    try:  # float overflows on an int too large for it
+        probs = [Fraction(int(v.numerator), int(v.denominator)) if exact else float(v) for v in values]
+        if not (exact or all(map(math.isfinite, probs))):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got {reprlib.repr(values)}") from None
+    slack = 0 if exact else slack
+    if not all(-slack <= p <= 1 + slack for p in probs):
+        raise ValueError(f"{name} must lie in [0, 1], got {reprlib.repr(values)}")
+    if not exact:
+        probs = [max(0.0, p) for p in probs]
+    total = sum(probs)
+    if not (total == 1 if exact else abs(total - 1.0) <= sum_tol):
+        within = "" if exact else f" within {sum_tol:g}"
+        raise ValueError(f"{name} must sum to 1{within}, got {total}")
+    return probs if exact else [min(p, 1.0) for p in probs]
 
 
 def _instance(name: str, value, cls):
@@ -95,7 +155,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = _numbers("amplitudes", self.amplitudes, "numbers", complex).reshape(-1)
         if amps.size not in _SIZES:
             raise ValueError(f"amplitude length {amps.size} is not 2^n for n in 1..4")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
@@ -120,7 +180,7 @@ class _Operator:
     @staticmethod
     def _square(matrix, sizes) -> np.ndarray:
         """``matrix`` as a complex array of shape (d, d) with d in ``sizes``."""
-        mat = np.asarray(matrix, dtype=complex)
+        mat = _numbers("matrix", matrix, "numbers", complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or len(mat) not in sizes:
             raise ValueError(f"matrix shape {mat.shape} is not d x d for d in {sizes}")
         return mat

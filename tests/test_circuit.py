@@ -420,8 +420,22 @@ class TestCoincidences:
             ct.OutcomeDistribution(*probs)
 
     def test_probabilities_not_summing_to_one_rejected(self):
-        with pytest.raises(ValueError, match="probabilities sum to 1.5, expected 1"):
+        with pytest.raises(ValueError, match="^p_pp, p_pm, p_mp, p_mm must sum to 1 within 1e-10, got 1.5$"):
             ct.OutcomeDistribution(0.5, 0.5, 0.25, 0.25)
+
+    def test_probabilities_outside_the_unit_interval_rejected(self):
+        # the probability rule of hv's weights and targets, with a 1e-10 slack
+        with pytest.raises(ValueError, match=re.escape(
+                "p_pp, p_pm, p_mp, p_mm must lie in [0, 1], got [0.5, 0.5, 0.5, -0.5]")):
+            ct.OutcomeDistribution(0.5, 0.5, 0.5, -0.5)
+        with pytest.raises(ValueError, match=r"^p_pp, p_pm, p_mp, p_mm must lie in \[0, 1\]"):
+            ct.OutcomeDistribution(1 + 2e-10, 0.0, 0.0, 0.0)
+
+    def test_probabilities_within_the_slack_are_kept_as_given(self):
+        # the rule clamps its own copy only; the fields hold the floats passed in
+        dist = ct.OutcomeDistribution(-5e-11, 0.5, 0.5, 5e-11)
+        assert (dist.p_pp, dist.p_mm) == (-5e-11, 5e-11)
+        assert ct.OutcomeDistribution(1 + 5e-11, 0.0, 0.0, 0.0).p_pp == 1 + 5e-11
 
     @pytest.mark.parametrize("name", ["phi", "theta1", "theta2", "delta"])
     def test_non_finite_config_angle_named(self, name):

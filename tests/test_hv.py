@@ -201,9 +201,9 @@ class TestQuantumJoints:
 
     @pytest.mark.parametrize("settings", [[], [(0.1, 0.2, 0.3)], [0.1, 0.2], np.zeros((2, 2, 2))])
     def test_settings_that_are_not_pairs_rejected(self, settings):
-        message = (r"settings must be \(theta2, phi\) pairs of numbers" if len(settings)
-                   else "settings list must be nonempty")
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        message = (f"settings must be a sequence of (theta2, phi) pairs, got shape {np.shape(settings)}"
+                   if len(settings) else "settings must be nonempty")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             hv.quantum_joints(settings)
 
     @pytest.mark.parametrize("entries, expected", [
@@ -355,13 +355,14 @@ class TestPredictedJoint:
          "weights must sum to 1, got 1/2"),
         (lambda: HVModel(strategies=(WAVE_PLUS, HVStrategy("particle", "+-")), weights=(0.5, 0.5)),
          "all strategies must cover the same settings"),
-        (lambda: SettingsList([]), "settings list must be nonempty"),
+        (lambda: SettingsList([]), "settings must be nonempty"),
         (lambda: SettingsList([(0.1, 0.2), (0.3, 0.2), (0.1, 0.2)]), "settings must be distinct"),
-        (lambda: SettingsList([(None, 1.0)]), "settings must be (theta2, phi) pairs of numbers"),
-        (lambda: SettingsList([(0.0, "x")]), "settings must be (theta2, phi) pairs of numbers"),
-        (lambda: SettingsList([1.0]), "settings must be (theta2, phi) pairs of numbers"),
-        (lambda: SettingsList([(0.1, 0.2, 0.3)]), "settings must be (theta2, phi) pairs of numbers"),
-        (lambda: SettingsList([(0.1,)]), "settings must be (theta2, phi) pairs of numbers"),
+        (lambda: SettingsList([(None, 1.0)]), "settings must be a sequence of (theta2, phi) pairs: "),
+        (lambda: SettingsList([(0.0, "x")]), "settings must be a sequence of (theta2, phi) pairs: "),
+        (lambda: SettingsList([1.0]), "settings must be a sequence of (theta2, phi) pairs, got shape (1,)"),
+        (lambda: SettingsList([(0.1, 0.2, 0.3)]),
+         "settings must be a sequence of (theta2, phi) pairs, got shape (1, 3)"),
+        (lambda: SettingsList([(0.1,)]), "settings must be a sequence of (theta2, phi) pairs, got shape (1, 1)"),
         (lambda: hv.predicted_joint(HVModel((WAVE_PLUS,), (1,)),
                                     SettingsList([(0.0, 1.0), (0.5, 1.0)])),
          "model strategies do not cover the settings list"),
@@ -552,8 +553,8 @@ class TestFeasibility:
 
     @pytest.mark.parametrize("targets, wave_probs, message", [
         ([[[0.5, 0.0], [0.5, 0.0]]], [], "wave_probs must align with the settings list"),
-        ([[[0.5, 0.0, 0.0], [0.5, 0.0]]], None, "each target must be a 2x2 joint distribution"),
-        ([[[0.5, 0.5]]], None, "each target must be a 2x2 joint distribution"),
+        ([[[0.5, 0.0, 0.0], [0.5, 0.0]]], None, "targets must each be a 2x2 joint distribution"),
+        ([[[0.5, 0.5]]], None, "targets must each be a 2x2 joint distribution"),
         ([[[Fraction(-1, 2), 1], [Fraction(1, 2), 0]]], None,
          "targets must lie in [0, 1], got [Fraction(-1, 2), 1, Fraction(1, 2), 0]"),
     ])

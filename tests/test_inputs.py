@@ -1,12 +1,14 @@
-"""The input rules of ``qstate`` and ``hv``, at every entry point that takes a scalar, a grid,
+"""The input rules of ``qstate``, at every entry point that takes a scalar, an array,
 an object or a probability distribution.
 
 Each scalar argument is checked by ``qstate._finite`` (a finite real
-number) or ``qstate._unit_interval`` (a real number in [0, 1]), each grid
-by ``qstate._finite_grid``, each object argument by ``qstate._instance``
-and each probability distribution by ``hv._probabilities``.  A bad value
-raises a ValueError whose message starts with the argument's name, never a
-TypeError or an AttributeError from the code behind the check.
+number) or ``qstate._unit_interval`` (a real number in [0, 1]), each array
+by ``qstate._numbers`` (each grid and settings table through
+``qstate._finite_grid``), each object argument by ``qstate._instance`` and
+each probability distribution by ``qstate._probabilities``.  Text is never
+a number.  A bad value raises a ValueError whose message starts with the
+argument's name, never a TypeError or an AttributeError from the code
+behind the check.
 """
 
 import math
@@ -157,14 +159,15 @@ def test_int_too_large_for_a_float_among_floats_is_not_finite(huge):
                                    (Fraction(1, 3), np.complex64(0.2)), (None, 0.2), *NOT_FINITE])
 def test_settings_that_are_not_pairs_of_numbers(entry):
     # the settings list, and the joints, which take their settings as plain
-    # pairs, word a bad entry and an empty list alike
-    message = ("^settings must be finite$" if any(entry is bad for bad in NOT_FINITE)
-               else r"^settings must be \(theta2, phi\) pairs of numbers$")
+    # pairs, read them with the grid rule and word a bad entry and an empty list alike
+    message = (r"^settings must hold finite \(theta2, phi\) pairs only$"
+               if any(entry is bad for bad in NOT_FINITE)
+               else r"^settings must be a sequence of \(theta2, phi\) pairs[:,] ")
     for call in (hv.SettingsList, hv.quantum_joints):
         for settings in ([(0.3, 0.4), entry], [entry]):
             with pytest.raises(ValueError, match=message):
                 call(settings)
-        with pytest.raises(ValueError, match="^settings list must be nonempty$"):
+        with pytest.raises(ValueError, match="^settings must be nonempty$"):
             call([])
 
 
@@ -176,32 +179,86 @@ def test_joints_take_fractions_and_numpy_reals_as_the_equal_floats():
         assert hv.quantum_joints(settings).tobytes() == want.tobytes()
 
 
-# (entry point, argument name, kind, call with one entry of the grid set to x):
+# (entry point, argument name, kind, a valid grid, call with the grid set to x):
 # each grid argument is checked by ``qstate._finite_grid``
 GRID_ARGUMENTS = [
-    ("correlation_surface", "theta2_grid", "angles",
-     lambda x: ct.correlation_surface(0.0, [0.3, x], [0.1])),
-    ("correlation_surface", "phi_grid", "angles", lambda x: ct.correlation_surface(0.0, [0.3], [x])),
-    ("chsh", "theta1_pair", "angles", lambda x: ct.chsh(0.1, theta1_pair=(0, x))),
-    ("chsh", "theta2_pair", "angles", lambda x: ct.chsh(0.1, theta2_pair=(x, 0.4))),
-    ("fit_visibility", "theta2_values", "angles",
-     lambda x: ct.fit_visibility([0.1, x], [0.5, 0.4], 0.0, 0.3)),
-    ("fit_visibility", "measured", "values",
-     lambda x: ct.fit_visibility([0.1, 0.2], [x, 0.4], 0.0, 0.3)),
-    ("hom_scan", "positions", "values", lambda x: fock.hom_scan(0.5, OverlapModel(), [0.0, x])),
-    ("bsm_scan", "positions", "values", lambda x: fock.bsm_scan(0.3, OverlapModel(), [x])),
+    ("correlation_surface", "theta2_grid", "angles", (0.3, 0.5),
+     lambda x: ct.correlation_surface(0.0, x, [0.1])),
+    ("correlation_surface", "phi_grid", "angles", (0.1, 0.5),
+     lambda x: ct.correlation_surface(0.0, [0.3], x)),
+    ("chsh", "theta1_pair", "angles", (0.0, 0.5), lambda x: ct.chsh(0.1, theta1_pair=x)),
+    ("chsh", "theta2_pair", "angles", (0.2, 0.5), lambda x: ct.chsh(0.1, theta2_pair=x)),
+    ("fit_visibility", "theta2_values", "angles", (0.1, 0.5),
+     lambda x: ct.fit_visibility(x, [0.4, 0.5], 0.0, 0.3)),
+    ("fit_visibility", "measured", "values", (0.4, 0.5),
+     lambda x: ct.fit_visibility([0.1, 0.2], x, 0.0, 0.3)),
+    ("hom_scan", "positions", "values", (0.0, 0.5), lambda x: fock.hom_scan(0.5, OverlapModel(), x)),
+    ("bsm_scan", "positions", "values", (0.0, 0.5), lambda x: fock.bsm_scan(0.3, OverlapModel(), x)),
 ]
 
 
-@pytest.mark.parametrize("label, name, kind, call", GRID_ARGUMENTS,
-                         ids=[f"{label}-{name}" for label, name, _, _ in GRID_ARGUMENTS])
+@pytest.mark.parametrize("label, name, kind, valid, call", GRID_ARGUMENTS,
+                         ids=[f"{label}-{name}" for label, name, *_ in GRID_ARGUMENTS])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, -10**400],
                          ids=["nan", "inf", "-inf", "int", "-int"])
-def test_grid_entry_that_is_not_finite_is_a_value_error_that_names_it(label, name, kind, call,
-                                                                       value):
+def test_grid_entry_that_is_not_finite_is_a_value_error_that_names_it(label, name, kind, valid,
+                                                                       call, value):
     # an int too large for a float is a number, but not a finite one
     with pytest.raises(ValueError, match=f"^{name} must hold finite {kind} only$"):
-        call(value)
+        call(valid[:-1] + (value,))
+
+
+# (entry point, argument name, kind, a valid argument, call with the argument set to x):
+# the settings tables, read by the grid rule two angles to a row, and the complex
+# arrays of qstate and fock, read by the same rule without a shape
+SETTINGS_ARGUMENTS = [
+    ("SettingsList", "settings", "(theta2, phi) pairs", ((0.1, 0.5), (0.3, 0.5)), hv.SettingsList),
+    ("quantum_joints", "settings", "(theta2, phi) pairs", ((0.1, 0.5), (0.3, 0.5)), hv.quantum_joints),
+]
+COMPLEX_ARGUMENTS = [
+    ("StateVector", "amplitudes", "numbers", (0.5, 0.5, 0.5, 0.5), qs.StateVector),
+    ("GateOp", "matrix", "numbers", np.kron(qs.hadamard().matrix, qs.hadamard().matrix).real.round(12),
+     qs.GateOp),
+    ("Projector", "matrix", "numbers", ((0.5, 0.5), (0.5, 0.5)), qs.Projector),
+    ("PostselectedMap", "kraus", "numbers", np.full((1, 4, 4), 0.5), fock.PostselectedMap),
+    ("PostselectedMap.apply", "rho", "numbers", np.full((4, 4), 0.5),
+     lambda x: fock.physical_cz(0.5)[0].apply(x)),
+]
+ARRAY_ARGUMENTS = GRID_ARGUMENTS + SETTINGS_ARGUMENTS + COMPLEX_ARGUMENTS
+
+
+def with_last_entry(valid, entry):
+    """``valid`` as nested lists, its last entry set to ``entry``."""
+    table = np.array(valid, dtype=object)
+    table.flat[-1] = entry
+    return table.tolist()
+
+
+# text that float, complex or numpy would parse: as one entry (str, bytes, a 0-d
+# array of text), as an array of it (np.array(["0.5", ...])) or as the whole argument
+TEXT = [("entry-str", lambda valid: with_last_entry(valid, "0.5")),
+        ("entry-bytes", lambda valid: with_last_entry(valid, b"0.5")),
+        ("entry-text-array", lambda valid: with_last_entry(valid, np.array("0.5"))),
+        ("text-array", lambda valid: np.array(valid).astype(str)),
+        ("whole-str", lambda valid: "12"),
+        ("whole-bytes", lambda valid: b"07")]
+
+
+@pytest.mark.parametrize("label, name, kind, valid, call", ARRAY_ARGUMENTS,
+                         ids=[f"{label}-{name}" for label, name, *_ in ARRAY_ARGUMENTS])
+def test_valid_array_accepted(label, name, kind, valid, call):
+    # the arguments the text cases start from; each holds the value 0.5
+    call(valid)
+
+
+@pytest.mark.parametrize("label, name, kind, valid, call", ARRAY_ARGUMENTS,
+                         ids=[f"{label}-{name}" for label, name, *_ in ARRAY_ARGUMENTS])
+@pytest.mark.parametrize("case, text", TEXT, ids=[case for case, _ in TEXT])
+def test_text_is_not_a_number(label, name, kind, valid, call, case, text):
+    # one array rule for every array argument: text is never read as a number
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a sequence of "
+                                         f"{re.escape(kind)}: not (a number|numbers): "):
+        call(text(valid))
 
 
 # (entry point, argument name, call with the argument set to x): each object
@@ -233,16 +290,22 @@ def test_object_of_another_type_is_a_value_error_that_names_it(label, name, call
 
 
 @pytest.mark.parametrize("rho", [np.eye(2), np.eye(8), np.ones(4), np.ones((4, 4, 1)),
-                                 np.full((4, 4), math.nan), np.diag([1.0, 1.0, math.inf, 1.0]),
-                                 "x", None, {"a": 1}, [[1.0, 0.0], [0.0]]],
-                         ids=["2x2", "8x8", "vector", "4x4x1", "nan", "inf", "str", "None", "dict",
-                              "ragged"])
+                                 np.full((4, 4), math.nan), np.diag([1.0, 1.0, math.inf, 1.0])],
+                         ids=["2x2", "8x8", "vector", "4x4x1", "nan", "inf"])
 def test_density_matrix_must_be_finite_4x4(rho):
     # a gate map checks its input once, where it enters, not numpy's matmul
     gate_map, _ = fock.physical_cz(0.5)
     with pytest.raises(ValueError, match="^rho must be a finite 4x4 matrix, got ") as info:
         gate_map.apply(rho)
     assert reprlib.repr(rho) in str(info.value)
+
+
+@pytest.mark.parametrize("rho", [None, {"a": 1}, [[1.0, 0.0], [0.0]]], ids=["None", "dict", "ragged"])
+def test_density_matrix_that_is_no_array_of_numbers(rho):
+    # the complex arrays of qstate and fock share one rule with the grids
+    gate_map, _ = fock.physical_cz(0.5)
+    with pytest.raises(ValueError, match="^rho must be a sequence of numbers: "):
+        gate_map.apply(rho)
 
 
 def test_density_matrix_as_nested_lists_gives_the_array_result():
@@ -273,7 +336,7 @@ def test_argument_that_is_not_a_sequence_is_a_value_error_that_names_it(label, n
 
 @pytest.mark.parametrize("table", [None, 0.5, [None, None], [[0.5, 0.0], 0.5]])
 def test_target_tables_that_are_not_sequences(table):
-    with pytest.raises(ValueError, match="^each target must be a 2x2 joint distribution$"):
+    with pytest.raises(ValueError, match="^targets must each be a 2x2 joint distribution$"):
         hv.feasibility([table], hv.SettingsList([(0.1, 0.2)]))
 
 
