@@ -106,16 +106,19 @@ class ModeState:
         return ModeState(kept), float(sum(abs(a) ** 2 for a in kept.values()))
 
 
-def _linear_map(modes, matrix) -> Callable[[Mode], list]:
+def _linear_map(modes, matrix, name: str = "matrix") -> Callable[[Mode], list]:
     """Mapper of a linear map on the listed (port, polarization) modes.
 
     The k-th mode goes to sum_r matrix[r, k] times the r-th, with the
     photon's temporal label kept; other modes pass unchanged, and zero
-    coefficients are dropped.
+    coefficients are dropped.  The matrix is read by the array rule, under
+    the caller's argument ``name``, and must be finite.
     """
-    matrix = np.asarray(matrix, dtype=complex)
+    matrix = _numbers(name, matrix, "numbers", complex)
     if matrix.shape != (len(modes), len(modes)):
-        raise ValueError(f"matrix shape {matrix.shape} does not fit {len(modes)} modes")
+        raise ValueError(f"{name} shape {matrix.shape} does not fit {len(modes)} modes")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"{name} must hold finite numbers only")
     columns = dict(zip(modes, matrix.T.tolist()))
     if len(columns) < len(modes):
         raise ValueError(f"modes {modes} are not distinct")
@@ -132,7 +135,7 @@ def _linear_map(modes, matrix) -> Callable[[Mode], list]:
 
 def polarization_map(spatial: str, jones: np.ndarray) -> Callable[[Mode], list]:
     """Waveplate/rotation acting on the polarization of one spatial port."""
-    return _linear_map([(spatial, pol) for pol in _POLS], jones)
+    return _linear_map([(spatial, pol) for pol in _POLS], jones, "jones")
 
 
 def _ppbs_map(in_modes, t_h: float, t_v: float) -> Callable[[Mode], list]:

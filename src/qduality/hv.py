@@ -172,39 +172,38 @@ class FeasibilityResult:
     cuts: int  # Kelley cuts made, in both loops when a float solve reaches the cap
 
 
-def _length(name: str, values) -> int:
-    """``len(values)``, or a ValueError naming ``name`` when it is not a sequence."""
+def _flat(entry, shape):
+    """``entry``'s numbers if it nests as ``shape``, as a tuple for one axis and as one list
+    for two; else a TypeError."""
+    items = tuple(entry)
+    if len(items) != shape[0]:
+        raise TypeError
+    return items if len(shape) == 1 else [v for row in items for v in _flat(row, shape[1:])]
+
+
+def _per_setting(name, values, settings, shape, must, slack=0.0) -> list:
+    """One distribution per setting: each entry of ``values`` nested as ``shape``, flattened
+    and checked by ``_probabilities``; else a ValueError that starts with ``name``."""
     try:
-        return len(values)
+        aligned = len(values) == len(settings)
     except TypeError:
         raise ValueError(f"{name} must be a sequence, got {reprlib.repr(values)}") from None
+    if not aligned:
+        raise ValueError(f"{name} must align with the settings list")
+    try:
+        entries = [_flat(entry, shape) for entry in values]
+    except TypeError:  # an entry, or a row of one, that is no sequence of that length
+        raise ValueError(f"{name} must {must}") from None
+    return [_probabilities(name, entry, slack) for entry in entries]
 
 
 def _wave_probs(wave_probs, settings: SettingsList) -> list:
-    """Per-setting fringe statistics, checked; by default each setting's ``wave_stats``."""
+    """Per-setting fringe statistics, checked; by default each setting's ``wave_stats``,
+    which always pass the probability rule unchanged."""
     if wave_probs is None:
-        wave_probs = [wave_stats(phi) for _, phi in settings.entries]
-    if _length("wave_probs", wave_probs) != len(settings):
-        raise ValueError("wave_probs must align with the settings list")
-    try:
-        pairs = [tuple(pair) for pair in wave_probs]
-    except TypeError:  # an entry that is not a sequence
-        pairs = [()]
-    if not all(len(pair) == 2 for pair in pairs):
-        raise ValueError("wave_probs must hold one pair of numbers per setting")
-    return [_probabilities("wave_probs", pair) for pair in pairs]
-
-
-def _validate_targets(targets, n):
-    if _length("targets", targets) != n:
-        raise ValueError("targets must align with the settings list")
-    try:
-        tables = [[list(row) for row in table] for table in targets]
-    except TypeError:  # a table or a row that is not a sequence
-        tables = [[]]
-    if not all(len(rows) == 2 and len(rows[0]) == len(rows[1]) == 2 for rows in tables):
-        raise ValueError("targets must each be a 2x2 joint distribution")
-    return [_probabilities("targets", rows[0] + rows[1], slack=1e-12) for rows in tables]
+        return [wave_stats(phi) for _, phi in settings.entries]
+    return _per_setting("wave_probs", wave_probs, settings, (2,),
+                        "hold one pair of numbers per setting")
 
 
 def _distance_pieces(q, k, one=1):
@@ -443,27 +442,24 @@ def feasibility(targets, settings: SettingsList, wave_probs=None) -> Feasibility
     over on the exact loop, with the same floats read as Fractions, and its
     optimum gives the float residual and witness.  ``cuts`` counts both loops.
     """
-    flat_targets = _validate_targets(targets, len(_instance("settings", settings, SettingsList)))
+    flat_targets = _per_setting("targets", targets, _instance("settings", settings, SettingsList),
+                                (2, 2), "each be a 2x2 joint distribution", slack=1e-12)
     wave_probs = _wave_probs(wave_probs, settings)
 
     exact = all(isinstance(v, Fraction) for v in itertools.chain(*flat_targets, *wave_probs))
-    if exact:
-        cuts, (wave_weight, residual, wave_plus) = _kelley(
-            _exact_cut(flat_targets, wave_probs), Fraction(1))
-        feasible = residual == 0
-    else:
-        cuts, optimum = _kelley(_float_cut(flat_targets, wave_probs), 1.0,
-                                _FLOAT_TOL, _FLOAT_CUTS)
-        if optimum is None:  # the exact loop on the same floats read as Fractions
-            exact_targets, exact_wave = ([[Fraction(float(v)) for v in row] for row in rows]
-                                         for rows in (flat_targets, wave_probs))
-            exact_cuts, (wave_weight, residual, wave_plus) = _kelley(
-                _exact_cut(exact_targets, exact_wave), Fraction(1))
-            cuts += exact_cuts
-            optimum = float(wave_weight), residual, np.array(wave_plus, dtype=float)
-        wave_weight, residual, wave_plus = optimum
+    cuts, optimum = (0, None) if exact else _kelley(
+        _float_cut(flat_targets, wave_probs), 1.0, _FLOAT_TOL, _FLOAT_CUTS)
+    if optimum is None:  # exact inputs, or a float loop at the cap: floats read as Fractions
+        exact_targets, exact_wave = (
+            rows if exact else [[Fraction(float(v)) for v in row] for row in rows]
+            for rows in (flat_targets, wave_probs))
+        exact_cuts, optimum = _kelley(_exact_cut(exact_targets, exact_wave), Fraction(1))
+        cuts += exact_cuts
+    wave_weight, residual, wave_plus = optimum
+    if not exact:
+        wave_weight, wave_plus = float(wave_weight), np.array(wave_plus, dtype=float)
         residual = max(float(residual), 0.0)
-        feasible = residual <= FEASIBILITY_TOL
+    feasible = residual == 0 if exact else residual <= FEASIBILITY_TOL
     model = (_witness(wave_weight, wave_plus, flat_targets, 0 if exact else 1e-12)
              if feasible else None)
     return FeasibilityResult(feasible=feasible, residual=residual, model=model,

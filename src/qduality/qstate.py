@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 import reprlib
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,9 @@ _COMPLEX = (complex, np.complexfloating)
 
 # The package's input rules, each raising a ValueError that starts with the argument's name:
 # ``_finite`` and ``_unit_interval`` check each scalar, ``_numbers`` each array (``_finite_grid``
-# each grid of finite floats), ``_instance`` each object and ``_probabilities`` each
-# distribution.  Text is never a number, though ``float``, ``complex`` and numpy would parse it.
+# each grid of finite floats), ``_qubits`` each sequence of qubit indices, ``_instance`` each
+# object and ``_probabilities`` each distribution.  Text is never a number, though ``float``,
+# ``complex`` and numpy would parse it.
 def _finite(name: str, value, kind: str = "angle") -> float:
     """``float(value)`` if it is a finite real number; else a ValueError that names ``name``."""
     try:  # math.isfinite rejects a str or None, and overflows on an int too large
@@ -71,10 +73,14 @@ def _numbers(name: str, values, kind: str, dtype=float) -> np.ndarray:
     iterable: bool, int and float (and complex, for a complex ``dtype``)
     are cast whole, and an object array one entry at a time.  Text, whole,
     as an entry or as an array, is refused, and so is complex for a float.
+    A set or a mapping is refused too: it has no order of its own, and a
+    mapping would be read as its keys.
     """
     try:
         if isinstance(values, (str, bytes)):
             raise TypeError(f"not a number: {values!r}")
+        if isinstance(values, (Set, Mapping)):
+            raise TypeError(f"not a sequence: {reprlib.repr(values)}")
         array = np.asarray(values if isinstance(values, np.ndarray) else tuple(values))
         if array.dtype.kind not in ("fiubc" if dtype is complex else "fiub"):
             if array.dtype != object:  # text, complex, dates
@@ -132,6 +138,24 @@ def _probabilities(name: str, values, slack=0.0, sum_tol=1e-9) -> list:
     return probs if exact else [min(p, 1.0) for p in probs]
 
 
+def _qubits(name: str, values, num_qubits: int, distinct: bool = True) -> tuple:
+    """``values`` as a tuple of int qubit indices below ``num_qubits``, each once if
+    ``distinct``; else a ValueError that starts with ``name``."""
+    try:  # text is no index, and bytes would iterate as ints
+        indices = (None,) if isinstance(values, (str, bytes)) else tuple(values)
+    except TypeError:  # not iterable
+        indices = (None,)
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in indices):
+        must = "a sequence of qubit indices"
+    elif not all(0 <= i < num_qubits for i in indices):
+        must = f"qubit indices below {num_qubits}"
+    elif distinct and len(set(indices)) != len(indices):
+        must = "distinct qubit indices"
+    else:
+        return tuple(map(int, indices))
+    raise ValueError(f"{name} must be {must}, got {reprlib.repr(values)}")
+
+
 def _instance(name: str, value, cls):
     """``value`` if it is a ``cls``; else a ValueError that names ``name``."""
     if isinstance(value, cls):
@@ -169,7 +193,7 @@ class StateVector:
 
     def fidelity(self, other: "StateVector") -> float:
         """|<self|other>|^2; the global-phase-free comparison."""
-        if self.num_qubits != other.num_qubits:
+        if self.num_qubits != _instance("other", other, StateVector).num_qubits:
             raise ValueError("fidelity requires equal register sizes")
         return float(abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2)
 
@@ -237,8 +261,10 @@ def _apply_matrix(amplitudes: np.ndarray, num_qubits: int, matrix: np.ndarray,
                   targets: tuple) -> np.ndarray:
     """Apply a (possibly non-unitary) operator on the target qubits.
 
-    The matrix rows/columns are ordered with ``targets[0]`` as the most
-    significant target bit.  ``amplitudes`` may be a stack (..., 2**n) and
+    ``targets`` are distinct qubit indices below ``num_qubits``, as
+    ``_qubits`` returns them, and are not checked again here.  The matrix
+    rows/columns are ordered with ``targets[0]`` as the most significant
+    target bit.  ``amplitudes`` may be a stack (..., 2**n) and
     ``matrix`` a stack (..., 2**k, 2**k); the stacks broadcast, and each
     state in them sees the same matmul, on the same memory layout, as it
     would alone.
@@ -246,11 +272,6 @@ def _apply_matrix(amplitudes: np.ndarray, num_qubits: int, matrix: np.ndarray,
     k = len(targets)
     if matrix.shape[-2:] != (2**k, 2**k):
         raise ValueError(f"operator dimension {matrix.shape[-1]} does not match {k} target(s)")
-    if len(set(targets)) != k:
-        raise ValueError(f"duplicate target index in {targets}")
-    for t in targets:
-        if not 0 <= t < num_qubits:
-            raise ValueError(f"target {t} out of range for {num_qubits} qubits")
     order = list(targets) + [i for i in range(num_qubits) if i not in targets]
     stack = amplitudes.shape[:-1]  # leading axes, left in place
     psi = amplitudes.reshape(stack + (2,) * num_qubits)
@@ -269,8 +290,9 @@ def _behind(lead: int, axes):
 
 def apply_gate(state: StateVector, gate: GateOp, targets) -> StateVector:
     """Apply a unitary gate to the given ordered target qubits."""
-    targets = tuple(targets)
-    amps = _apply_matrix(state.amplitudes, state.num_qubits, gate.matrix, targets)
+    n = _instance("state", state, StateVector).num_qubits
+    matrix = _instance("gate", gate, GateOp).matrix
+    amps = _apply_matrix(state.amplitudes, n, matrix, _qubits("targets", targets, n))
     return StateVector(amps)
 
 
@@ -334,7 +356,7 @@ def bell_ket(label: str) -> np.ndarray:
     """Raw amplitude array of the named Bell state."""
     try:
         return _BELL_KETS[label].copy()
-    except KeyError:
+    except (KeyError, TypeError):  # a TypeError for an unhashable label
         raise ValueError(f"unknown Bell state label {label!r}") from None
 
 
@@ -345,9 +367,9 @@ def bell_state(label: str) -> StateVector:
 
 def outcome_probability(state: StateVector, projector: Projector, targets) -> float:
     """Born-rule probability <psi|P|psi> for a projector on the target qubits."""
-    targets = tuple(targets)
-    projected = _apply_matrix(state.amplitudes, state.num_qubits,
-                              projector.matrix, targets)
+    n = _instance("state", state, StateVector).num_qubits
+    matrix = _instance("projector", projector, Projector).matrix
+    projected = _apply_matrix(state.amplitudes, n, matrix, _qubits("targets", targets, n))
     prob = float(np.real(np.vdot(state.amplitudes, projected)))
     if not -ATOL <= prob <= 1.0 + ATOL:
         raise ValueError(f"probability {prob} outside [0, 1]")
@@ -356,13 +378,11 @@ def outcome_probability(state: StateVector, projector: Projector, targets) -> fl
 
 def schmidt_coefficients(state: StateVector, partition) -> np.ndarray:
     """Singular values of the bipartition (partition | rest), descending."""
-    part = tuple(sorted(set(partition)))
-    if not part or len(part) >= state.num_qubits:
+    n = _instance("state", state, StateVector).num_qubits
+    part = tuple(sorted(set(_qubits("partition", partition, n, distinct=False))))
+    if not part or len(part) >= n:
         raise ValueError(f"partition {partition} must be a nonempty proper subset")
-    for q in part:
-        if not 0 <= q < state.num_qubits:
-            raise ValueError(f"qubit {q} out of range")
-    rest = [q for q in range(state.num_qubits) if q not in part]
-    psi = state.amplitudes.reshape([2] * state.num_qubits)
+    rest = [q for q in range(n) if q not in part]
+    psi = state.amplitudes.reshape([2] * n)
     psi = np.transpose(psi, list(part) + rest).reshape(2 ** len(part), -1)
     return np.linalg.svd(psi, compute_uv=False)

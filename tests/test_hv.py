@@ -696,6 +696,12 @@ class TestAgainstEnumeratedStrategies:
             assert hv.predicted_joint(result.model, settings, wave_probs=wave) == targets
 
 
+def flat_targets_of(targets, settings):
+    """The targets as ``feasibility`` reads them: one checked flat distribution per setting."""
+    return hv._per_setting("targets", targets, settings, (2, 2),
+                           "each be a 2x2 joint distribution", slack=1e-12)
+
+
 def assert_glues(wave_weight, wave_plus, flat_targets, threshold):
     """``hv._witness`` gives each tag its weight and, at each setting, its clipped '+' mass.
 
@@ -758,7 +764,7 @@ class TestWitnessStrings:
         rng = np.random.default_rng(47)
         for n in (3, 8, 40):
             settings = random_settings(rng, n)
-            flat = hv._validate_targets(admixed_targets(rng, settings), n)
+            flat = flat_targets_of(admixed_targets(rng, settings), settings)
             wave = [hv.wave_stats(phi) for _, phi in settings.entries]
             _, (wave_weight, _, wave_plus) = hv._kelley(hv._float_cut(flat, wave), 1.0,
                                                         hv._FLOAT_TOL)
@@ -964,7 +970,7 @@ class TestIntegerCut:
 
 def highs(targets, settings):
     """HiGHS on the same LP: its residual and, when feasible, its witness."""
-    flat = hv._validate_targets(targets, len(settings))
+    flat = flat_targets_of(targets, settings)
     wave = [hv.wave_stats(phi) for _, phi in settings.entries]
     wave_weight, residual, wave_plus = lp.highs_optimum(flat, wave)
     residual = max(residual, 0.0)
@@ -1075,7 +1081,7 @@ class TestFloatKernel:
             targets = ([hv.quantum_joint(t2, phi) for t2, phi in settings.entries] if i % 2
                        else admixed_targets(rng, settings))
             result = hv.feasibility(targets, settings)
-            flat = [[Fraction(v) for v in q] for q in hv._validate_targets(targets, len(settings))]
+            flat = [[Fraction(v) for v in q] for q in flat_targets_of(targets, settings)]
             wave = [tuple(map(Fraction, hv.wave_stats(phi))) for _, phi in settings.entries]
             _, (_, residual, _) = hv._kelley(hv._exact_cut(flat, wave), Fraction(1))
             assert abs(result.residual - float(residual)) <= 1e-12
@@ -1112,6 +1118,46 @@ class TestFloatKernel:
                 result = hv.feasibility(targets, settings)
             assert abs(result.residual - uncapped.residual) <= 1e-12
             assert result.feasible == uncapped.feasible
+
+    def test_float_targets_with_fraction_wave_statistics(self, monkeypatch):
+        # float targets with Fraction wave statistics run the float loop, and
+        # give the verdict of the float statistics, at the cut cap too; there
+        # the exact loop reads every number as its float, as Fraction(float(v))
+        rng = np.random.default_rng(690)
+        for i in range(40):
+            settings = random_settings(rng, int(rng.integers(1, 9)))
+            targets = ([hv.quantum_joint(t2, phi) for t2, phi in settings.entries] if i % 2
+                       else admixed_targets(rng, settings))
+            fringe = [Fraction(hv.wave_stats(phi)[0]).limit_denominator(10**9)
+                      for _, phi in settings.entries]
+            wave = [(p, 1 - p) for p in fringe]
+            want = hv.feasibility(targets, settings)
+            for cap in (math.inf, 0):
+                with monkeypatch.context() as m:
+                    m.setattr(hv, "_FLOAT_CUTS", cap)
+                    got = hv.feasibility(targets, settings, wave)
+                    as_floats = hv.feasibility(targets, settings, [tuple(map(float, w)) for w in wave])
+                assert got.method == "float" and type(got.residual) is float
+                assert got.feasible == want.feasible
+                assert abs(got.residual - want.residual) <= 1e-12
+                if cap == 0:
+                    assert repr(got) == repr(as_floats)
+
+    def test_default_wave_statistics_are_each_settings_wave_stats(self):
+        rng = np.random.default_rng(695)
+        for i in range(20):
+            settings = random_settings(rng, int(rng.integers(1, 9)))
+            targets = ([hv.quantum_joint(t2, phi) for t2, phi in settings.entries] if i % 2
+                       else admixed_targets(rng, settings))
+            explicit = [hv.wave_stats(phi) for _, phi in settings.entries]
+            assert (repr(hv.feasibility(targets, settings))
+                    == repr(hv.feasibility(targets, settings, explicit)))
+            strategies = [HVStrategy(str(rng.choice(["particle", "wave"])),
+                                     "".join(rng.choice(["+", "-"], len(settings))))
+                          for _ in range(3)]
+            model = random_model(rng, strategies)
+            assert (repr(hv.predicted_joint(model, settings))
+                    == repr(hv.predicted_joint(model, settings, explicit)))
 
     def test_exact_finish_memory_bounded(self, monkeypatch):
         # HiGHS's dense standard form traced 120 MB here

@@ -4,9 +4,11 @@ an object or a probability distribution.
 Each scalar argument is checked by ``qstate._finite`` (a finite real
 number) or ``qstate._unit_interval`` (a real number in [0, 1]), each array
 by ``qstate._numbers`` (each grid and settings table through
-``qstate._finite_grid``), each object argument by ``qstate._instance`` and
-each probability distribution by ``qstate._probabilities``.  Text is never
-a number.  A bad value raises a ValueError whose message starts with the
+``qstate._finite_grid``), each sequence of qubit indices by
+``qstate._qubits`` (ints, numpy ints too but no bools, in range), each
+object argument by ``qstate._instance`` and each probability distribution
+by ``qstate._probabilities``.  Text is never a number, and a set or a
+mapping is never an array.  A bad value raises a ValueError whose message starts with the
 argument's name, never a TypeError or an AttributeError from the code
 behind the check.
 """
@@ -223,6 +225,8 @@ COMPLEX_ARGUMENTS = [
     ("PostselectedMap", "kraus", "numbers", np.full((1, 4, 4), 0.5), fock.PostselectedMap),
     ("PostselectedMap.apply", "rho", "numbers", np.full((4, 4), 0.5),
      lambda x: fock.physical_cz(0.5)[0].apply(x)),
+    ("polarization_map", "jones", "numbers", ((0.5, 0.5), (0.5, 0.5)),
+     lambda x: fock.polarization_map("s", x)),
 ]
 ARRAY_ARGUMENTS = GRID_ARGUMENTS + SETTINGS_ARGUMENTS + COMPLEX_ARGUMENTS
 
@@ -261,6 +265,92 @@ def test_text_is_not_a_number(label, name, kind, valid, call, case, text):
         call(text(valid))
 
 
+def hashable(valid):
+    """``valid`` as nested tuples, which a set or a dict can hold."""
+    return tuple(map(hashable, valid)) if np.ndim(valid) else valid
+
+
+# containers with no order of their own: a set iterates in hash order, and a
+# mapping as its keys
+UNORDERED = [("set", lambda valid: set(hashable(valid))),
+             ("frozenset", lambda valid: frozenset(hashable(valid))),
+             ("dict", lambda valid: dict.fromkeys(hashable(valid))),
+             ("dict-keys", lambda valid: dict.fromkeys(hashable(valid)).keys())]
+
+
+@pytest.mark.parametrize("label, name, kind, valid, call", ARRAY_ARGUMENTS,
+                         ids=[f"{label}-{name}" for label, name, *_ in ARRAY_ARGUMENTS])
+@pytest.mark.parametrize("case, unordered", UNORDERED, ids=[case for case, _ in UNORDERED])
+def test_set_or_mapping_is_not_an_array(label, name, kind, valid, call, case, unordered):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a sequence of "
+                                         f"{re.escape(kind)}: not a sequence: "):
+        call(unordered(valid))
+
+
+@pytest.mark.parametrize("jones, message", [
+    ([[math.nan, 0.0], [0.0, 1.0]], "^jones must hold finite numbers only$"),
+    ([[1.0, 0.0], [0.0, math.inf]], "^jones must hold finite numbers only$"),
+    ([[1.0, complex(0.0, math.nan)], [0.0, 1.0]], "^jones must hold finite numbers only$"),
+    (np.eye(3), r"^jones shape \(3, 3\) does not fit 2 modes$"),
+], ids=["nan", "inf", "complex-nan", "3x3"])
+def test_jones_matrix_must_be_finite_2x2(jones, message):
+    # text as jones is a row of COMPLEX_ARGUMENTS
+    with pytest.raises(ValueError, match=message):
+        fock.polarization_map("s", jones)
+
+
+TWO_QUBITS = qs.bell_state("psi+")
+# (entry point, argument name, call with the argument set to x): each sequence
+# of qubit indices is read by ``qstate._qubits``
+QUBIT_ARGUMENTS = [
+    ("apply_gate", "targets", lambda x: qs.apply_gate(TWO_QUBITS, qs.hadamard(), x)),
+    ("outcome_probability", "targets",
+     lambda x: qs.outcome_probability(TWO_QUBITS, qs.Projector(np.diag([1.0, 0.0])), x)),
+    ("schmidt_coefficients", "partition", lambda x: qs.schmidt_coefficients(TWO_QUBITS, x)),
+]
+NOT_QUBIT_INDICES = [0, 0.5, None, "0", b"0", [0.5], [np.float64(1.0)], [True], [np.True_], [None],
+                     ["0"], [1j]]
+
+
+@pytest.mark.parametrize("label, name, call", QUBIT_ARGUMENTS,
+                         ids=[f"{label}-{name}" for label, name, _ in QUBIT_ARGUMENTS])
+@pytest.mark.parametrize("value", NOT_QUBIT_INDICES, ids=[repr(v) for v in NOT_QUBIT_INDICES])
+def test_qubit_indices_that_are_not_ints_name_the_argument(label, name, call, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a sequence of qubit indices, got ") as info:
+        call(value)
+    assert reprlib.repr(value) in str(info.value)
+
+
+@pytest.mark.parametrize("label, name, call", QUBIT_ARGUMENTS,
+                         ids=[f"{label}-{name}" for label, name, _ in QUBIT_ARGUMENTS])
+@pytest.mark.parametrize("value", [[2], [-1], [np.int64(5)]], ids=["2", "-1", "int64-5"])
+def test_qubit_indices_are_ints_in_range(label, name, call, value):
+    # numpy ints are read as the equal ints
+    want = call([1])
+    for good in ([np.int64(1)], [np.uint8(1)], np.array([1]), (1,)):
+        got = call(good)
+        assert np.array_equal(getattr(got, "amplitudes", got), getattr(want, "amplitudes", want))
+    with pytest.raises(ValueError, match=f"^{name} must be qubit indices below 2, got "):
+        call(value)
+
+
+def test_duplicate_targets_refused_and_a_duplicated_partition_collapses():
+    for call in (lambda x: qs.apply_gate(TWO_QUBITS, qs.cz_gate(), x),
+                 lambda x: qs.outcome_probability(TWO_QUBITS, qs.Projector(np.eye(4)), x)):
+        with pytest.raises(ValueError, match=r"^targets must be distinct qubit indices, got \(1, 1\)$"):
+            call((1, 1))
+    assert np.array_equal(qs.schmidt_coefficients(TWO_QUBITS, (0, 0)),
+                          qs.schmidt_coefficients(TWO_QUBITS, (0,)))
+
+
+@pytest.mark.parametrize("label", [["phi+"], {"phi+": 1}, {"phi+"}], ids=["list", "dict", "set"])
+def test_unhashable_bell_label_is_unknown(label):
+    for call in (qs.bell_ket, qs.bell_state):
+        with pytest.raises(ValueError, match="^unknown Bell state label ") as info:
+            call(label)
+        assert repr(label) in str(info.value)
+
+
 # (entry point, argument name, call with the argument set to x): each object
 # argument must be an instance of its class, checked where it enters
 OBJECT_ARGUMENTS = [
@@ -277,6 +367,13 @@ OBJECT_ARGUMENTS = [
         hv.HVModel((hv.HVStrategy("wave", "+"),), (1,)), x)),
     ("hom_scan", "overlap", lambda x: fock.hom_scan(0.5, x, [0.1])),
     ("bsm_scan", "overlap", lambda x: fock.bsm_scan(0.3, x, [0.1])),
+    ("apply_gate", "state", lambda x: qs.apply_gate(x, qs.hadamard(), [0])),
+    ("apply_gate", "gate", lambda x: qs.apply_gate(TWO_QUBITS, x, [0])),
+    ("outcome_probability", "state",
+     lambda x: qs.outcome_probability(x, qs.Projector(np.diag([1.0, 0.0])), [0])),
+    ("outcome_probability", "projector", lambda x: qs.outcome_probability(TWO_QUBITS, x, [0])),
+    ("schmidt_coefficients", "state", lambda x: qs.schmidt_coefficients(x, [0])),
+    ("StateVector.fidelity", "other", TWO_QUBITS.fidelity),
 ]
 
 

@@ -244,7 +244,8 @@ class TestSchmidt:
 
     @pytest.mark.parametrize("qubit", [2, -1])
     def test_qubit_out_of_range_rejected(self, qubit):
-        with pytest.raises(ValueError, match=f"^qubit {qubit} out of range$"):
+        message = rf"^partition must be qubit indices below 2, got \({qubit},\)$"
+        with pytest.raises(ValueError, match=message):
             qs.schmidt_coefficients(qs.bell_state("psi+"), (qubit,))
 
 
